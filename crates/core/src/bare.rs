@@ -22,7 +22,7 @@ use ompx_hostrt::{OmpxError, OpenMp};
 use ompx_sim::counters::StatsSnapshot;
 use ompx_sim::dim::{Dim3, LaunchConfig};
 use ompx_sim::error::SimResult;
-use ompx_sim::exec::{Kernel, KernelFlags};
+use ompx_sim::exec::{Kernel, KernelFlags, Step};
 use ompx_sim::mem::DeviceScalar;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::{model_kernel, CodegenInfo, ModeledTime};
@@ -119,8 +119,35 @@ impl BareTarget {
         body: impl Fn(&mut ThreadCtx<'_>) + Send + Sync + 'static,
     ) -> PreparedBare {
         let kernel = Kernel::with_flags(self.name.clone(), self.flags, body);
+        self.prepared(kernel)
+    }
+
+    /// Build a block-synchronizing bare kernel in phased form (see
+    /// [`Kernel::phased`]): `body(tc, phase, state)` runs one
+    /// barrier-delimited segment and returns [`Step::Barrier`] where the
+    /// region calls `ompx_sync_thread_block`. The phased form implies
+    /// [`BareTarget::uses_block_sync`].
+    pub fn prepare_phased<S, F>(self, body: F) -> PreparedBare
+    where
+        S: Default + 'static,
+        F: Fn(&mut ThreadCtx<'_>, usize, &mut S) -> Step + Send + Sync + 'static,
+    {
+        let kernel = Kernel::phased(self.name.clone(), body);
+        self.prepared(kernel)
+    }
+
+    fn prepared(self, kernel: Kernel) -> PreparedBare {
         let cfg = self.launch_config();
         PreparedBare { omp: self.omp, name: self.name, kernel, cfg }
+    }
+
+    /// Launch a phased body synchronously (see [`BareTarget::prepare_phased`]).
+    pub fn launch_phased<S, F>(self, body: F) -> SimResult<TargetResult>
+    where
+        S: Default + 'static,
+        F: Fn(&mut ThreadCtx<'_>, usize, &mut S) -> Step + Send + Sync + 'static,
+    {
+        self.prepare_phased(body).execute()
     }
 
     /// Launch synchronously (the `target` construct's default semantics:

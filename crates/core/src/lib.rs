@@ -94,6 +94,7 @@ pub mod prelude {
     pub use crate::host_api::*;
     pub use crate::interop_depend::*;
     pub use ompx_hostrt::{InteropObj, OmpxError, OpenMp};
+    pub use ompx_sim::exec::Step;
     pub use ompx_sim::fault::{FaultKind, FaultPlan, FaultSite, RetryPolicy};
     pub use ompx_sim::thread::ThreadCtx;
 }

@@ -20,7 +20,7 @@ use crate::common::*;
 use ompx::BareTarget;
 use ompx_klang::toolchain::{vendor_key, CodegenDb, Toolchain};
 use ompx_sim::dim::LaunchConfig;
-use ompx_sim::exec::{Kernel, KernelFlags};
+use ompx_sim::exec::{Kernel, Step};
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::CodegenInfo;
@@ -38,7 +38,8 @@ pub fn info() -> BenchInfo {
 
 pub(crate) const KERNEL: &str = "aidw_interp";
 const SEED: u64 = 0x5eed35;
-pub(crate) const BLOCK: usize = 64;
+/// Threads per block, and points per shared tile.
+pub const BLOCK: usize = 64;
 const EPS: f32 = 1e-6;
 
 /// Workload parameters: `n` data points and `n` query points (the paper's
@@ -65,13 +66,15 @@ impl Params {
     }
 }
 
+/// The device inputs: data points (`px`, `py`, values `pv`) and query
+/// points (`qx`, `qy`).
 #[derive(Clone)]
-struct AidwData {
-    px: DBuf<f32>,
-    py: DBuf<f32>,
-    pv: DBuf<f32>,
-    qx: DBuf<f32>,
-    qy: DBuf<f32>,
+pub struct AidwData {
+    pub px: DBuf<f32>,
+    pub py: DBuf<f32>,
+    pub pv: DBuf<f32>,
+    pub qx: DBuf<f32>,
+    pub qy: DBuf<f32>,
 }
 
 fn generate(device: &Device, params: Params) -> AidwData {
@@ -117,29 +120,60 @@ fn accumulate(
     tc.flops(12); // subs, fmas, and the reciprocal (~4 flop-equivalents)
 }
 
-/// Tiled (shared-memory) kernel body: CUDA original and the ompx port.
+/// A lane's registers that live across the tiled kernel's barriers: its
+/// query point and the two running sums.
+#[derive(Debug, Default)]
+pub struct ScanState {
+    qx: f32,
+    qy: f32,
+    wsum: f32,
+    vsum: f32,
+}
+
+/// The shared tiles of the tiled kernel: slots for the staged point
+/// coordinates and values.
+#[derive(Debug, Clone, Copy)]
+pub struct TileSlots {
+    pub x: usize,
+    pub y: usize,
+    pub v: usize,
+}
+
+/// Tiled (shared-memory) kernel body — CUDA original and the ompx port —
+/// in phased form. The CUDA loop over tiles has two `__syncthreads()` per
+/// trip, so phase `2t` stages tile `t` (phase 0 also loads the query),
+/// phase `2t+1` accumulates tile `t`, and phase `2*tiles` writes the
+/// result.
 #[allow(clippy::too_many_arguments)]
-fn tiled_kernel_body(
+pub fn tiled_phase(
     tc: &mut ThreadCtx<'_>,
+    phase: usize,
+    st: &mut ScanState,
     d: &AidwData,
     out: &DBuf<f32>,
-    slot_x: usize,
-    slot_y: usize,
-    slot_v: usize,
+    slots: TileSlots,
     n_points: usize,
     n_queries: usize,
-) {
-    let tile_x = tc.shared::<f32>(slot_x);
-    let tile_y = tc.shared::<f32>(slot_y);
-    let tile_v = tc.shared::<f32>(slot_v);
+) -> Step {
+    let tile_x = tc.shared::<f32>(slots.x);
+    let tile_y = tc.shared::<f32>(slots.y);
+    let tile_v = tc.shared::<f32>(slots.v);
     let tid = tc.thread_rank();
     let q = tc.global_thread_id_x();
-    let (qx, qy) = if q < n_queries { (tc.read(&d.qx, q), tc.read(&d.qy, q)) } else { (0.0, 0.0) };
-
-    let mut wsum = 0.0f32;
-    let mut vsum = 0.0f32;
+    if phase == 0 && q < n_queries {
+        st.qx = tc.read(&d.qx, q);
+        st.qy = tc.read(&d.qy, q);
+    }
     let tiles = n_points.div_ceil(BLOCK);
-    for t in 0..tiles {
+    if phase == 2 * tiles {
+        if q < n_queries {
+            tc.flops(1);
+            tc.write(out, q, st.vsum / st.wsum);
+        }
+        return Step::Exit;
+    }
+    let t = phase / 2;
+    if phase.is_multiple_of(2) {
         let p = t * BLOCK + tid;
         if p < n_points {
             let x = tc.read(&d.px, p);
@@ -149,22 +183,31 @@ fn tiled_kernel_body(
             tc.swrite(&tile_y, tid, y);
             tc.swrite(&tile_v, tid, v);
         }
-        tc.sync_threads();
-        if q < n_queries {
-            let in_tile = BLOCK.min(n_points - t * BLOCK);
-            for s in 0..in_tile {
-                let px = tc.sread(&tile_x, s);
-                let py = tc.sread(&tile_y, s);
-                let pv = tc.sread(&tile_v, s);
-                accumulate(tc, qx, qy, px, py, pv, &mut wsum, &mut vsum);
-            }
+    } else if q < n_queries {
+        let in_tile = BLOCK.min(n_points - t * BLOCK);
+        for s in 0..in_tile {
+            let px = tc.sread(&tile_x, s);
+            let py = tc.sread(&tile_y, s);
+            let pv = tc.sread(&tile_v, s);
+            accumulate(tc, st.qx, st.qy, px, py, pv, &mut st.wsum, &mut st.vsum);
         }
-        tc.sync_threads();
     }
-    if q < n_queries {
-        tc.flops(1);
-        tc.write(out, q, vsum / wsum);
-    }
+    Step::Barrier
+}
+
+/// The tiled kernel, launched by the native versions and the aidw tests.
+fn tiled_kernel(
+    name: &str,
+    d: &AidwData,
+    out: &DBuf<f32>,
+    slots: TileSlots,
+    n_points: usize,
+    n_queries: usize,
+) -> Kernel {
+    let (d, out) = (d.clone(), out.clone());
+    Kernel::phased(name, move |tc, phase, st: &mut ScanState| {
+        tiled_phase(tc, phase, st, &d, &out, slots, n_points, n_queries)
+    })
 }
 
 /// Codegen profiles. §4.2.4: Clang's native CUDA path demotes the shared
@@ -249,19 +292,12 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
             let out = ctx.malloc::<f32>(nq);
             out.set_label("out");
             let mut cfg = LaunchConfig::linear(nq, BLOCK as u32);
-            let sx = cfg.shared_array::<f32>(BLOCK);
-            let sy = cfg.shared_array::<f32>(BLOCK);
-            let sv = cfg.shared_array::<f32>(BLOCK);
-            let kernel = Kernel::with_flags(
-                KERNEL,
-                KernelFlags { uses_block_sync: true, uses_warp_ops: false },
-                {
-                    let (data, out) = (data.clone(), out.clone());
-                    move |tc: &mut ThreadCtx<'_>| {
-                        tiled_kernel_body(tc, &data, &out, sx, sy, sv, np, nq);
-                    }
-                },
-            );
+            let slots = TileSlots {
+                x: cfg.shared_array::<f32>(BLOCK),
+                y: cfg.shared_array::<f32>(BLOCK),
+                v: cfg.shared_array::<f32>(BLOCK),
+            };
+            let kernel = tiled_kernel(KERNEL, &data, &out, slots, np, nq);
             let smem = cfg.shared_bytes_per_block();
             let r = ctx.launch_cfg(&kernel, cfg).expect("launch");
             let scaled = fix_geometry(r.stats.scaled(factor), &r.stats);
@@ -280,13 +316,15 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 .thread_limit([BLOCK as u32])
                 .uses_block_sync();
             // groupprivate(team:) tiles — the Figure 4 pattern.
-            let sx = target.shared_array::<f32>(BLOCK);
-            let sy = target.shared_array::<f32>(BLOCK);
-            let sv = target.shared_array::<f32>(BLOCK);
-            let prepared = target.prepare({
+            let slots = TileSlots {
+                x: target.shared_array::<f32>(BLOCK),
+                y: target.shared_array::<f32>(BLOCK),
+                v: target.shared_array::<f32>(BLOCK),
+            };
+            let prepared = target.prepare_phased({
                 let (data, out) = (data.clone(), out.clone());
-                move |tc| {
-                    tiled_kernel_body(tc, &data, &out, sx, sy, sv, np, nq);
+                move |tc, phase, st: &mut ScanState| {
+                    tiled_phase(tc, phase, st, &data, &out, slots, np, nq)
                 }
             });
             let r = prepared.execute().expect("bare launch");
@@ -379,19 +417,13 @@ mod tests {
         let data2 = generate(ctx2.device(), params);
         let out = ctx2.malloc::<f32>(params.n_queries);
         let mut cfg = LaunchConfig::linear(params.n_queries, BLOCK as u32);
-        let sx = cfg.shared_array::<f32>(BLOCK);
-        let sy = cfg.shared_array::<f32>(BLOCK);
-        let sv = cfg.shared_array::<f32>(BLOCK);
-        let np = params.n_points;
-        let nq = params.n_queries;
-        let kernel = Kernel::with_flags(
-            "aidw_ref",
-            KernelFlags { uses_block_sync: true, uses_warp_ops: false },
-            {
-                let (d, out) = (data2.clone(), out.clone());
-                move |tc: &mut ThreadCtx<'_>| tiled_kernel_body(tc, &d, &out, sx, sy, sv, np, nq)
-            },
-        );
+        let slots = TileSlots {
+            x: cfg.shared_array::<f32>(BLOCK),
+            y: cfg.shared_array::<f32>(BLOCK),
+            v: cfg.shared_array::<f32>(BLOCK),
+        };
+        let kernel =
+            tiled_kernel("aidw_ref", &data2, &out, slots, params.n_points, params.n_queries);
         ctx2.launch_cfg(&kernel, cfg).unwrap();
         assert_eq!(out.get(0), expect);
         let _ = r;

@@ -250,7 +250,9 @@ pub fn with_mem_trace_full<R>(f: impl FnOnce() -> R) -> (R, Vec<MemEvent>, Vec<B
     *ACTIVE_MEM_TRACE.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&trace));
     let _uninstall = TraceInstall(gate);
     let result = f();
-    (result, trace.events(), trace.barrier_events())
+    // The trace is this call's alone: move the streams out, don't copy them.
+    let (events, barriers) = trace.take_events();
+    (result, events, barriers)
 }
 
 // ---- span-log integration (profiler timelines) -----------------------------

@@ -14,7 +14,7 @@ use crate::common::*;
 use ompx::BareTarget;
 use ompx_klang::toolchain::{vendor_key, CodegenDb, Toolchain};
 use ompx_sim::dim::LaunchConfig;
-use ompx_sim::exec::{Kernel, KernelFlags};
+use ompx_sim::exec::{Kernel, Step};
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::CodegenInfo;
@@ -32,8 +32,10 @@ pub fn info() -> BenchInfo {
 
 pub(crate) const KERNEL: &str = "stencil1d";
 const SEED: u64 = 0x5eed55;
-pub(crate) const BLOCK: usize = 256;
-pub(crate) const RADIUS: usize = 3;
+/// Threads per block, and elements per shared tile before its halos.
+pub const BLOCK: usize = 256;
+/// Stencil radius: each output averages `2 * RADIUS + 1` inputs.
+pub const RADIUS: usize = 3;
 
 /// Workload parameters. The paper runs 2²⁷ elements for 1000 iterations
 /// and reports the average kernel time.
@@ -85,35 +87,38 @@ fn stencil_sum<'a>(
     acc / (2 * RADIUS + 1) as f32
 }
 
-/// Tiled kernel body (CUDA original and the ompx port): stage
-/// `BLOCK + 2*RADIUS` elements, barrier, compute from the tile.
-fn tiled_body(
+/// Tiled kernel body (CUDA original and the ompx port) in phased form:
+/// phase 0 stages `BLOCK + 2*RADIUS` elements (the block's tile and its
+/// halos) and ends at the `__syncthreads()`; phase 1 computes from the
+/// tile and writes.
+pub fn tiled_phase(
     tc: &mut ThreadCtx<'_>,
+    phase: usize,
     input: &DBuf<f32>,
     output: &DBuf<f32>,
     slot: usize,
     n: usize,
-) {
+) -> Step {
     let tile = tc.shared::<f32>(slot);
     let tid = tc.thread_rank();
     let gid = tc.global_thread_id_x();
-
-    // Interior element (lanes past the end stage the clamped boundary so
-    // partial blocks read consistent halos).
-    let v = tc.read(input, gid.min(n - 1));
-    tc.swrite(&tile, tid + RADIUS, v);
-    // Halos: the first 2*RADIUS threads fetch the block's edges
-    // (clamped boundary).
-    if tid < RADIUS {
-        let left = (tc.block_id_x() * BLOCK).saturating_sub(RADIUS - tid).min(n - 1);
-        let v = tc.read(input, left);
-        tc.swrite(&tile, tid, v);
-        let right = (tc.block_id_x() * BLOCK + BLOCK + tid).min(n - 1);
-        let v = tc.read(input, right);
-        tc.swrite(&tile, tid + RADIUS + BLOCK, v);
+    if phase == 0 {
+        // Interior element (lanes past the end stage the clamped boundary
+        // so partial blocks read consistent halos).
+        let v = tc.read(input, gid.min(n - 1));
+        tc.swrite(&tile, tid + RADIUS, v);
+        // Halos: the first 2*RADIUS threads fetch the block's edges
+        // (clamped boundary).
+        if tid < RADIUS {
+            let left = (tc.block_id_x() * BLOCK).saturating_sub(RADIUS - tid).min(n - 1);
+            let v = tc.read(input, left);
+            tc.swrite(&tile, tid, v);
+            let right = (tc.block_id_x() * BLOCK + BLOCK + tid).min(n - 1);
+            let v = tc.read(input, right);
+            tc.swrite(&tile, tid + RADIUS + BLOCK, v);
+        }
+        return Step::Barrier;
     }
-    tc.sync_threads();
-
     if gid < n {
         let r = stencil_sum(tc, |tc, off| {
             let idx = (tid + RADIUS) as isize + off;
@@ -121,6 +126,22 @@ fn tiled_body(
         });
         tc.write(output, gid, r);
     }
+    Step::Exit
+}
+
+/// The tiled kernel over `input` → `output`, launched by the native
+/// versions and the stencil tests.
+fn tiled_kernel(
+    name: &str,
+    input: &DBuf<f32>,
+    output: &DBuf<f32>,
+    slot: usize,
+    n: usize,
+) -> Kernel {
+    let (input, output) = (input.clone(), output.clone());
+    Kernel::phased(name, move |tc, phase, _: &mut ()| {
+        tiled_phase(tc, phase, &input, &output, slot, n)
+    })
 }
 
 /// Clamped global index for the non-tiled (omp) version — must match the
@@ -210,14 +231,7 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 let mut cfg = LaunchConfig::linear(n, BLOCK as u32);
                 let slot = cfg.shared_array::<f32>(BLOCK + 2 * RADIUS);
                 smem = cfg.shared_bytes_per_block();
-                let kernel = Kernel::with_flags(
-                    KERNEL,
-                    KernelFlags { uses_block_sync: true, uses_warp_ops: false },
-                    {
-                        let (input, output) = (input.clone(), output.clone());
-                        move |tc: &mut ThreadCtx<'_>| tiled_body(tc, &input, &output, slot, n)
-                    },
-                );
+                let kernel = tiled_kernel(KERNEL, input, output, slot, n);
                 let r = ctx.launch_cfg(&kernel, cfg).expect("launch");
                 agg = agg.merged(&r.stats);
             }
@@ -246,9 +260,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     .thread_limit([BLOCK as u32])
                     .uses_block_sync();
                 let slot = target.shared_array::<f32>(BLOCK + 2 * RADIUS);
-                let prepared = target.prepare({
+                let prepared = target.prepare_phased({
                     let (input, output) = (input.clone(), output.clone());
-                    move |tc| tiled_body(tc, &input, &output, slot, n)
+                    move |tc, phase, _: &mut ()| tiled_phase(tc, phase, &input, &output, slot, n)
                 });
                 let r = prepared.execute().expect("bare launch");
                 agg = agg.merged(&r.stats);
@@ -349,14 +363,7 @@ mod tests {
         let n = params.length;
         let mut cfg = LaunchConfig::linear(n, BLOCK as u32);
         let slot = cfg.shared_array::<f32>(BLOCK + 2 * RADIUS);
-        let kernel = Kernel::with_flags(
-            "stencil_var",
-            KernelFlags { uses_block_sync: true, uses_warp_ops: false },
-            {
-                let (a, b) = (a.clone(), b.clone());
-                move |tc: &mut ThreadCtx<'_>| tiled_body(tc, &a, &b, slot, n)
-            },
-        );
+        let kernel = tiled_kernel("stencil_var", &a, &b, slot, n);
         ctx.launch_cfg(&kernel, cfg).unwrap();
         assert!(var(&b.to_vec()) < var(&init));
     }

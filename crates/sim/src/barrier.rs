@@ -1,11 +1,13 @@
 //! A reusable sense-reversing barrier tuned for oversubscribed simulation.
 //!
-//! The executor runs a thread block's lanes on real OS threads, usually many
-//! more lanes than hardware cores. A pure spin barrier would burn the very
-//! cores the other lanes need, so this barrier spins briefly (cheap when the
-//! machine has spare cores) and then parks on a condvar (cheap when it does
-//! not). Participant count is fixed at construction; the executor builds one
-//! barrier per block team sized to the launch's block dimension.
+//! On its team path (closure kernels that call `sync_threads` or warp
+//! collectives) the executor runs a thread block's lanes on real OS
+//! threads, usually many more lanes than hardware cores. A pure spin
+//! barrier would burn the very cores the other lanes need, so this barrier
+//! spins briefly (cheap when the machine has spare cores) and then parks on
+//! a condvar (cheap when it does not). Participant count is fixed at
+//! construction; the executor builds one barrier per block team sized to
+//! the launch's block dimension.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -756,8 +756,9 @@ impl Device {
         self.checkpoint_write_set(kernel.name());
         let committed = (inj.salt as usize) % cfg.num_blocks();
         if committed > 0 {
-            let san = self.sanitizer().map(|state| LaunchSan::new(state, kernel.name()));
-            let mem = self.mem_trace().map(|trace| LaunchMemTrace::new(trace, kernel.name()));
+            let san = self.sanitizer().map(|state| Arc::new(LaunchSan::new(state, kernel.name())));
+            let mem =
+                self.mem_trace().map(|trace| Arc::new(LaunchMemTrace::new(trace, kernel.name())));
             let _ = exec::run_prefix(
                 kernel,
                 cfg,
@@ -844,8 +845,8 @@ impl Device {
         if let Some(reg) = ompx_telemetry::active() {
             reg.counter_add("sim_launches_total", &[], 1);
         }
-        let san = self.sanitizer().map(|state| LaunchSan::new(state, kernel.name()));
-        let mem = self.mem_trace().map(|trace| LaunchMemTrace::new(trace, kernel.name()));
+        let san = self.sanitizer().map(|state| Arc::new(LaunchSan::new(state, kernel.name())));
+        let mem = self.mem_trace().map(|trace| Arc::new(LaunchMemTrace::new(trace, kernel.name())));
         let stats = exec::run(
             kernel,
             &cfg,

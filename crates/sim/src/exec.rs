@@ -3,21 +3,27 @@
 //! Two execution paths share identical semantics as far as a kernel can
 //! observe:
 //!
-//! * **Serial path** — for kernels with no intra-block synchronization
-//!   (`KernelFlags` default). Blocks are distributed over host worker
-//!   threads; within a block, lanes run one after another. This is the fast
-//!   path: most of the HeCBench kernels (XSBench, RSBench, Adam, SU3) are
-//!   barrier-free.
-//! * **Team path** — for kernels that use `sync_threads`, warp shuffles, or
-//!   warp barriers. A small number of *teams* is spawned, each consisting of
-//!   one OS thread per lane of a block; teams claim blocks from a shared
-//!   counter and execute them with true intra-block concurrency. Barriers
-//!   park rather than spin because lanes heavily oversubscribe host cores
-//!   (see [`crate::barrier`]).
+//! * **Block loop** — blocks are distributed over host workers (the
+//!   launching thread plus long-lived helper threads) and a worker runs
+//!   the lanes of a claimed block on itself. A plain closure kernel (no
+//!   intra-block synchronization, the `KernelFlags` default) runs its
+//!   lanes one after another. A *phased* kernel
+//!   ([`Kernel::phased`]) is split at its `__syncthreads()` into
+//!   barrier-delimited phases: the loop runs phase 0 over every lane in
+//!   rank order, then phase 1 over the lanes that reached the barrier, and
+//!   so on, keeping each lane's context and cross-barrier registers for the
+//!   whole block. This is how every barrier-using HeCBench kernel runs.
+//! * **Team path** — for closure kernels that call `sync_threads`, warp
+//!   shuffles, or warp barriers directly. A small number of *teams* is
+//!   spawned, each consisting of one OS thread per lane of a block; teams
+//!   claim blocks from a shared counter and execute them with true
+//!   intra-block concurrency. Barriers park rather than spin because lanes
+//!   heavily oversubscribe host cores (see [`crate::barrier`]).
 //!
-//! The choice mirrors what the MCUDA line of work (cited in the paper's
-//! related work) calls "deep fission" vs true threading; we keep kernels
-//! unmodified and pay for threads only when the kernel needs them.
+//! The phased form is the "deep fission" of the MCUDA line of work (cited
+//! in the paper's related work) and of pocl's work-group loops: the kernel
+//! author splits the body at barriers and host threads are paid only per
+//! worker, not per lane.
 
 use crate::barrier::{RetireBarrier, SenseBarrier};
 use crate::counters::{CostCounters, KernelStats, StatsSnapshot};
@@ -28,8 +34,8 @@ use crate::shared::BlockShared;
 use crate::thread::ThreadCtx;
 use crate::warp::WarpGroup;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
 /// A panic payload carried out of a worker thread so the launch can finish
 /// its deterministic merges before the panic resumes.
@@ -45,10 +51,67 @@ pub struct KernelFlags {
 }
 
 impl KernelFlags {
-    /// Does this kernel require the barrier-capable team path?
+    /// Does a closure kernel with these flags require the barrier-capable
+    /// team path? (A phased kernel never does.)
     pub fn needs_team_execution(&self) -> bool {
         self.uses_block_sync || self.uses_warp_ops
     }
+}
+
+/// How a phased kernel body ends one barrier-delimited phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The lane reached `__syncthreads()`: it resumes at the next phase
+    /// once every live lane of the block has finished this one.
+    Barrier,
+    /// The lane returned from the kernel. Exited lanes count as arrived at
+    /// every later barrier, as in CUDA.
+    Exit,
+}
+
+/// A type-erased phased body: runs every phase of one block over its lanes.
+trait PhasedBody: Send + Sync {
+    fn run_block(&self, lanes: &mut [ThreadCtx<'_>]);
+}
+
+/// A phased body over per-lane state `S` (see [`Kernel::phased`]).
+struct Phases<S, F> {
+    body: F,
+    state: std::marker::PhantomData<fn() -> S>,
+}
+
+impl<S, F> PhasedBody for Phases<S, F>
+where
+    S: Default,
+    F: Fn(&mut ThreadCtx<'_>, usize, &mut S) -> Step + Send + Sync,
+{
+    fn run_block(&self, lanes: &mut [ThreadCtx<'_>]) {
+        let mut state: Vec<S> = lanes.iter().map(|_| S::default()).collect();
+        let mut live: Vec<usize> = (0..lanes.len()).collect();
+        let mut phase = 0;
+        while !live.is_empty() {
+            live.retain(|&lane| {
+                let ctx = &mut lanes[lane];
+                match (self.body)(ctx, phase, &mut state[lane]) {
+                    Step::Barrier => {
+                        ctx.arrive_barrier();
+                        true
+                    }
+                    Step::Exit => false,
+                }
+            });
+            phase += 1;
+        }
+    }
+}
+
+/// The per-thread code of a kernel.
+#[derive(Clone)]
+enum Body {
+    /// One closure call per lane; barriers, if any, need the team path.
+    Lane(Arc<dyn Fn(&mut ThreadCtx) + Send + Sync>),
+    /// Barrier-delimited phases run as loops over the block's lanes.
+    Phased(Arc<dyn PhasedBody>),
 }
 
 /// A device kernel: a name (for diagnostics and codegen-profile lookup),
@@ -57,7 +120,7 @@ impl KernelFlags {
 pub struct Kernel {
     name: String,
     flags: KernelFlags,
-    body: Arc<dyn Fn(&mut ThreadCtx) + Send + Sync>,
+    body: Body,
 }
 
 impl Kernel {
@@ -66,7 +129,11 @@ impl Kernel {
         name: impl Into<String>,
         body: impl Fn(&mut ThreadCtx) + Send + Sync + 'static,
     ) -> Self {
-        Kernel { name: name.into(), flags: KernelFlags::default(), body: Arc::new(body) }
+        Kernel {
+            name: name.into(),
+            flags: KernelFlags::default(),
+            body: Body::Lane(Arc::new(body)),
+        }
     }
 
     /// A kernel with explicit executor flags.
@@ -75,7 +142,32 @@ impl Kernel {
         flags: KernelFlags,
         body: impl Fn(&mut ThreadCtx) + Send + Sync + 'static,
     ) -> Self {
-        Kernel { name: name.into(), flags, body: Arc::new(body) }
+        Kernel { name: name.into(), flags, body: Body::Lane(Arc::new(body)) }
+    }
+
+    /// A block-synchronizing kernel in phased form: `body(ctx, phase,
+    /// state)` runs one barrier-delimited segment of one lane and returns
+    /// [`Step::Barrier`] where the original code calls `__syncthreads()`,
+    /// or [`Step::Exit`] where it returns. `state` holds the lane's
+    /// registers that live across a barrier; it starts as `S::default()`.
+    ///
+    /// Every lane of a block runs phase `p` before any lane runs phase
+    /// `p + 1`, on the worker that claimed the block. Ending a phase with
+    /// `Step::Barrier` records exactly what `sync_threads` records (the
+    /// memtrace barrier event, then the barrier count), and the flags keep
+    /// `uses_block_sync`, so tools and the timing model see the same kernel
+    /// as its closure form. The body must not call `sync_threads`,
+    /// `sync_warp` or warp collectives.
+    pub fn phased<S, F>(name: impl Into<String>, body: F) -> Self
+    where
+        S: Default + 'static,
+        F: Fn(&mut ThreadCtx<'_>, usize, &mut S) -> Step + Send + Sync + 'static,
+    {
+        Kernel {
+            name: name.into(),
+            flags: KernelFlags { uses_block_sync: true, uses_warp_ops: false },
+            body: Body::Phased(Arc::new(Phases { body, state: std::marker::PhantomData })),
+        }
     }
 
     /// Mark the kernel as using block-wide barriers.
@@ -99,6 +191,20 @@ impl Kernel {
     pub fn flags(&self) -> KernelFlags {
         self.flags
     }
+
+    /// Is this kernel in phased form ([`Kernel::phased`])?
+    pub fn is_phased(&self) -> bool {
+        matches!(self.body, Body::Phased(_))
+    }
+
+    /// Does a launch with `threads_per_block` lanes per block run on the
+    /// thread-per-lane team path? Only closure kernels that declare
+    /// barriers or warp collectives do, and only for multi-lane blocks.
+    pub(crate) fn runs_on_team_path(&self, threads_per_block: usize) -> bool {
+        matches!(self.body, Body::Lane(_))
+            && self.flags.needs_team_execution()
+            && threads_per_block > 1
+    }
 }
 
 impl std::fmt::Debug for Kernel {
@@ -115,8 +221,8 @@ pub fn run(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
+    san: Option<&Arc<LaunchSan>>,
+    mem: Option<&Arc<LaunchMemTrace>>,
     workers: usize,
 ) -> StatsSnapshot {
     run_bounded(kernel, cfg, warp_size, san, mem, workers, cfg.num_blocks())
@@ -131,8 +237,8 @@ pub(crate) fn run_prefix(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
+    san: Option<&Arc<LaunchSan>>,
+    mem: Option<&Arc<LaunchMemTrace>>,
     workers: usize,
     limit: usize,
 ) -> StatsSnapshot {
@@ -143,16 +249,29 @@ fn run_bounded(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
+    san: Option<&Arc<LaunchSan>>,
+    mem: Option<&Arc<LaunchMemTrace>>,
     workers: usize,
     num_blocks: usize,
 ) -> StatsSnapshot {
-    let stats = KernelStats::new();
-    let payload = if kernel.flags.needs_team_execution() && cfg.threads_per_block() > 1 {
+    let stats = Arc::new(KernelStats::new());
+    let payload = if kernel.runs_on_team_path(cfg.threads_per_block()) {
+        TEAM_LAUNCHES.fetch_add(1, Ordering::Relaxed);
+        let (san, mem) = (san.map(|s| &**s), mem.map(|m| &**m));
         run_team(kernel, cfg, warp_size, &stats, san, mem, workers, num_blocks)
     } else {
-        run_serial(kernel, cfg, warp_size, &stats, san, mem, workers, num_blocks)
+        let block_loop = BlockLoop {
+            kernel: kernel.clone(),
+            cfg: cfg.clone(),
+            warp_size,
+            stats: Arc::clone(&stats),
+            san: san.cloned(),
+            mem: mem.cloned(),
+            num_blocks,
+            next_block: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        };
+        run_serial(Arc::new(block_loop), workers)
     };
     // Deterministic merges happen even when the launch panicked, so a
     // failing kernel still leaves canonically ordered partial evidence.
@@ -166,6 +285,17 @@ fn run_bounded(
         std::panic::resume_unwind(p);
     }
     stats.snapshot()
+}
+
+/// Launches this process ran on the thread-per-lane team path.
+static TEAM_LAUNCHES: AtomicU64 = AtomicU64::new(0);
+
+/// How many launches in this process have run on the thread-per-lane team
+/// path (closure kernels that declare barriers or warp collectives, with
+/// multi-lane blocks): a test that runs a workload alone in its process
+/// can show that none of its kernels needed it.
+pub fn team_launches() -> u64 {
+    TEAM_LAUNCHES.load(Ordering::Relaxed)
 }
 
 /// Shared-memory tooling configuration for a launch: an attached sanitizer
@@ -207,106 +337,179 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Serial path: blocks spread over workers, lanes of a block run in sequence.
-#[allow(clippy::too_many_arguments)]
-fn run_serial(
+/// One launch on the block loop, shared by the launching thread and the
+/// helper threads that run some of its blocks.
+struct BlockLoop {
+    kernel: Kernel,
+    cfg: LaunchConfig,
+    warp_size: u32,
+    stats: Arc<KernelStats>,
+    san: Option<Arc<LaunchSan>>,
+    mem: Option<Arc<LaunchMemTrace>>,
+    num_blocks: usize,
+    next_block: AtomicUsize,
+    /// Sticky poison: once any worker sees a lane panic, no worker claims
+    /// another block, so sanitizer/memtrace state never includes
+    /// post-failure blocks (matching the team path's semantics).
+    poisoned: AtomicBool,
+}
+
+impl BlockLoop {
+    /// Claim and run blocks until none are left or a lane panicked; the
+    /// panic is returned rather than unwound so the caller can finish the
+    /// launch first.
+    fn work(&self) -> Option<PanicPayload> {
+        let tpb = self.cfg.threads_per_block();
+        while !self.poisoned.load(Ordering::Acquire) {
+            let b = self.next_block.fetch_add(1, Ordering::Relaxed);
+            if b >= self.num_blocks {
+                break;
+            }
+            let (san, mem) = (self.san.as_deref(), self.mem.as_deref());
+            match run_block(&self.kernel, &self.cfg, self.warp_size, san, mem, b) {
+                Ok(counters) => {
+                    self.stats.absorb_block(&counters, tpb as u64);
+                    self.stats.block_done();
+                }
+                Err(p) => {
+                    // The block's stats are not absorbed (it did not commit).
+                    self.poisoned.store(true, Ordering::Release);
+                    return Some(p);
+                }
+            }
+        }
+        None
+    }
+}
+
+/// A share of a launch's block loop, run on a helper thread.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The block loop's helper threads, spawned on first use and kept for the
+/// life of the process. Threads spawned per launch would each take over
+/// whichever allocator heap an exited thread left behind, so over a long
+/// run every such heap would come to hold one launch's lane buffers and
+/// memory would grow; long-lived helpers reuse their own.
+static HELPERS: Mutex<Vec<mpsc::Sender<Job>>> = Mutex::new(Vec::new());
+
+/// Job queues of `n` helper threads, spawning the ones not yet running.
+fn helpers(n: usize) -> Vec<mpsc::Sender<Job>> {
+    let mut pool = HELPERS.lock();
+    while pool.len() < n {
+        let (tx, rx) = mpsc::channel::<Job>();
+        std::thread::Builder::new()
+            .name(format!("ompx-sim-helper-{}", pool.len()))
+            .spawn(move || rx.into_iter().for_each(|job| job()))
+            .expect("spawn a block-loop helper thread");
+        pool.push(tx);
+    }
+    pool[..n].to_vec()
+}
+
+/// The block loop: blocks spread over workers — the launching thread and
+/// `workers - 1` helpers — and a worker runs the lanes of a claimed block
+/// itself, one after another for a closure body, phase by phase for a
+/// phased body. Returns once every worker has stopped.
+fn run_serial(block_loop: Arc<BlockLoop>, workers: usize) -> Option<PanicPayload> {
+    let workers = workers.clamp(1, block_loop.num_blocks.max(1));
+    let (done_tx, done) = mpsc::channel();
+    let mut running = 0;
+    for helper in helpers(workers - 1) {
+        let (block_loop, done_tx) = (Arc::clone(&block_loop), done_tx.clone());
+        let job: Job = Box::new(move || {
+            let work = std::panic::AssertUnwindSafe(|| block_loop.work());
+            let _ = done_tx.send(std::panic::catch_unwind(work).unwrap_or_else(Some));
+        });
+        // A helper whose queue is gone leaves its share to the others.
+        if helper.send(job).is_ok() {
+            running += 1;
+        }
+    }
+    drop(done_tx);
+    let mut payload = block_loop.work();
+    // Wait for every helper so a simulated-program panic surfaces with its
+    // original message and the launch's merges see every block.
+    for p in done.iter().take(running).flatten() {
+        payload.get_or_insert(p);
+    }
+    payload
+}
+
+/// Run every lane of block `b` on the calling worker and stage the block's
+/// logs and block-end scans. Returns the block's summed counters, or the
+/// first lane panic (the lanes still stage what they recorded).
+fn run_block(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    stats: &KernelStats,
     san: Option<&LaunchSan>,
     mem: Option<&LaunchMemTrace>,
-    workers: usize,
-    num_blocks: usize,
-) -> Option<PanicPayload> {
-    let workers = workers.clamp(1, num_blocks.max(1));
-    let next_block = AtomicUsize::new(0);
-    // Sticky poison: once any worker sees a lane panic, no worker claims
-    // another block, so sanitizer/memtrace state never includes
-    // post-failure blocks (matching the team path's semantics).
-    let poisoned = AtomicBool::new(false);
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let tpb = cfg.threads_per_block();
-                    loop {
-                        if poisoned.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let b = next_block.fetch_add(1, Ordering::Relaxed);
-                        if b >= num_blocks {
-                            break;
-                        }
-                        let shared = block_shared(cfg, san);
-                        let (bx, by, bz) = cfg.grid.delinear(b);
-                        let mut block_counters = CostCounters::default();
-                        let mut failed = None;
-                        for t in 0..tpb {
-                            let (tx, ty, tz) = cfg.block.delinear(t);
-                            let mut ctx = ThreadCtx {
-                                block: (bx, by, bz),
-                                thread: (tx, ty, tz),
-                                grid_dim: cfg.grid,
-                                block_dim: cfg.block,
-                                warp_size,
-                                counters: CostCounters::default(),
-                                shared: &shared,
-                                block_barrier: None,
-                                warp: None,
-                                collective_count: 0,
-                                san,
-                                mem,
-                                trace_log: Default::default(),
-                                diag_log: Default::default(),
-                            };
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    (kernel.body)(&mut ctx)
-                                }));
-                            block_counters.merge(&ctx.counters);
-                            ctx.stage_logs();
-                            if let Err(p) = outcome {
-                                failed = Some(p);
-                                break;
-                            }
-                        }
-                        stage_block_scan(san, cfg, (bx, by, bz), b, &shared, None);
-                        if let Some(p) = failed {
-                            poisoned.store(true, Ordering::Release);
-                            // Re-raise with the original message; the block's
-                            // stats are not absorbed (it did not commit).
-                            std::panic::resume_unwind(p);
-                        }
-                        stats.absorb_block(&block_counters, tpb as u64);
-                        stats.block_done();
-                    }
-                })
-            })
-            .collect();
-        // Join every worker so a simulated-program panic surfaces with its
-        // original message instead of "a scoped thread panicked".
-        let mut payload = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                payload.get_or_insert(p);
+    b: usize,
+) -> Result<CostCounters, PanicPayload> {
+    let tpb = cfg.threads_per_block();
+    let shared = block_shared(cfg, san);
+    let block = cfg.grid.delinear(b);
+    let lane_ctx = |t: usize| ThreadCtx {
+        block,
+        thread: cfg.block.delinear(t),
+        grid_dim: cfg.grid,
+        block_dim: cfg.block,
+        warp_size,
+        counters: CostCounters::default(),
+        shared: &shared,
+        block_barrier: None,
+        warp: None,
+        phased: kernel.is_phased(),
+        collective_count: 0,
+        san,
+        mem,
+        trace_log: Default::default(),
+        diag_log: Default::default(),
+    };
+    let mut counters = CostCounters::default();
+    let mut outcome = Ok(());
+    let mut barrier_counts = None;
+    match &kernel.body {
+        Body::Lane(body) => {
+            for t in 0..tpb {
+                let mut ctx = lane_ctx(t);
+                outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
+                counters.merge(&ctx.counters);
+                ctx.stage_logs();
+                if outcome.is_err() {
+                    break;
+                }
             }
         }
-        payload
-    })
+        Body::Phased(body) => {
+            let mut lanes: Vec<ThreadCtx<'_>> = (0..tpb).map(lane_ctx).collect();
+            outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                body.run_block(&mut lanes)
+            }));
+            let mut counts = Vec::with_capacity(tpb);
+            for ctx in &mut lanes {
+                counters.merge(&ctx.counters);
+                counts.push(ctx.counters.barriers);
+                ctx.stage_logs();
+            }
+            barrier_counts = Some(counts);
+        }
+    }
+    stage_block_scan(san, cfg, block, b, &shared, barrier_counts.as_deref());
+    outcome.map(|()| counters)
 }
 
 /// Block-end deterministic scans, staged as the block's final diagnostic
 /// group: the shared-memory race folds in (slot, cell, epoch) order, then
-/// synccheck's barrier-divergence scan (team path only).
+/// synccheck's barrier-divergence scan over each lane's final barrier count
+/// (phased and team blocks).
 fn stage_block_scan(
     san: Option<&LaunchSan>,
     cfg: &LaunchConfig,
     block: (u32, u32, u32),
     block_rank: usize,
     shared: &BlockShared,
-    barrier_counts: Option<&[std::sync::atomic::AtomicU64]>,
+    barrier_counts: Option<&[u64]>,
 ) {
     let Some(san) = san else { return };
     let mut log = DiagLog::default();
@@ -434,6 +637,10 @@ fn lane_loop(
     mem: Option<&LaunchMemTrace>,
     num_blocks: usize,
 ) {
+    // Executor invariant: `runs_on_team_path` admits closure bodies only.
+    let Body::Lane(body) = &kernel.body else {
+        unreachable!("phased kernels run on the block loop")
+    };
     let tpb = cfg.threads_per_block();
     loop {
         // Step 1: lane 0 claims the next block; everyone learns it. A
@@ -486,14 +693,14 @@ fn lane_loop(
             shared: &exec.shared,
             block_barrier: Some(&exec.barrier),
             warp: Some(warp),
+            phased: false,
             collective_count: 0,
             san,
             mem,
             trace_log: Default::default(),
             diag_log: Default::default(),
         };
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (kernel.body)(&mut ctx)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
         if outcome.is_err() {
             team.poisoned.store(true, Ordering::Release);
             launch_poisoned.store(true, Ordering::Release);
@@ -508,7 +715,9 @@ fn lane_loop(
         // Step 3: whole team finishes the block before reusing the slot.
         team.gate.wait();
         if lane == 0 {
-            stage_block_scan(san, cfg, (bx, by, bz), b, &exec.shared, Some(&exec.barrier_counts));
+            let counts: Vec<u64> =
+                exec.barrier_counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            stage_block_scan(san, cfg, (bx, by, bz), b, &exec.shared, Some(&counts));
             stats.block_done();
         }
         match outcome {
@@ -530,15 +739,14 @@ fn scan_barrier_divergence(
     cfg: &LaunchConfig,
     block: (u32, u32, u32),
     block_rank: usize,
-    counts: &[std::sync::atomic::AtomicU64],
+    counts: &[u64],
     log: &mut DiagLog,
 ) {
     if !san.state().tool_on(ToolMask::SYNCCHECK) {
         return;
     }
-    let vals: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-    let Some(&maxc) = vals.iter().max() else { return };
-    for (lane, &c) in vals.iter().enumerate() {
+    let Some(&maxc) = counts.iter().max() else { return };
+    for (lane, &c) in counts.iter().enumerate() {
         if c > 0 && c < maxc {
             let (tx, ty, tz) = cfg.block.delinear(lane);
             san.state().barrier_divergence(
@@ -595,7 +803,9 @@ mod tests {
                 }
             },
         );
+        let before = team_launches();
         let stats = d.launch(&k, LaunchConfig::new(6u32, 16u32)).unwrap();
+        assert!(team_launches() > before, "a closure kernel with barriers runs on the team path");
         assert_eq!(stats.threads_executed, 96);
         assert_eq!(stats.blocks_executed, 6);
         assert!(hits.to_vec().iter().all(|&v| v == 1));
@@ -774,5 +984,148 @@ mod tests {
         });
         let stats = d.launch(&k, LaunchConfig::new(4u32, 1u32)).unwrap();
         assert_eq!(stats.barriers, 4);
+    }
+
+    /// A phased tile rotation: phase 0 stages, phase 1 reads a neighbour.
+    fn phased_rotate(out: &DBuf<u32>, slot: usize) -> Kernel {
+        let out = out.clone();
+        Kernel::phased("rotate", move |ctx, phase, staged: &mut u32| {
+            let tile = ctx.shared::<u32>(slot);
+            let t = ctx.thread_rank();
+            if phase == 0 {
+                *staged = (ctx.global_rank() * 10) as u32;
+                ctx.swrite(&tile, t, *staged);
+                return Step::Barrier;
+            }
+            let v = ctx.sread(&tile, (t + 1) % ctx.block_dim_x());
+            ctx.write(&out, ctx.global_rank(), v + *staged);
+            Step::Exit
+        })
+    }
+
+    #[test]
+    fn phased_kernel_runs_phases_over_the_whole_block() {
+        let d = dev();
+        let tpb = 16usize;
+        let out: DBuf<u32> = d.alloc(3 * tpb);
+        let mut cfg = LaunchConfig::new(3u32, tpb as u32);
+        let slot = cfg.shared_array::<u32>(tpb);
+        let k = phased_rotate(&out, slot);
+        assert!(k.is_phased() && k.flags().uses_block_sync && !k.runs_on_team_path(tpb));
+        let stats = d.launch(&k, cfg).unwrap();
+        assert_eq!(stats.threads_executed, 48);
+        assert_eq!(stats.blocks_executed, 3);
+        assert_eq!(stats.barriers, 48);
+        let got = out.to_vec();
+        for b in 0..3usize {
+            for t in 0..tpb {
+                let own = (b * tpb + t) * 10;
+                let neighbour = (b * tpb + (t + 1) % tpb) * 10;
+                assert_eq!(got[b * tpb + t], (own + neighbour) as u32);
+            }
+        }
+    }
+
+    #[test]
+    fn phased_early_exit_does_not_block_later_phases() {
+        // Odd lanes exit in phase 0; even lanes pass three barriers.
+        let d = dev();
+        let out = d.alloc::<u32>(8);
+        let k = Kernel::phased("early", {
+            let out = out.clone();
+            move |ctx, phase, _: &mut ()| {
+                let t = ctx.thread_rank();
+                if t % 2 == 1 {
+                    return Step::Exit;
+                }
+                if phase < 3 {
+                    return Step::Barrier;
+                }
+                ctx.write(&out, t, phase as u32);
+                Step::Exit
+            }
+        });
+        let stats = d.launch(&k, LaunchConfig::new(1u32, 8u32)).unwrap();
+        assert_eq!(stats.barriers, 4 * 3);
+        assert_eq!(out.to_vec(), vec![3, 0, 3, 0, 3, 0, 3, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "end the phase with Step::Barrier")]
+    fn sync_threads_inside_a_phased_body_panics_with_the_phase_hint() {
+        let d = dev();
+        let k = Kernel::phased("misused", |ctx, _, _: &mut ()| {
+            ctx.sync_threads();
+            Step::Exit
+        });
+        let _ = d.launch(&k, LaunchConfig::new(1u32, 8u32));
+    }
+
+    #[test]
+    #[should_panic(expected = "end the phase with Step::Barrier")]
+    fn shuffle_inside_a_phased_body_panics_with_the_phase_hint() {
+        let d = dev();
+        let k = Kernel::phased("misused", |ctx, _, _: &mut ()| {
+            let _ = ctx.shfl(1u32, 0);
+            Step::Exit
+        });
+        let _ = d.launch(&k, LaunchConfig::new(1u32, 8u32));
+    }
+
+    #[test]
+    #[should_panic(expected = "end the phase with Step::Barrier")]
+    fn sync_warp_inside_a_phased_body_panics_with_the_phase_hint() {
+        let d = dev();
+        let k = Kernel::phased("misused", |ctx, _, _: &mut ()| {
+            ctx.sync_warp();
+            Step::Exit
+        });
+        let _ = d.launch(&k, LaunchConfig::new(1u32, 8u32));
+    }
+
+    #[test]
+    fn phased_collectives_degrade_to_flags_drift_under_synccheck() {
+        use crate::san::{DiagKind, SanState, ToolMask};
+        let d = dev();
+        let out = d.alloc::<u32>(8);
+        let k = Kernel::phased("drifted", {
+            let out = out.clone();
+            move |ctx, _, _: &mut ()| {
+                let t = ctx.thread_rank();
+                ctx.sync_threads();
+                ctx.sync_warp();
+                let v = ctx.shfl(t as u32, 0);
+                ctx.write(&out, t, v);
+                Step::Exit
+            }
+        });
+        let san = SanState::new(ToolMask::SYNCCHECK);
+        d.attach_sanitizer(Arc::clone(&san));
+        let stats = d.launch(&k, LaunchConfig::new(1u32, 8u32)).unwrap();
+        d.detach_sanitizer();
+        let diags = san.diagnostics();
+        assert!(!diags.is_empty());
+        assert!(diags.iter().all(|g| g.kind == DiagKind::KernelFlagsDrift), "{diags:?}");
+        assert!(diags.iter().all(|g| g.message.contains("Step::Barrier")), "{diags:?}");
+        // Degraded: the barrier still counts, the shuffle returns its own value.
+        assert_eq!(stats.barriers, 8);
+        assert_eq!(out.to_vec(), (0..8).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 3 failed")]
+    fn a_panicking_phased_lane_fails_the_launch_with_its_message() {
+        let d = dev();
+        let k = Kernel::phased("boom", |ctx, phase, _: &mut ()| {
+            if phase == 1 && ctx.thread_rank() == 3 {
+                panic!("lane 3 failed");
+            }
+            if phase == 0 {
+                Step::Barrier
+            } else {
+                Step::Exit
+            }
+        });
+        let _ = d.launch(&k, LaunchConfig::new(4u32, 8u32));
     }
 }

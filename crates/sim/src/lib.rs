@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::device::{Device, DeviceProfile, Vendor};
     pub use crate::dim::{Dim3, LaunchConfig};
     pub use crate::error::SimError;
-    pub use crate::exec::{Kernel, KernelFlags};
+    pub use crate::exec::{Kernel, KernelFlags, Step};
     pub use crate::fault::{
         run_with_retry, FaultEvent, FaultKind, FaultPlan, FaultSite, FaultSnapshot, FaultState,
         RetryPolicy,

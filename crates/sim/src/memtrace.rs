@@ -149,24 +149,15 @@ impl MemTrace {
     pub fn truncated(&self) -> bool {
         self.truncated.load(Ordering::Relaxed)
     }
+}
 
-    fn record(&self, event: MemEvent) {
-        let mut events = self.events.lock();
-        if events.len() < MAX_EVENTS {
-            events.push(event);
-        } else {
-            self.truncated.store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn record_barrier(&self, event: BarrierEvent) {
-        let mut barriers = self.barriers.lock();
-        if barriers.len() < MAX_EVENTS {
-            barriers.push(event);
-        } else {
-            self.truncated.store(true, Ordering::Relaxed);
-        }
-    }
+/// Append `items` to `out` up to the [`MAX_EVENTS`] cap, reporting whether
+/// any were dropped.
+fn append_capped<T>(out: &mut Vec<T>, items: impl ExactSizeIterator<Item = T>) -> bool {
+    let room = MAX_EVENTS.saturating_sub(out.len());
+    let dropped = items.len() > room;
+    out.extend(items.take(room));
+    dropped
 }
 
 /// A lane-local trace buffer. [`crate::thread::ThreadCtx`] records into it
@@ -248,20 +239,38 @@ impl LaunchMemTrace {
     pub(crate) fn finish(&self) {
         let mut staged = std::mem::take(&mut *self.staged.lock());
         staged.sort_by_key(|s| (s.block_rank, s.thread_rank));
+        let mut events = self.trace.events.lock();
+        let mut barriers = self.trace.barriers.lock();
+        // Reserve the launch's events up front: growing the shared trace
+        // one push at a time leaves each outgrown buffer behind as free heap.
+        let more: usize = staged.iter().map(|s| s.log.events.len()).sum();
+        let room = MAX_EVENTS.saturating_sub(events.len());
+        events.reserve(more.min(room));
+        let more: usize = staged.iter().map(|s| s.log.barriers.len()).sum();
+        let room = MAX_EVENTS.saturating_sub(barriers.len());
+        barriers.reserve(more.min(room));
+        let mut truncated = false;
         for lane in staged {
-            if lane.log.truncated {
-                self.trace.truncated.store(true, Ordering::Relaxed);
-            }
-            for mut e in lane.log.events {
-                e.kernel = self.kernel.clone();
-                e.launch = self.launch;
-                self.trace.record(e);
-            }
-            for mut b in lane.log.barriers {
-                b.kernel = self.kernel.clone();
-                b.launch = self.launch;
-                self.trace.record_barrier(b);
-            }
+            truncated |= lane.log.truncated;
+            truncated |= append_capped(
+                &mut events,
+                lane.log.events.into_iter().map(|mut e| {
+                    e.kernel = self.kernel.clone();
+                    e.launch = self.launch;
+                    e
+                }),
+            );
+            truncated |= append_capped(
+                &mut barriers,
+                lane.log.barriers.into_iter().map(|mut b| {
+                    b.kernel = self.kernel.clone();
+                    b.launch = self.launch;
+                    b
+                }),
+            );
+        }
+        if truncated {
+            self.trace.truncated.store(true, Ordering::Relaxed);
         }
     }
 }

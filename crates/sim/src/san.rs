@@ -628,18 +628,34 @@ impl SanState {
     /// block or warp collective in a multi-thread block. Without a session
     /// the executor panics; under synccheck the collective degrades (barrier
     /// no-op, shuffle self-value) and the drift becomes a structured
-    /// finding, so the whole launch can still be scanned. Returns `true`
-    /// when the caller should degrade instead of panicking.
+    /// finding, so the whole launch can still be scanned. A phased kernel
+    /// body calling a collective drifts the same way: its lanes run one
+    /// after another. Returns `true` when the caller should degrade
+    /// instead of panicking.
     pub(crate) fn flags_drift(
         &self,
         site: AccessSite<'_>,
         what: &str,
         missing: &str,
+        phased: bool,
         log: &mut DiagLog,
     ) -> bool {
         if !self.tool_on(ToolMask::SYNCCHECK) {
             return false;
         }
+        let message = if phased {
+            format!(
+                "{what} inside a phased kernel body — its lanes run one after another, \
+                 so the collective degrades and results may be wrong; end the phase \
+                 with Step::Barrier instead"
+            )
+        } else {
+            format!(
+                "{what} in a multi-thread block, but the kernel does not declare \
+                 KernelFlags::{missing} — it ran on the serial path, so the \
+                 collective degrades and results may be wrong"
+            )
+        };
         log.push(
             Diagnostic {
                 kind: DiagKind::KernelFlagsDrift,
@@ -648,11 +664,7 @@ impl SanState {
                 thread: site.thread,
                 address: None,
                 alloc: None,
-                message: format!(
-                    "{what} in a multi-thread block, but the kernel does not declare \
-                     KernelFlags::{missing} — it ran on the serial path, so the \
-                     collective degrades and results may be wrong"
-                ),
+                message,
             },
             (DiagKind::KernelFlagsDrift, site.block_rank, 0),
         );

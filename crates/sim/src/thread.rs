@@ -15,8 +15,9 @@
 //!   shuffles and ballots.
 //!
 //! Whether lanes run on a dedicated thread team (barrier-capable) or are
-//! serialized lane-by-lane (fast path for barrier-free kernels) is decided
-//! by the executor; the kernel code is identical in both cases.
+//! serialized lane-by-lane on the block loop (barrier-free and phased
+//! kernels) is decided by the executor; the accessors behave identically
+//! in every case.
 
 use crate::barrier::RetireBarrier;
 use crate::counters::CostCounters;
@@ -40,6 +41,8 @@ pub struct ThreadCtx<'a> {
     pub(crate) shared: &'a BlockShared,
     pub(crate) block_barrier: Option<&'a RetireBarrier>,
     pub(crate) warp: Option<&'a WarpGroup>,
+    /// The lane runs a phased body, whose barriers are `Step::Barrier`.
+    pub(crate) phased: bool,
     pub(crate) collective_count: u64,
     /// Sanitizer session of the enclosing launch, when one is attached.
     pub(crate) san: Option<&'a LaunchSan>,
@@ -77,6 +80,7 @@ impl<'a> ThreadCtx<'a> {
             shared,
             block_barrier: None,
             warp: None,
+            phased: false,
             collective_count: 0,
             san: None,
             mem: None,
@@ -137,18 +141,28 @@ impl<'a> ThreadCtx<'a> {
         suppress
     }
 
-    /// Record a `KernelFlags` drift (collective used on the serial path) as
-    /// a structured finding when a synccheck session is attached; returns
-    /// `true` when the caller should degrade instead of panicking.
+    /// A collective with no lane team behind it. A one-lane block needs
+    /// none and a synccheck session records the drift as a structured
+    /// finding; the caller then degrades the collective to its one-lane
+    /// result. Anything else is a kernel bug and panics.
     #[cold]
-    fn report_flags_drift(&mut self, what: &str, missing: &str) -> bool {
-        match self.san {
-            Some(san) => {
-                let site = self.site(san);
-                san.state().flags_drift(site, what, missing, &mut self.diag_log)
-            }
-            None => false,
+    fn teamless_collective(&mut self, what: &str, missing: &str) {
+        if self.solo() {
+            return;
         }
+        if let Some(san) = self.san {
+            let site = self.site(san);
+            if san.state().flags_drift(site, what, missing, self.phased, &mut self.diag_log) {
+                return;
+            }
+        }
+        if self.phased {
+            panic!(
+                "{what} inside a phased kernel body: the block's lanes run one after \
+                 another, so end the phase with Step::Barrier instead"
+            );
+        }
+        panic!("{what} requires KernelFlags::{missing} (kernel launched on the serial path)");
     }
 
     /// Stage this lane's trace and diagnostic buffers for the canonical
@@ -525,12 +539,10 @@ impl<'a> ThreadCtx<'a> {
 
     // ---- synchronization --------------------------------------------------
 
-    /// Block-wide barrier: `__syncthreads()` / `ompx_sync_thread_block()`.
-    ///
-    /// Panics if the kernel was launched without barrier support (its
-    /// [`crate::exec::KernelFlags`] must set `uses_block_sync`), except for
-    /// single-thread blocks where the barrier is trivially a no-op.
-    pub fn sync_threads(&mut self) {
+    /// The arrival half of a block barrier: record the memtrace barrier
+    /// event with this lane's ordinal, then count the barrier. A phased
+    /// lane's `Step::Barrier` does exactly this and no more.
+    pub(crate) fn arrive_barrier(&mut self) {
         if self.mem.is_some() {
             self.trace_log.push_barrier(BarrierEvent {
                 kernel: String::new(),
@@ -541,21 +553,23 @@ impl<'a> ThreadCtx<'a> {
             });
         }
         self.counters.barriers += 1;
+    }
+
+    /// Block-wide barrier: `__syncthreads()` / `ompx_sync_thread_block()`.
+    ///
+    /// Panics if the kernel was launched without barrier support (its
+    /// [`crate::exec::KernelFlags`] must set `uses_block_sync`) or is a
+    /// phased kernel (which ends the phase with `Step::Barrier` instead),
+    /// except for single-thread blocks where the barrier is trivially a
+    /// no-op.
+    pub fn sync_threads(&mut self) {
+        self.arrive_barrier();
         match self.block_barrier {
             Some(b) => {
                 b.wait();
             }
-            None => {
-                if self.block_dim.count() > 1
-                    && !self.report_flags_drift("sync_threads", "uses_block_sync")
-                {
-                    panic!(
-                        "sync_threads in a multi-thread block requires \
-                         KernelFlags::uses_block_sync (kernel launched on the serial path)"
-                    );
-                }
-                // Degraded under synccheck: the barrier is a no-op.
-            }
+            // Degraded under synccheck: the barrier is a no-op.
+            None => self.teamless_collective("sync_threads", "uses_block_sync"),
         }
     }
 
@@ -564,17 +578,8 @@ impl<'a> ThreadCtx<'a> {
         self.counters.warp_ops += 1;
         match self.warp {
             Some(w) => w.sync(),
-            None => {
-                if self.block_dim.count() > 1
-                    && !self.report_flags_drift("sync_warp", "uses_warp_ops")
-                {
-                    panic!(
-                        "sync_warp requires KernelFlags::uses_warp_ops \
-                         (kernel launched on the serial path)"
-                    );
-                }
-                // Degraded under synccheck: the warp barrier is a no-op.
-            }
+            // Degraded under synccheck: the warp barrier is a no-op.
+            None => self.teamless_collective("sync_warp", "uses_warp_ops"),
         }
     }
 
@@ -586,23 +591,16 @@ impl<'a> ThreadCtx<'a> {
         self.block_dim.count() == 1
     }
 
-    fn warp_group(&self) -> &'a WarpGroup {
-        self.warp.expect(
-            "warp primitives require KernelFlags::uses_warp_ops \
-             (kernel launched on the serial path)",
-        )
-    }
-
     /// `__shfl_sync`: receive the value contributed by `src_lane`.
     pub fn shfl<T: DeviceScalar>(&mut self, val: T, src_lane: usize) -> T {
         self.counters.warp_ops += 1;
         self.collective_count += 1;
-        if self.warp.is_none() && (self.solo() || self.report_flags_drift("shfl", "uses_warp_ops"))
-        {
+        let Some(w) = self.warp else {
+            self.teamless_collective("shfl", "uses_warp_ops");
             return val; // one-lane warp (or degraded): every source is yourself
-        }
+        };
         let lane = self.lane_id() as u32;
-        self.warp_group().shfl(lane, val, src_lane as u32)
+        w.shfl(lane, val, src_lane as u32)
     }
 
     /// `__shfl_sync` with an explicit member mask, the form hardware exposes
@@ -632,12 +630,10 @@ impl<'a> ThreadCtx<'a> {
     pub fn shfl_down<T: DeviceScalar>(&mut self, val: T, delta: usize) -> T {
         self.counters.warp_ops += 1;
         self.collective_count += 1;
-        if self.warp.is_none()
-            && (self.solo() || self.report_flags_drift("shfl_down", "uses_warp_ops"))
-        {
+        let Some(w) = self.warp else {
+            self.teamless_collective("shfl_down", "uses_warp_ops");
             return val;
-        }
-        let w = self.warp_group();
+        };
         let lane = self.lane_id() as u32;
         let src = lane + delta as u32;
         let got = w.shfl(lane, val, src.min(w.lanes() - 1));
@@ -653,12 +649,10 @@ impl<'a> ThreadCtx<'a> {
     pub fn shfl_up<T: DeviceScalar>(&mut self, val: T, delta: usize) -> T {
         self.counters.warp_ops += 1;
         self.collective_count += 1;
-        if self.warp.is_none()
-            && (self.solo() || self.report_flags_drift("shfl_up", "uses_warp_ops"))
-        {
+        let Some(w) = self.warp else {
+            self.teamless_collective("shfl_up", "uses_warp_ops");
             return val;
-        }
-        let w = self.warp_group();
+        };
         let lane = self.lane_id() as u32;
         let src = lane.checked_sub(delta as u32);
         let got = w.shfl(lane, val, src.unwrap_or(0));
@@ -673,13 +667,12 @@ impl<'a> ThreadCtx<'a> {
     pub fn shfl_xor<T: DeviceScalar>(&mut self, val: T, mask: usize) -> T {
         self.counters.warp_ops += 1;
         self.collective_count += 1;
-        if self.warp.is_none()
-            && (self.solo() || self.report_flags_drift("shfl_xor", "uses_warp_ops"))
-        {
+        let Some(w) = self.warp else {
+            self.teamless_collective("shfl_xor", "uses_warp_ops");
             return val;
-        }
+        };
         let lane = self.lane_id() as u32;
-        self.warp_group().shfl(lane, val, lane ^ mask as u32)
+        w.shfl(lane, val, lane ^ mask as u32)
     }
 
     /// `__ballot_sync`: bitmask of lanes whose predicate is true.
@@ -687,13 +680,12 @@ impl<'a> ThreadCtx<'a> {
         self.counters.warp_ops += 1;
         let op = self.collective_count;
         self.collective_count += 1;
-        if self.warp.is_none()
-            && (self.solo() || self.report_flags_drift("ballot", "uses_warp_ops"))
-        {
+        let Some(w) = self.warp else {
+            self.teamless_collective("ballot", "uses_warp_ops");
             return u64::from(pred);
-        }
+        };
         let lane = self.lane_id() as u32;
-        self.warp_group().ballot(lane, pred, op)
+        w.ballot(lane, pred, op)
     }
 
     /// `__any_sync`: true if any lane's predicate is true.

@@ -6,7 +6,8 @@
 //! Three implementations, identical physics:
 //!
 //! * `ompx_bare` with a shared tile + `ompx_sync_thread_block` (Figure 4
-//!   style, what the paper ports CUDA stencils to);
+//!   style, what the paper ports CUDA stencils to), written in phased form
+//!   so the simulator runs each team's lanes as loops on one host thread;
 //! * traditional OpenMP, SPMD lowering;
 //! * traditional OpenMP forced into generic mode (what LLVM actually did
 //!   to the HeCBench stencil, per §4.2.6).
@@ -42,35 +43,40 @@ fn diffuse_body(tc: &mut ThreadCtx<'_>, input: &DBuf<f64>, output: &DBuf<f64>, i
     tc.write(output, i, c + 0.25 * (l - 2.0 * c + r));
 }
 
-/// The ompx_bare version: shared tile + block barrier.
+/// The ompx_bare version: shared tile + block barrier, in phased form.
+/// The CUDA-style body splits at its one `ompx_sync_thread_block`: phase 0
+/// stages the tile and halos and ends with `Step::Barrier`; phase 1
+/// computes from the tile. Every lane of a team finishes phase 0 before
+/// any lane starts phase 1 — exactly what the barrier guarantees.
 fn run_bare(omp: &OpenMp) -> (Vec<f64>, f64) {
     let (mut a, mut b) = init_rod(omp);
     let mut modeled = 0.0;
     for _ in 0..STEPS {
         let mut target = BareTarget::new(omp, "heat_bare")
             .num_teams([(N / BLOCK) as u32])
-            .thread_limit([BLOCK as u32])
-            .uses_block_sync();
+            .thread_limit([BLOCK as u32]);
         let tile = target.shared_array::<f64>(BLOCK + 2);
         let r = target
-            .launch({
+            .launch_phased({
                 let (input, output) = (a.clone(), b.clone());
-                move |tc| {
+                move |tc, phase, _: &mut ()| {
                     let t = tc.thread_rank();
                     let i = ompx_block_id_x(tc) * BLOCK + t;
                     let tl = tc.shared::<f64>(tile);
-                    // Stage interior + halos (clamped).
-                    let v = tc.read(&input, i.min(N - 1));
-                    tc.swrite(&tl, t + 1, v);
-                    if t == 0 {
-                        let left = i.saturating_sub(1);
-                        let v = tc.read(&input, left);
-                        tc.swrite(&tl, 0, v);
-                        let right = (ompx_block_id_x(tc) * BLOCK + BLOCK).min(N - 1);
-                        let v = tc.read(&input, right);
-                        tc.swrite(&tl, BLOCK + 1, v);
+                    if phase == 0 {
+                        // Stage interior + halos (clamped).
+                        let v = tc.read(&input, i.min(N - 1));
+                        tc.swrite(&tl, t + 1, v);
+                        if t == 0 {
+                            let left = i.saturating_sub(1);
+                            let v = tc.read(&input, left);
+                            tc.swrite(&tl, 0, v);
+                            let right = (ompx_block_id_x(tc) * BLOCK + BLOCK).min(N - 1);
+                            let v = tc.read(&input, right);
+                            tc.swrite(&tl, BLOCK + 1, v);
+                        }
+                        return Step::Barrier; // ompx_sync_thread_block()
                     }
-                    ompx_sync_thread_block(tc);
                     if i == 0 || i == N - 1 {
                         tc.write(&output, i, 100.0);
                     } else if i < N {
@@ -80,6 +86,7 @@ fn run_bare(omp: &OpenMp) -> (Vec<f64>, f64) {
                         tc.flops(4);
                         tc.write(&output, i, c + 0.25 * (l - 2.0 * c + r));
                     }
+                    Step::Exit
                 }
             })
             .expect("bare heat step");

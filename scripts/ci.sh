@@ -23,6 +23,11 @@ echo "==> sanitize smoke run (all tools, stencil omp, test scale)"
 cargo run --release -q -p ompx-bench --bin sanitize -- \
     --tool all --app stencil --version omp --test-scale
 
+echo "==> sanitize smoke run (all tools, phased barrier cell stencil ompx, test scale)"
+# sanitize exits non-zero on any finding: the phased cell must be clean.
+cargo run --release -q -p ompx-bench --bin sanitize -- \
+    --tool all --app stencil --version ompx --test-scale
+
 echo "==> sanitize fixture check (memcheck must fire)"
 if cargo run --release -q -p ompx-bench --bin sanitize -- \
     --tool memcheck --fixture oob-write >/dev/null; then
@@ -92,9 +97,13 @@ for r in a b; do
         --tool all --fixture shared-race --json --out "$DET/$r-san.json" >/dev/null || true
     OMPX_SIM_WORKERS="$(nproc)" cargo run --release -q -p ompx-bench --bin analyze -- \
         extract --app stencil --version omp --json --out "$DET/$r-ext.json" >/dev/null
+    # A phased barrier cell: its lanes run phase by phase on the block loop.
+    OMPX_SIM_WORKERS="$(nproc)" cargo run --release -q -p ompx-bench --bin analyze -- \
+        extract --app stencil --version ompx --json --out "$DET/$r-ext-phased.json" >/dev/null
 done
 diff "$DET/a-san.json" "$DET/b-san.json"
 diff "$DET/a-ext.json" "$DET/b-ext.json"
+diff "$DET/a-ext-phased.json" "$DET/b-ext-phased.json"
 rm -rf "$DET"
 
 echo "==> serve smoke + baseline gate (1000 clients, fixed seed, injected faults)"
