@@ -13,19 +13,19 @@
 //! * `num_teams`/`thread_limit` accept dimension lists; dimensions beyond
 //!   the device's capability (three) are disregarded, per the paper.
 //!
-//! Launch cost is [`ExecMode::Bare`]: just the device's base latency — the
-//! whole point of the extension.
+//! A bare region is still an OpenMP `target teams` region: it prepares to
+//! an ordinary [`PreparedTarget`] and shares the host runtime's launch and
+//! recovery path. Only the plan differs — launch cost is
+//! [`ExecMode::Bare`](ompx_devicert::mode::ExecMode::Bare), just the
+//! device's base latency, the whole point of the extension.
 
-use ompx_devicert::mode::ExecMode;
-use ompx_hostrt::target::{host_model_seconds, LaunchPlan, TargetResult};
-use ompx_hostrt::{OmpxError, OpenMp};
-use ompx_sim::counters::StatsSnapshot;
+use ompx_hostrt::target::{PreparedTarget, TargetResult};
+use ompx_hostrt::OpenMp;
 use ompx_sim::dim::{Dim3, LaunchConfig};
 use ompx_sim::error::SimResult;
 use ompx_sim::exec::{Kernel, KernelFlags, Step};
 use ompx_sim::mem::DeviceScalar;
 use ompx_sim::thread::ThreadCtx;
-use ompx_sim::timing::{model_kernel, CodegenInfo, ModeledTime};
 
 /// Number of geometry dimensions a device supports; list entries beyond
 /// this are disregarded (§3.2).
@@ -113,11 +113,12 @@ impl BareTarget {
         cfg
     }
 
-    /// Build the bare kernel without running it (stream/nowait paths).
+    /// Build the bare region without running it (stream/nowait paths): a
+    /// [`PreparedTarget`] with the bare plan.
     pub fn prepare(
         self,
         body: impl Fn(&mut ThreadCtx<'_>) + Send + Sync + 'static,
-    ) -> PreparedBare {
+    ) -> PreparedTarget {
         let kernel = Kernel::with_flags(self.name.clone(), self.flags, body);
         self.prepared(kernel)
     }
@@ -127,7 +128,7 @@ impl BareTarget {
     /// barrier-delimited segment and returns [`Step::Barrier`] where the
     /// region calls `ompx_sync_thread_block`. The phased form implies
     /// [`BareTarget::uses_block_sync`].
-    pub fn prepare_phased<S, F>(self, body: F) -> PreparedBare
+    pub fn prepare_phased<S, F>(self, body: F) -> PreparedTarget
     where
         S: Default + 'static,
         F: Fn(&mut ThreadCtx<'_>, usize, &mut S) -> Step + Send + Sync + 'static,
@@ -136,9 +137,9 @@ impl BareTarget {
         self.prepared(kernel)
     }
 
-    fn prepared(self, kernel: Kernel) -> PreparedBare {
+    fn prepared(self, kernel: Kernel) -> PreparedTarget {
         let cfg = self.launch_config();
-        PreparedBare { omp: self.omp, name: self.name, kernel, cfg }
+        PreparedTarget::bare(self.omp, kernel, cfg)
     }
 
     /// Launch a phased body synchronously (see [`BareTarget::prepare_phased`]).
@@ -161,154 +162,10 @@ impl BareTarget {
     }
 }
 
-/// A built bare kernel, reusable and stream-dispatchable.
-#[derive(Clone)]
-pub struct PreparedBare {
-    pub(crate) omp: OpenMp,
-    name: String,
-    pub(crate) kernel: Kernel,
-    pub(crate) cfg: LaunchConfig,
-}
-
-impl PreparedBare {
-    /// Execute synchronously; functional stats + modeled time.
-    ///
-    /// Infallible wrapper over [`PreparedBare::try_execute`]: the
-    /// historical `SimResult` signature is preserved for existing callers.
-    pub fn execute(&self) -> SimResult<TargetResult> {
-        self.try_execute().map_err(OmpxError::into_sim)
-    }
-
-    /// Execute synchronously with the typed host-runtime error. Injected
-    /// transient faults are retried under the device's retry policy; a
-    /// lost device re-dispatches the region through the host-fallback
-    /// path (a bare region is still an OpenMP `target` region, so host
-    /// execution remains legal — only the modeled cost changes).
-    pub fn try_execute(&self) -> Result<TargetResult, OmpxError> {
-        let r = self.try_execute_silent()?;
-        // One kernel bar on the profiler's host track (synchronous target
-        // semantics occupy the submitting thread for the modeled time).
-        if let Some(log) = ompx_sim::span::active() {
-            log.host_op(&self.name, ompx_sim::span::SpanCategory::Kernel, r.modeled.seconds, 0);
-        }
-        Ok(r)
-    }
-
-    /// Execute without host-track span emission: the stream/nowait paths
-    /// run this from a stream worker and record a stream span instead.
-    pub(crate) fn execute_silent(&self) -> SimResult<TargetResult> {
-        self.try_execute_silent().map_err(OmpxError::into_sim)
-    }
-
-    fn try_execute_silent(&self) -> Result<TargetResult, OmpxError> {
-        let device = self.omp.device();
-        let policy = device.retry_policy();
-        match ompx_sim::fault::run_with_retry(device, &policy, &self.name, || {
-            device.launch(&self.kernel, self.cfg.clone())
-        }) {
-            Ok(stats) => {
-                let r = self.model(&stats);
-                device.trace().attribute_model(&self.name, r.modeled.seconds);
-                Ok(r)
-            }
-            // Device loss (or a persistent launch fault): degrade to the
-            // host rather than fail. Most launch faults fire before any
-            // kernel side effects; a watchdog timeout leaves a committed
-            // partial block prefix, which the fallback erases by restoring
-            // the device's pre-launch checkpoint before re-dispatching.
-            Err(e) if e.is_injected() => self.execute_host_fallback(&e),
-            Err(e) if e.is_transient() => Err(OmpxError::RetriesExhausted {
-                op: self.name.clone(),
-                attempts: policy.max_attempts,
-                last: e,
-            }),
-            Err(e) => Err(OmpxError::Device(e)),
-        }
-    }
-
-    /// Re-dispatch the bare region on the host after a non-recoverable
-    /// injected fault: the lowered kernel is reused functionally
-    /// (simulated device memory is host-backed, so results are
-    /// bit-identical by construction), charged at a serial host core.
-    fn execute_host_fallback(
-        &self,
-        cause: &ompx_sim::error::SimError,
-    ) -> Result<TargetResult, OmpxError> {
-        let device = self.omp.device();
-        if let Some(f) = device.faults() {
-            f.note_fallback(&self.name);
-        }
-        // A watchdog timeout committed a partial block prefix; restore the
-        // pre-launch checkpoint so the host re-dispatch computes from clean
-        // state. No-op for side-effect-free faults.
-        device.restore_checkpoint(&self.name);
-        let stats =
-            device.launch_unchecked(&self.kernel, self.cfg.clone()).map_err(OmpxError::Device)?;
-        let seconds = host_model_seconds(&stats);
-        if let Some(log) = ompx_sim::span::active() {
-            // Emitted after the re-dispatch so the fallback bar spans its
-            // modeled host duration instead of rendering zero-width.
-            log.host_op(
-                &format!("fallback {} ({cause})", self.name),
-                ompx_sim::span::SpanCategory::Fallback,
-                seconds,
-                0,
-            );
-        }
-        let plan = LaunchPlan {
-            mode: ExecMode::Host,
-            teams: 1,
-            threads: 1,
-            heap_to_shared: false,
-            invalid_result: false,
-        };
-        let modeled = ModeledTime { seconds, ..Default::default() };
-        Ok(TargetResult { stats, modeled, plan })
-    }
-
-    /// Model a (possibly workload-scaled) snapshot for this bare kernel.
-    pub fn model(&self, stats: &StatsSnapshot) -> TargetResult {
-        TargetResult { stats: *stats, modeled: self.modeled_time(stats), plan: self.plan() }
-    }
-
-    fn modeled_time(&self, stats: &StatsSnapshot) -> ModeledTime {
-        let cg = self.omp.codegen().lookup_vendor(
-            &self.name,
-            self.omp.device().profile().vendor,
-            self.omp.toolchain(),
-            CodegenInfo::default(),
-        );
-        model_kernel(
-            self.omp.device().profile(),
-            self.cfg.threads_per_block() as u32,
-            stats.blocks_executed.max(self.cfg.num_blocks() as u64),
-            self.cfg.shared_bytes_per_block(),
-            stats,
-            &cg,
-            &ExecMode::Bare.overheads(),
-        )
-    }
-
-    /// The plan a bare launch always uses.
-    pub fn plan(&self) -> LaunchPlan {
-        LaunchPlan {
-            mode: ExecMode::Bare,
-            teams: self.cfg.num_blocks() as u32,
-            threads: self.cfg.threads_per_block() as u32,
-            heap_to_shared: false,
-            invalid_result: false,
-        }
-    }
-
-    /// Kernel name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ompx_devicert::mode::ExecMode;
     use ompx_klang::toolchain::Toolchain;
     use ompx_sim::device::{Device, DeviceProfile};
 

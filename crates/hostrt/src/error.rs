@@ -1,12 +1,15 @@
-//! `OmpxError`: the typed error of the fallible host-runtime APIs.
+//! `OmpxError`: the typed error of the fallible host memory APIs.
 //!
-//! The infallible host APIs (`ompx_malloc`, `ompx_memcpy_h2d`,
-//! `PreparedTarget::execute`, …) keep their historical signatures — the
-//! 24-cell benchmark suite compiles unchanged — but are thin wrappers over
-//! `try_` variants returning `Result<_, OmpxError>`. The wrapper layer
-//! retries transient faults under the device's
-//! [`ompx_sim::fault::RetryPolicy`] and degrades gracefully when the
-//! retries run out; the `try_` layer surfaces the typed error instead.
+//! The infallible host APIs (`ompx_malloc`, `ompx_memcpy_h2d`, …) keep
+//! their historical signatures — the 24-cell benchmark suite compiles
+//! unchanged — but are thin wrappers over `ompx_try_*` variants returning
+//! `Result<_, OmpxError>`. The wrapper layer retries transient faults
+//! under the device's [`ompx_sim::fault::RetryPolicy`] and degrades
+//! gracefully when the retries run out; the `try_` layer surfaces the
+//! typed error instead. Target-region launches have no typed layer: the
+//! launch pipeline recovers every injected fault, so
+//! `PreparedTarget::execute` only ever returns a rejected configuration,
+//! as the plain `SimError`.
 
 use ompx_sim::error::SimError;
 use std::fmt;

@@ -18,7 +18,6 @@
 //! Synchronous by default, like the `target` construct; `nowait` variants
 //! dispatch through the hidden-helper task system with `depend` keys.
 
-use crate::error::OmpxError;
 use crate::quirks::QuirkSet;
 use crate::runtime::OpenMp;
 use crate::task::{DepKey, TaskHandle};
@@ -29,9 +28,10 @@ use ompx_sim::counters::StatsSnapshot;
 use ompx_sim::dim::LaunchConfig;
 use ompx_sim::error::SimResult;
 use ompx_sim::exec::Kernel;
+use ompx_sim::fault::Recovery;
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
-use ompx_sim::timing::{model_kernel, CodegenInfo, ModeledTime};
+use ompx_sim::timing::{host_model_seconds, model_kernel, CodegenInfo, ModeledTime};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -44,6 +44,19 @@ pub struct LaunchPlan {
     pub heap_to_shared: bool,
     /// The series must be flagged as excluded (paper's XSBench `omp`).
     pub invalid_result: bool,
+}
+
+impl LaunchPlan {
+    /// The serial 1×1 host plan: `if(false)` and host-fallback execution.
+    fn host(invalid_result: bool) -> Self {
+        LaunchPlan {
+            mode: ExecMode::Host,
+            teams: 1,
+            threads: 1,
+            heap_to_shared: false,
+            invalid_result,
+        }
+    }
 }
 
 /// Per-thread scratch storage the region needs (the storage class that is
@@ -250,13 +263,7 @@ impl TargetRegion {
         use ompx_sim::dim::Dim3;
         use ompx_sim::shared::BlockShared;
 
-        let plan = LaunchPlan {
-            mode: ExecMode::Host,
-            teams: 1,
-            threads: 1,
-            heap_to_shared: false,
-            invalid_result: false,
-        };
+        let plan = LaunchPlan::host(false);
         let shared = BlockShared::new(&[]);
         let mut tc = ThreadCtx::detached(
             Dim3::x(1),
@@ -295,8 +302,7 @@ impl TargetRegion {
             blocks_executed: 1,
         };
 
-        let seconds = host_model_seconds(&stats);
-        let modeled = ompx_sim::timing::ModeledTime { seconds, ..Default::default() };
+        let modeled = ModeledTime { seconds: host_model_seconds(&stats), ..Default::default() };
         TargetResult { stats, modeled, plan }
     }
 
@@ -507,22 +513,6 @@ impl TargetRegion {
 
 type ScratchFactory = dyn Fn() -> Scratch + Send + Sync;
 
-/// Modeled wall time of running a counted workload serially on one host
-/// core (~3 GHz, ~25 GB/s single-stream) — used for the `if(false)`
-/// conditional-offload path and for device-loss fallback (also by the
-/// core crate's bare-target fallback).
-pub fn host_model_seconds(stats: &StatsSnapshot) -> f64 {
-    const HOST_OPS_PER_S: f64 = 3.0e9;
-    const HOST_BYTES_PER_S: f64 = 25.0e9;
-    let ops = (stats.flops
-        + stats.int_ops
-        + stats.shared_accesses
-        + stats.atomic_ops
-        + stats.const_reads) as f64;
-    let bytes = stats.global_bytes() as f64;
-    ops / HOST_OPS_PER_S + bytes / HOST_BYTES_PER_S
-}
-
 /// A fully lowered target region, ready to execute (possibly repeatedly or
 /// asynchronously).
 #[derive(Clone)]
@@ -536,25 +526,32 @@ pub struct PreparedTarget {
 }
 
 impl PreparedTarget {
-    /// Execute synchronously and model the result.
-    ///
-    /// Infallible wrapper over [`PreparedTarget::try_execute`]: the
-    /// historical `SimResult` signature is preserved so existing callers
-    /// (the whole benchmark suite) compile unchanged.
-    pub fn execute(&self) -> SimResult<TargetResult> {
-        self.try_execute().map_err(OmpxError::into_sim)
+    /// An `ompx_bare` region (§3.1): `kernel` launches as written over
+    /// `cfg`, with the [`ExecMode::Bare`] plan — no device-runtime
+    /// initialization, no globalized scratch.
+    pub fn bare(omp: OpenMp, kernel: Kernel, cfg: LaunchConfig) -> Self {
+        let plan = LaunchPlan {
+            mode: ExecMode::Bare,
+            teams: cfg.num_blocks() as u32,
+            threads: cfg.threads_per_block() as u32,
+            heap_to_shared: false,
+            invalid_result: false,
+        };
+        PreparedTarget {
+            omp,
+            kernel_name: kernel.name().to_string(),
+            kernel,
+            cfg,
+            plan,
+            scratch_shared_bytes: 0,
+        }
     }
 
-    /// Execute synchronously with the typed host-runtime error.
-    ///
-    /// Injected transient faults are retried under the device's
-    /// [`ompx_sim::fault::RetryPolicy`]; a lost device re-dispatches the
-    /// region through the host-fallback path (see
-    /// [`PreparedTarget::execute_host_fallback`]).
-    pub fn try_execute(&self) -> Result<TargetResult, OmpxError> {
-        let r = self.try_execute_quiet()?;
-        // A synchronous target region blocks the submitting thread for its
-        // modeled duration — one kernel bar on the profiler's host track.
+    /// Execute synchronously and model the result. A synchronous target
+    /// region blocks the submitting thread for its modeled duration — one
+    /// kernel bar on the profiler's host track.
+    pub fn execute(&self) -> SimResult<TargetResult> {
+        let r = self.execute_quiet()?;
         if let Some(log) = ompx_sim::span::active() {
             log.host_op(
                 &self.kernel_name,
@@ -566,87 +563,35 @@ impl PreparedTarget {
         Ok(r)
     }
 
-    /// Execute without host-track span emission (the `nowait` task path
-    /// records a helper-thread span instead).
-    fn try_execute_quiet(&self) -> Result<TargetResult, OmpxError> {
-        let device = self.omp.device();
-        let policy = device.retry_policy();
-        match ompx_sim::fault::run_with_retry(device, &policy, &self.kernel_name, || {
-            device.launch(&self.kernel, self.cfg.clone())
-        }) {
-            Ok(stats) => {
-                let r = self.model(&stats);
-                // Report the runtime's modeled time into the device launch
-                // trace (overwrites the device's default-codegen estimate).
-                device.trace().attribute_model(&self.kernel_name, r.modeled.seconds);
-                Ok(r)
-            }
-            // Injected faults that survived the retry budget (device loss,
-            // a persistent launch fault): degrade to the host rather than
-            // fail the region. Most launch faults fire *before* any kernel
-            // side effects; a watchdog timeout leaves a committed partial
-            // block prefix, which the fallback erases by restoring the
-            // device's pre-launch checkpoint before re-dispatching.
-            Err(e) if e.is_injected() => self.execute_host_fallback(&e),
-            Err(e) if e.is_transient() => Err(OmpxError::RetriesExhausted {
-                op: self.kernel_name.clone(),
-                attempts: policy.max_attempts,
-                last: e,
-            }),
-            Err(e) => Err(OmpxError::Device(e)),
-        }
-    }
-
-    /// Re-dispatch the region through the host-fallback path after a
-    /// non-recoverable injected fault.
+    /// Execute without host-track span emission: the `nowait` task and
+    /// interop-stream paths record their own span.
     ///
-    /// The lowered kernel is reused functionally — simulated device memory
-    /// is host-backed, so running it outside the fault gate produces
-    /// bit-identical results by construction — but the time model charges
-    /// a serial host core, and the reported plan says `ExecMode::Host`
-    /// with a 1×1 geometry, matching what a real runtime's `if(false)`
-    /// path would report.
-    fn execute_host_fallback(
-        &self,
-        cause: &ompx_sim::error::SimError,
-    ) -> Result<TargetResult, OmpxError> {
-        let device = self.omp.device();
-        if let Some(f) = device.faults() {
-            f.note_fallback(&self.kernel_name);
-        }
-        // A watchdog timeout committed a partial block prefix; restore the
-        // pre-launch checkpoint so the host re-dispatch computes from clean
-        // state. No-op for side-effect-free faults.
-        device.restore_checkpoint(self.kernel.name());
-        let stats =
-            device.launch_unchecked(&self.kernel, self.cfg.clone()).map_err(OmpxError::Device)?;
-        let seconds = host_model_seconds(&stats);
-        if let Some(log) = ompx_sim::span::active() {
-            // Emitted after the re-dispatch so the fallback bar spans its
-            // modeled host duration instead of rendering zero-width.
-            log.host_op(
-                &format!("fallback {} ({cause})", self.kernel_name),
-                ompx_sim::span::SpanCategory::Fallback,
-                seconds,
-                0,
-            );
-        }
-        let plan = LaunchPlan {
-            mode: ExecMode::Host,
-            teams: 1,
-            threads: 1,
-            heap_to_shared: false,
-            invalid_result: self.plan.invalid_result,
+    /// Launches through [`ompx_sim::device::Device::launch_recovering`]
+    /// with [`Recovery::HostFallback`]: an injected fault the retries
+    /// cannot clear re-dispatches the region on the host. The lowered
+    /// kernel is reused functionally — simulated device memory is
+    /// host-backed, so results are bit-identical by construction — but the
+    /// time is a serial host core's and the plan is the 1×1 host plan a
+    /// real runtime's `if(false)` path would report.
+    pub fn execute_quiet(&self) -> SimResult<TargetResult> {
+        let launched = self.omp.device().launch_recovering(
+            &self.kernel,
+            self.cfg.clone(),
+            Recovery::HostFallback,
+            |stats| self.model(stats).modeled,
+        )?;
+        let plan = match launched.recovered {
+            Some(_) => LaunchPlan::host(self.plan.invalid_result),
+            None => self.plan,
         };
-        let modeled = ompx_sim::timing::ModeledTime { seconds, ..Default::default() };
-        Ok(TargetResult { stats, modeled, plan })
+        Ok(TargetResult { stats: launched.stats, modeled: launched.modeled, plan })
     }
 
     /// Like [`PreparedTarget::execute`], but recording the kernel span on
     /// the profiler's helper-thread (task) track with `flow` as the
     /// incoming dependence arrow — the `nowait` dispatch path.
     pub(crate) fn execute_as_task(&self, flow: Option<u64>) -> SimResult<TargetResult> {
-        let r = self.try_execute_quiet().map_err(OmpxError::into_sim)?;
+        let r = self.execute_quiet()?;
         if let Some(log) = ompx_sim::span::active() {
             log.task_span(&self.kernel_name, r.modeled.seconds, flow);
         }

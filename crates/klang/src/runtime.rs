@@ -17,7 +17,7 @@ use ompx_sim::device::Device;
 use ompx_sim::dim::{Dim3, LaunchConfig};
 use ompx_sim::error::{SimError, SimResult};
 use ompx_sim::exec::Kernel;
-use ompx_sim::fault::{run_with_retry, RetryPolicy};
+use ompx_sim::fault::{run_with_retry, Recovery, RetryPolicy};
 use ompx_sim::mem::{DBuf, DeviceScalar};
 use ompx_sim::span::{self, SpanCategory};
 use ompx_sim::stream::{Event, Stream};
@@ -309,53 +309,19 @@ impl NativeCtx {
     /// The launch without host-track span emission: the asynchronous path
     /// runs this from the stream worker and records a stream span instead.
     ///
-    /// Injected transient faults are retried under the device policy; a
-    /// fault the retries cannot clear (watchdog, device loss, exhausted
-    /// episode) degrades: native kernel languages have no host-dispatch
-    /// alternative — unlike OpenMP target regions — so the runtime restores
-    /// the device's pre-launch checkpoint (a watchdog timeout leaves a
-    /// committed partial block prefix behind) and re-executes
-    /// injection-blind; the error stays recorded as sticky device state.
+    /// A fault the retries cannot clear degrades: native kernel languages
+    /// have no host-dispatch alternative — unlike OpenMP target regions —
+    /// so the kernel is re-dispatched on the device
+    /// ([`Recovery::Redispatch`]); the error stays recorded as sticky
+    /// device state.
     fn launch_cfg_inner(&self, kernel: &Kernel, cfg: LaunchConfig) -> SimResult<LaunchResult> {
-        let device = &self.inner.device;
-        let attempt = run_with_retry(device, &device.retry_policy(), kernel.name(), || {
-            device.launch(kernel, cfg.clone())
-        });
-        let (stats, degraded_by) = match attempt {
-            Ok(stats) => (stats, None),
-            Err(e) if e.is_injected() => {
-                if let Some(f) = device.faults() {
-                    f.note_degraded(&format!("launch {}: {e}", kernel.name()));
-                }
-                // A watchdog timeout committed a partial block prefix;
-                // erase it so the blind re-dispatch computes from the
-                // pre-launch state. No-op for side-effect-free faults.
-                device.restore_checkpoint(kernel.name());
-                (device.launch_unchecked(kernel, cfg.clone())?, Some(e))
-            }
-            Err(e) => return Err(e),
-        };
-        let modeled = self.model(
-            kernel.name(),
-            cfg.threads_per_block() as u32,
-            cfg.shared_bytes_per_block(),
-            &stats,
-        );
-        if let Some(e) = degraded_by {
-            // Emitted after the re-dispatch so the fallback bar spans its
-            // modeled duration instead of rendering zero-width.
-            if let Some(log) = span::active() {
-                log.host_op(
-                    &format!("degraded {} ({e})", kernel.name()),
-                    SpanCategory::Fallback,
-                    modeled.seconds,
-                    0,
-                );
-            }
-        }
-        self.record(kernel.name(), modeled.seconds);
-        self.inner.device.trace().attribute_model(kernel.name(), modeled.seconds);
-        Ok(LaunchResult { stats, modeled })
+        let (tpb, smem) = (cfg.threads_per_block() as u32, cfg.shared_bytes_per_block());
+        let launched =
+            self.inner.device.launch_recovering(kernel, cfg, Recovery::Redispatch, |stats| {
+                self.model(kernel.name(), tpb, smem, stats)
+            })?;
+        self.record(kernel.name(), launched.modeled.seconds);
+        Ok(LaunchResult { stats: launched.stats, modeled: launched.modeled })
     }
 
     /// Asynchronous launch into a stream: `kernel<<<grid, block, 0, s>>>`.

@@ -10,9 +10,10 @@
 //! ratio is a regression canary for the stream machinery itself (if
 //! dispatch ever serializes, the speedup collapses to ~1).
 
-use ompx::bare::{BareTarget, PreparedBare};
+use ompx::bare::BareTarget;
 use ompx::interop_depend::{launch_nowait_interopobj, taskwait_interopobj};
 use ompx::{InteropObj, OpenMp};
+use ompx_hostrt::target::PreparedTarget;
 use ompx_sim::stream::StreamStats;
 
 /// What the probe measured, all in modeled seconds.
@@ -29,7 +30,7 @@ pub struct OverlapReport {
     pub stream_stats: Vec<StreamStats>,
 }
 
-fn probe_kernel(omp: &OpenMp, name: &str) -> PreparedBare {
+fn probe_kernel(omp: &OpenMp, name: &str) -> PreparedTarget {
     let n = 1usize << 14;
     let buf = omp.device().alloc::<f32>(n);
     BareTarget::new(omp, name).num_teams([16u32]).thread_limit([128u32]).prepare(move |tc| {

@@ -11,15 +11,31 @@ use crate::counters::StatsSnapshot;
 use crate::dim::LaunchConfig;
 use crate::error::{SimError, SimResult};
 use crate::exec::{self, Kernel};
-use crate::fault::{FaultKind, FaultSite, FaultState, Injected, RetryPolicy};
+use crate::fault::{
+    run_with_retry, FaultKind, FaultSite, FaultState, Injected, Recovery, RetryPolicy,
+};
 use crate::mem::{BufImage, CheckpointTarget, DBuf, DeviceScalar};
 use crate::memtrace::{LaunchMemTrace, MemTrace};
 use crate::san::{LaunchSan, SanState};
+use crate::span::SpanCategory;
+use crate::timing::{host_model_seconds, ModeledTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
+
+/// What [`Device::launch_recovering`] ran.
+#[derive(Debug, Clone)]
+pub struct Launched {
+    /// Counted events of the execution that completed.
+    pub stats: StatsSnapshot,
+    /// Its modeled time: the caller's device model, or the host roofline
+    /// after a [`Recovery::HostFallback`].
+    pub modeled: ModeledTime,
+    /// The recovery that ran, and the fault that forced it.
+    pub recovered: Option<(Recovery, SimError)>,
+}
 
 /// GPU vendor, used by the paper's §3.6 wrapper layer to pick the matching
 /// "vendor library" implementation at launch-target resolution time.
@@ -743,6 +759,62 @@ impl Device {
             });
         }
         self.launch_unchecked(kernel, cfg)
+    }
+
+    /// The recovering launch every language runtime dispatches through:
+    /// [`Device::launch`] under the device's retry policy, then, if an
+    /// injected fault survives the retries, `recovery` — note the fault
+    /// state, restore the watchdog checkpoint (a killed kernel committed a
+    /// partial block prefix), re-dispatch injection-blind and record a
+    /// `Fallback` span. `model` prices the device execution; the launch
+    /// trace is attributed whichever time applies. Errors that are not
+    /// injected (an invalid configuration) are returned unrecovered.
+    pub fn launch_recovering(
+        &self,
+        kernel: &Kernel,
+        cfg: LaunchConfig,
+        recovery: Recovery,
+        model: impl FnOnce(&StatsSnapshot) -> ModeledTime,
+    ) -> SimResult<Launched> {
+        let name = kernel.name();
+        let cause = match run_with_retry(self, &self.retry_policy(), name, || {
+            self.launch(kernel, cfg.clone())
+        }) {
+            Ok(stats) => {
+                let modeled = model(&stats);
+                self.inner.trace.attribute_model(name, modeled.seconds);
+                return Ok(Launched { stats, modeled, recovered: None });
+            }
+            Err(e) if e.is_injected() => e,
+            Err(e) => return Err(e),
+        };
+        if let Some(f) = self.faults() {
+            match recovery {
+                Recovery::Redispatch => f.note_degraded(&format!("launch {name}: {cause}")),
+                Recovery::HostFallback => f.note_fallback(name),
+            }
+        }
+        self.restore_checkpoint(name);
+        let stats = self.launch_unchecked(kernel, cfg)?;
+        let (label, modeled) = match recovery {
+            Recovery::Redispatch => ("degraded", model(&stats)),
+            Recovery::HostFallback => (
+                "fallback",
+                ModeledTime { seconds: host_model_seconds(&stats), ..Default::default() },
+            ),
+        };
+        if let Some(log) = crate::span::active() {
+            // Emitted after the re-dispatch so the bar spans its modeled
+            // duration instead of rendering zero-width.
+            log.host_op(
+                &format!("{label} {name} ({cause})"),
+                SpanCategory::Fallback,
+                modeled.seconds,
+                0,
+            );
+        }
+        self.inner.trace.attribute_model(name, modeled.seconds);
+        Ok(Launched { stats, modeled, recovered: Some((recovery, cause)) })
     }
 
     /// A watchdog timeout kills the kernel mid-run: checkpoint the

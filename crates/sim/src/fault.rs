@@ -27,16 +27,18 @@
 //! fault is clearable by bounded retry.
 //!
 //! Non-transient faults (watchdog timeout, device loss) are not retried;
-//! the language runtimes degrade instead (host fallback for OpenMP target
-//! regions, functional-only execution elsewhere) and record a sticky error,
-//! mirroring CUDA's sticky-error model. A watchdog timeout is the nasty
-//! one: the killed kernel has already *committed* a deterministic prefix
-//! of its blocks (`K = salt % num_blocks`, the same splitmix64 salt that
-//! drives every other decision), so the device checkpoints the kernel's
-//! write-set before the partial execution and the recovery paths restore
-//! it ([`Device::restore_checkpoint`]) before their injection-blind
-//! re-dispatch — which is what keeps degraded results bit-identical to
-//! the fault-free run.
+//! they are recorded as sticky errors, mirroring CUDA's sticky-error
+//! model. A launch that still fails with an injected fault is recovered by
+//! the one launch pipeline, [`Device::launch_recovering`], in the way the
+//! language runtime chose ([`Recovery`]): host fallback for OpenMP target
+//! regions, an injection-blind device re-dispatch for native kernel
+//! languages. A watchdog timeout is the nasty one: the killed kernel has
+//! already *committed* a deterministic prefix of its blocks
+//! (`K = salt % num_blocks`, the same splitmix64 salt that drives every
+//! other decision), so the device checkpoints the kernel's write-set
+//! before the partial execution and the pipeline restores it
+//! ([`Device::restore_checkpoint`]) before re-dispatching — which is what
+//! keeps recovered results bit-identical to the fault-free run.
 
 use crate::device::Device;
 use crate::error::SimResult;
@@ -291,6 +293,20 @@ impl RetryPolicy {
         let factor = 1u64.checked_shl(attempt.saturating_sub(1)).unwrap_or(u64::MAX);
         self.backoff_base_s * factor as f64
     }
+}
+
+/// How [`Device::launch_recovering`] recovers from an injected launch
+/// fault its retries cannot clear. The language runtime picks it; both
+/// restore the watchdog checkpoint and re-dispatch injection-blind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recovery {
+    /// Native kernel languages have no host alternative: the kernel
+    /// re-runs on the device, charged the device model, and the launch is
+    /// noted as degraded.
+    Redispatch,
+    /// OpenMP target regions (bare ones included) fall back to the host,
+    /// charged a serial host core, and the region is noted as a fallback.
+    HostFallback,
 }
 
 /// One fired fault (recorded once per episode start).

@@ -347,6 +347,21 @@ pub fn model_kernel(
     }
 }
 
+/// Modeled wall time of running a counted workload serially on one host
+/// core (~3 GHz, ~25 GB/s single-stream): the OpenMP `if(false)`
+/// conditional-offload path and the host-fallback recovery.
+pub fn host_model_seconds(stats: &StatsSnapshot) -> f64 {
+    const HOST_OPS_PER_S: f64 = 3.0e9;
+    const HOST_BYTES_PER_S: f64 = 25.0e9;
+    let ops = (stats.flops
+        + stats.int_ops
+        + stats.shared_accesses
+        + stats.atomic_ops
+        + stats.const_reads) as f64;
+    let bytes = stats.global_bytes() as f64;
+    ops / HOST_OPS_PER_S + bytes / HOST_BYTES_PER_S
+}
+
 impl ModeledTime {
     /// Sum of two modeled times (sequential kernels), keeping breakdowns.
     pub fn plus(&self, other: &ModeledTime) -> ModeledTime {

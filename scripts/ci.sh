@@ -138,15 +138,13 @@ cargo run --release -q -p ompx-bench --bin serve -- \
     --clients 1000 --tenants 8 --sweep \
     --baseline results/BENCH_sweep.json >/dev/null
 
-echo "==> chaos-escalation SLO gate (5 fault-rate rungs, fixed seed)"
-cargo run --release -q -p ompx-bench --bin serve -- \
-    --clients 400 --tenants 8 --escalate \
-    --baseline results/BENCH_resilience.json >/dev/null
-
-echo "==> escalation determinism gate (two identical campaigns, byte-identical JSON)"
+echo "==> chaos-escalation SLO gate + escalation determinism gate (5 fault-rate rungs, fixed seed)"
+# One campaign feeds both gates: it is diffed against the committed
+# baseline and written out as the first half of the determinism pair.
 ESC=$(mktemp -d)
 cargo run --release -q -p ompx-bench --bin serve -- \
     --clients 400 --tenants 8 --escalate \
+    --baseline results/BENCH_resilience.json \
     --bench-out "$ESC/a.json" --csv-out "$ESC/a.csv" >/dev/null
 cargo run --release -q -p ompx-bench --bin serve -- \
     --clients 400 --tenants 8 --escalate \

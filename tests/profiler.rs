@@ -149,3 +149,48 @@ fn raw_device_launches_now_carry_modeled_seconds() {
     );
     assert!(!recs[0].runtime_attributed, "no runtime attributed this launch");
 }
+
+#[test]
+fn host_fallback_launch_records_carry_the_fallback_span_seconds() {
+    use ompx::bare::BareTarget;
+    use ompx_sim::fault::{FaultPlan, FaultState};
+    use ompx_sim::span::SpanCategory;
+
+    // A lost device sends both OpenMP dispatch paths to the host. The
+    // launch trace must then report the host time the fallback bar shows,
+    // not the device estimate of the injection-blind re-dispatch.
+    for bare in [true, false] {
+        let omp = omp_small();
+        let n = 256usize;
+        let buf = omp.device().alloc::<f32>(n);
+        omp.device().enable_tracing();
+        omp.device().attach_faults(FaultState::new(FaultPlan::none().with_device_loss_at(0)));
+        let (r, spans) = with_span_log(|| {
+            let buf = buf.clone();
+            if bare {
+                BareTarget::new(&omp, "lost").num_teams([2u32]).thread_limit([128u32]).launch(
+                    move |tc| {
+                        let i = tc.global_thread_id_x();
+                        tc.write(&buf, i, i as f32);
+                    },
+                )
+            } else {
+                omp.target("lost")
+                    .num_teams(2)
+                    .thread_limit(128)
+                    .run_distribute_parallel_for(n, move |tc, i, _s| tc.write(&buf, i, i as f32))
+            }
+            .expect("host fallback recovers")
+        });
+        let fallback = spans
+            .iter()
+            .find(|s| s.cat == SpanCategory::Fallback)
+            .expect("a fallback span is recorded");
+        let recs = omp.device().trace().records();
+        assert_eq!(recs.len(), 1, "bare={bare}");
+        assert!(recs[0].runtime_attributed, "bare={bare}: fallback launch left unattributed");
+        assert_eq!(recs[0].modeled_seconds.to_bits(), fallback.dur_s.to_bits(), "bare={bare}");
+        assert_eq!(recs[0].modeled_seconds.to_bits(), r.modeled.seconds.to_bits(), "bare={bare}");
+        assert_eq!(buf.get(n - 1), (n - 1) as f32);
+    }
+}
