@@ -34,8 +34,9 @@ use ompx_analyzer::{
 use ompx_hecbench::extraction::extract_cell;
 use ompx_hecbench::summaries::{replay_events, summary_for, version_str};
 use ompx_hecbench::{ProgVersion, System, APP_NAMES};
-use ompx_sanitizer::report::{exit_code, record_findings_metrics, render_json, render_text};
+use ompx_sanitizer::report::{exit_code, findings_fields, record_findings_metrics, render_text};
 use ompx_sanitizer::Finding;
+use ompx_telemetry::json::{self, Doc};
 
 fn usage() -> ! {
     eprintln!(
@@ -149,28 +150,6 @@ fn parse(args: &[String]) -> Opts {
     o
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|ch| match ch {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Splice extra top-level fields (a pre-rendered `"key": value,` block)
-/// into the unified findings document.
-fn with_fields(findings: &[Finding], extra: &str) -> String {
-    let doc = render_json(findings);
-    match doc.strip_prefix("{\n") {
-        Some(rest) => format!("{{\n{extra}{rest}"),
-        None => doc,
-    }
-}
-
 fn write_out(o: &Opts, doc: &str) -> i32 {
     if let Some(path) = &o.out {
         if let Err(e) = std::fs::write(path, doc) {
@@ -194,9 +173,11 @@ fn flush_metrics(o: &Opts) -> i32 {
     0
 }
 
-fn emit(findings: &[Finding], header: &str, extra_json: &str, o: &Opts) -> i32 {
+/// Report `findings`: as the unified JSON document (after any fields the
+/// caller already wrote into `doc`) with `--json`, as text otherwise.
+fn emit(findings: &[Finding], header: &str, doc: &mut Doc, o: &Opts) -> i32 {
     record_findings_metrics(findings);
-    let doc = with_fields(findings, extra_json);
+    let doc = findings_fields(doc, findings).finish();
     if o.json {
         print!("{doc}");
     } else {
@@ -211,13 +192,8 @@ fn emit(findings: &[Finding], header: &str, extra_json: &str, o: &Opts) -> i32 {
 }
 
 /// The per-valuation grid shapes that replayed clean, as a JSON field.
-fn grids_field(grids: &[String]) -> String {
-    let items: Vec<String> = grids.iter().map(|g| format!("    \"{}\"", json_escape(g))).collect();
-    if items.is_empty() {
-        "  \"validated_grids\": [],\n".into()
-    } else {
-        format!("  \"validated_grids\": [\n{}\n  ],\n", items.join(",\n"))
-    }
+fn grids_field<'d>(doc: &'d mut Doc, grids: &[String]) -> &'d mut Doc {
+    doc.rows("validated_grids", grids.iter().map(|g| json::quoted(g)))
 }
 
 fn run_extract(o: &Opts) -> i32 {
@@ -243,52 +219,33 @@ fn run_extract(o: &Opts) -> i32 {
             record_findings_metrics(&findings);
 
             if o.json {
-                let mut extra = String::new();
-                extra.push_str(&format!(
-                    "  \"cell\": {{\"app\": \"{}\", \"version\": \"{}\", \"system\": \"{}\"}},\n",
-                    json_escape(app),
-                    json_escape(&report.version),
-                    json_escape(&report.system),
-                ));
-                extra.push_str(&format!("  \"phases\": {},\n", report.extraction.phases));
-                let imp: Vec<String> = report
-                    .extraction
-                    .imprecise
-                    .iter()
-                    .map(|n| format!("    \"{}\"", json_escape(n)))
-                    .collect();
-                extra.push_str(&format!(
-                    "  \"imprecise\": [{}],\n",
-                    if imp.is_empty() {
-                        String::new()
-                    } else {
-                        format!("\n{}\n  ", imp.join(",\n"))
-                    }
-                ));
-                extra.push_str(&grids_field(&grids));
-                let diffs: Vec<String> = report
-                    .diff
-                    .iter()
-                    .map(|d| {
-                        format!(
-                            "    {{\"space\": \"{}\", \"mode\": \"{:?}\", \"class\": \"{:?}\", \"detail\": \"{}\"}}",
-                            json_escape(&d.space),
-                            d.mode,
-                            d.class,
-                            json_escape(&d.detail)
-                        )
-                    })
-                    .collect();
-                extra.push_str(&format!(
-                    "  \"diff\": [{}],\n",
-                    if diffs.is_empty() {
-                        String::new()
-                    } else {
-                        format!("\n{}\n  ", diffs.join(",\n"))
-                    }
-                ));
-                extra.push_str(&format!("  \"accepted\": {},\n", failures.is_empty()));
-                let doc = with_fields(&findings, &extra);
+                let mut doc = Doc::new();
+                doc.field(
+                    "cell",
+                    format_args!(
+                        "{{\"app\": {}, \"version\": {}, \"system\": {}}}",
+                        json::quoted(app),
+                        json::quoted(&report.version),
+                        json::quoted(&report.system),
+                    ),
+                )
+                .field("phases", report.extraction.phases)
+                .rows("imprecise", report.extraction.imprecise.iter().map(|n| json::quoted(n)));
+                grids_field(&mut doc, &grids)
+                    .rows(
+                        "diff",
+                        report.diff.iter().map(|d| {
+                            format!(
+                                "{{\"space\": {}, \"mode\": \"{:?}\", \"class\": \"{:?}\", \"detail\": {}}}",
+                                json::quoted(&d.space),
+                                d.mode,
+                                d.class,
+                                json::quoted(&d.detail)
+                            )
+                        }),
+                    )
+                    .field("accepted", failures.is_empty());
+                let doc = findings_fields(&mut doc, &findings).finish();
                 print!("{doc}");
                 let w = write_out(o, &doc);
                 if w != 0 {
@@ -346,7 +303,7 @@ fn main() {
     if let Some(name) = &o.fixture {
         let fx = fixtures::by_name(name).unwrap();
         let findings = fx.run();
-        let code = emit(&findings, &format!("fixture {name} [{}]", fx.tool), "", &o);
+        let code = emit(&findings, &format!("fixture {name} [{}]", fx.tool), &mut Doc::new(), &o);
         std::process::exit(flush_metrics(&o).max(code));
     }
 
@@ -384,8 +341,11 @@ fn main() {
                 s.version,
                 if o.replay { " (+replay)" } else { "" }
             );
-            let extra = if o.replay { grids_field(&grids) } else { String::new() };
-            exit = exit.max(emit(&findings, &header, &extra, &o));
+            let mut doc = Doc::new();
+            if o.replay {
+                grids_field(&mut doc, &grids);
+            }
+            exit = exit.max(emit(&findings, &header, &mut doc, &o));
         }
     }
     std::process::exit(flush_metrics(&o).max(exit));

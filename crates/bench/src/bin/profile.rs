@@ -28,6 +28,7 @@ use ompx_prof::{
     to_chrome_trace, to_json, CellProfile, Tolerance,
 };
 use ompx_sim::device::{Device, DeviceProfile};
+use ompx_telemetry::json;
 
 fn usage() -> ! {
     eprintln!(
@@ -275,32 +276,29 @@ fn main() {
 /// The `BENCH_prof.json` artifact: per-cell modeled seconds plus the
 /// stream-overlap canary, i.e. the numbers a perf trajectory tracks.
 fn bench_summary(cells: &[CellProfile], probes: &[(System, OverlapReport)]) -> String {
-    let mut lines = Vec::new();
-    for c in cells {
-        lines.push(format!(
-            "    {{\"cell\":\"{}\",\"seconds\":{:e},\"occupancy_pct\":{:.3},\"bottleneck\":\"{}\"}}",
-            c.key(),
+    let cell_rows = cells.iter().map(|c| {
+        format!(
+            "{{\"cell\":{},\"seconds\":{:e},\"occupancy_pct\":{:.3},\"bottleneck\":\"{}\"}}",
+            json::quoted(&c.key()),
             c.reported_seconds,
             c.metrics.occupancy_pct,
             c.metrics.bottleneck.label()
-        ));
-    }
+        )
+    });
     // One representative probe per system (they are deterministic).
-    let mut probe_lines = Vec::new();
-    for sys in [System::Nvidia, System::Amd] {
-        if let Some((_, p)) = probes.iter().find(|(s, _)| *s == sys) {
-            probe_lines.push(format!(
-                "    {{\"system\":\"{}\",\"serial_s\":{:e},\"overlap_s\":{:e},\"speedup\":{:.4}}}",
-                sys.label(),
-                p.serial_s,
-                p.overlap_s,
-                p.speedup
-            ));
-        }
-    }
-    format!(
-        "{{\n  \"schema\": \"ompx-bench-prof-v1\",\n  \"cells\": [\n{}\n  ],\n  \"stream_overlap_probe\": [\n{}\n  ]\n}}\n",
-        lines.join(",\n"),
-        probe_lines.join(",\n")
-    )
+    let probe_rows = [System::Nvidia, System::Amd].into_iter().filter_map(|sys| {
+        let (_, p) = probes.iter().find(|(s, _)| *s == sys)?;
+        Some(format!(
+            "{{\"system\":\"{}\",\"serial_s\":{:e},\"overlap_s\":{:e},\"speedup\":{:.4}}}",
+            sys.label(),
+            p.serial_s,
+            p.overlap_s,
+            p.speedup
+        ))
+    });
+    json::Doc::new()
+        .str("schema", "ompx-bench-prof-v1")
+        .rows("cells", cell_rows)
+        .rows("stream_overlap_probe", probe_rows)
+        .finish()
 }

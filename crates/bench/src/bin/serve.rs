@@ -13,8 +13,9 @@
 //! (wrong checksum) is a finding in the same `{tool, kernel, location,
 //! severity, message}` schema the other CLIs emit and drives a non-zero
 //! exit. `--baseline` diffs the run's report against a committed
-//! `BENCH_serve.json` (integer fields exact, floats to 1e-9 relative)
-//! and fails on drift, mirroring the profile gate.
+//! `BENCH_serve.json` field by field (strings and bools exact, numbers
+//! to 1e-9 relative, every drift named by its path) and fails on drift;
+//! the sweep and escalation documents are gated the same way.
 //!
 //! `--sweep` replays the same seeded load at a ladder of load factors
 //! (`--sweep-factors`, default 0.5..3.0, 7 points) and emits the
@@ -35,15 +36,15 @@
 //! benches N warm spares that promote on device loss in any mode.
 
 use ompx_prof::chrome::to_chrome_trace;
-use ompx_prof::jsonio;
 use ompx_sanitizer::report::{exit_code, render_json as findings_json, render_text};
 use ompx_sanitizer::{Finding, Severity};
 use ompx_serve::{
     build_report, escalate, render_escalate_csv, render_escalate_json, render_json,
-    render_sweep_csv, render_sweep_json, serve, sweep, DeviceKind, EscalateResult, LoadSpec,
-    ServeConfig, ServeError, ServeReport, SweepResult, Verdict,
+    render_sweep_csv, render_sweep_json, serve, sweep, DeviceKind, LoadSpec, ServeConfig,
+    ServeError, ServeReport, Verdict,
 };
 use ompx_sim::fault::FaultPlan;
+use ompx_telemetry::json;
 use ompx_telemetry::{to_json as metrics_json, to_prometheus};
 
 fn usage() -> ! {
@@ -52,7 +53,7 @@ fn usage() -> ! {
          \x20           [--devices a100,a100,mi250,mi250] [--spares N] [--max-batch N]\n\
          \x20           [--queue-cap N] [--load-factor F] [--rate F] [--lose-at N]\n\
          \x20           [--no-faults] [--default-scale] [--json] [--bench-out FILE]\n\
-         \x20           [--trace FILE] [--baseline FILE] [--write-baseline FILE]\n\
+         \x20           [--trace FILE] [--baseline FILE]\n\
          \x20           [--metrics-out FILE] [--metrics-json FILE]\n\
          \x20           [--sweep] [--sweep-factors F,F,...] [--csv-out FILE]\n\
          \x20           [--escalate] [--multipliers F,F,...]"
@@ -67,7 +68,6 @@ struct Opts {
     bench_out: Option<String>,
     trace: Option<String>,
     baseline: Option<String>,
-    write_baseline: Option<String>,
     metrics_out: Option<String>,
     metrics_json: Option<String>,
     sweep: bool,
@@ -114,7 +114,6 @@ fn parse(args: &[String]) -> Opts {
         bench_out: None,
         trace: None,
         baseline: None,
-        write_baseline: None,
         metrics_out: None,
         metrics_json: None,
         sweep: false,
@@ -171,7 +170,6 @@ fn parse(args: &[String]) -> Opts {
             "--bench-out" => o.bench_out = Some(val!().clone()),
             "--trace" => o.trace = Some(val!().clone()),
             "--baseline" => o.baseline = Some(val!().clone()),
-            "--write-baseline" => o.write_baseline = Some(val!().clone()),
             "--metrics-out" => o.metrics_out = Some(val!().clone()),
             "--metrics-json" => o.metrics_json = Some(val!().clone()),
             "--sweep" => o.sweep = true,
@@ -293,10 +291,6 @@ fn main() {
         write_file(path, &json);
         eprintln!("serve: report written to {path}");
     }
-    if let Some(path) = &o.write_baseline {
-        write_file(path, &json);
-        eprintln!("serve: baseline written to {path}");
-    }
     if let Some(path) = &o.trace {
         write_file(path, &to_chrome_trace(&out.spans));
         eprintln!("serve: timeline trace written to {path} ({} spans)", out.spans.len());
@@ -313,31 +307,7 @@ fn main() {
         }
     }
     if let Some(path) = &o.baseline {
-        match std::fs::read_to_string(path) {
-            Err(e) => {
-                eprintln!("serve: cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-            Ok(text) => {
-                let drifts = diff_baseline(&report, &text);
-                match drifts {
-                    Err(e) => {
-                        eprintln!("serve: bad baseline {path}: {e}");
-                        std::process::exit(2);
-                    }
-                    Ok(drifts) if drifts.is_empty() => {
-                        eprintln!("serve: baseline gate PASSED");
-                    }
-                    Ok(drifts) => {
-                        eprintln!("serve: baseline gate FAILED, {} drift(s):", drifts.len());
-                        for d in &drifts {
-                            eprintln!("  {d}");
-                        }
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
+        gate("baseline", path, &json);
     }
     std::process::exit(exit_code(&findings));
 }
@@ -378,37 +348,12 @@ fn run_sweep(o: &Opts) {
         write_file(path, &json);
         eprintln!("serve: sweep report written to {path}");
     }
-    if let Some(path) = &o.write_baseline {
-        write_file(path, &json);
-        eprintln!("serve: sweep baseline written to {path}");
-    }
     if let Some(path) = &o.csv_out {
         write_file(path, &render_sweep_csv(&s));
         eprintln!("serve: sweep CSV written to {path}");
     }
     if let Some(path) = &o.baseline {
-        match std::fs::read_to_string(path) {
-            Err(e) => {
-                eprintln!("serve: cannot read sweep baseline {path}: {e}");
-                std::process::exit(2);
-            }
-            Ok(text) => match diff_sweep_baseline(&s, &text) {
-                Err(e) => {
-                    eprintln!("serve: bad sweep baseline {path}: {e}");
-                    std::process::exit(2);
-                }
-                Ok(drifts) if drifts.is_empty() => {
-                    eprintln!("serve: sweep baseline gate PASSED");
-                }
-                Ok(drifts) => {
-                    eprintln!("serve: sweep baseline gate FAILED, {} drift(s):", drifts.len());
-                    for d in &drifts {
-                        eprintln!("  {d}");
-                    }
-                    std::process::exit(1);
-                }
-            },
-        }
+        gate("sweep baseline", path, &json);
     }
 }
 
@@ -481,37 +426,12 @@ fn run_escalate(o: &Opts) {
         write_file(path, &json);
         eprintln!("serve: resilience report written to {path}");
     }
-    if let Some(path) = &o.write_baseline {
-        write_file(path, &json);
-        eprintln!("serve: resilience baseline written to {path}");
-    }
     if let Some(path) = &o.csv_out {
         write_file(path, &render_escalate_csv(&e));
         eprintln!("serve: resilience CSV written to {path}");
     }
     if let Some(path) = &o.baseline {
-        match std::fs::read_to_string(path) {
-            Err(err) => {
-                eprintln!("serve: cannot read resilience baseline {path}: {err}");
-                std::process::exit(2);
-            }
-            Ok(text) => match diff_resilience_baseline(&e, &text) {
-                Err(err) => {
-                    eprintln!("serve: bad resilience baseline {path}: {err}");
-                    std::process::exit(2);
-                }
-                Ok(drifts) if drifts.is_empty() => {
-                    eprintln!("serve: resilience baseline gate PASSED");
-                }
-                Ok(drifts) => {
-                    eprintln!("serve: resilience baseline gate FAILED, {} drift(s):", drifts.len());
-                    for d in &drifts {
-                        eprintln!("  {d}");
-                    }
-                    std::process::exit(1);
-                }
-            },
-        }
+        gate("resilience baseline", path, &json);
     }
     std::process::exit(exit_code(&findings));
 }
@@ -561,274 +481,29 @@ fn print_text(r: &ServeReport) {
     }
 }
 
-/// Integer fields must match exactly, floats to 1e-9 relative: the run is
-/// deterministic, so any drift is a real behavior change.
-fn diff_baseline(report: &ServeReport, baseline: &str) -> Result<Vec<String>, String> {
-    let b = jsonio::parse(baseline)?;
-    if b.get("schema").and_then(|s| s.as_str()) != Some("ompx-bench-serve-v2") {
-        return Err("missing or wrong schema tag".to_string());
-    }
-    let mut drifts = Vec::new();
-    let int = |name: &str| -> Result<i64, String> {
-        b.get(name)
-            .and_then(|v| v.as_f64())
-            .map(|f| f as i64)
-            .ok_or_else(|| format!("baseline missing {name}"))
+/// The `--baseline` gate, shared by all three modes: the committed
+/// document and the run's own rendered document must agree field for
+/// field ([`json::diff`]: key sets and array lengths equal, strings and
+/// bools exact, numbers to 1e-9 relative). Exits 2 on an unreadable
+/// baseline, 1 on drift.
+fn gate(label: &str, path: &str, doc: &str) {
+    let want = match std::fs::read_to_string(path) {
+        Ok(text) => json::parse(&text),
+        Err(e) => Err(e.to_string()),
     };
-    let fl = |name: &str| -> Result<f64, String> {
-        b.get(name).and_then(|v| v.as_f64()).ok_or_else(|| format!("baseline missing {name}"))
-    };
-    let mut check_int = |name: &str, got: i64| -> Result<(), String> {
-        let want = int(name)?;
-        if want != got {
-            drifts.push(format!("{name}: baseline {want}, run {got}"));
-        }
-        Ok(())
-    };
-    check_int("seed", report.seed as i64)?;
-    check_int("clients", i64::from(report.clients))?;
-    check_int("tenants", i64::from(report.tenants))?;
-    check_int("total", report.total as i64)?;
-    check_int("completed", report.completed as i64)?;
-    let verdicts = b.get("verdicts").ok_or("baseline missing verdicts")?;
-    for (name, got) in [
-        ("success", report.success),
-        ("fallback", report.fallback),
-        ("typed_error", report.typed_error),
-        ("rejected", report.rejected),
-        ("corrupt", report.corrupt),
-    ] {
-        let want = verdicts
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline missing verdicts.{name}"))? as u64;
-        if want != got {
-            drifts.push(format!("verdicts.{name}: baseline {want}, run {got}"));
-        }
-    }
-    let mut check_float = |name: &str, got: f64| -> Result<(), String> {
-        let want = fl(name)?;
-        let tol = want.abs().max(1e-12) * 1e-9;
-        if (want - got).abs() > tol {
-            drifts.push(format!("{name}: baseline {want:e}, run {got:e}"));
-        }
-        Ok(())
-    };
-    check_float("makespan_s", report.makespan_s)?;
-    check_float("throughput_rps", report.throughput_rps)?;
-    check_float("latency_p50_s", report.latency_p50_s)?;
-    check_float("latency_p95_s", report.latency_p95_s)?;
-    check_float("latency_p99_s", report.latency_p99_s)?;
-    let batches = b.get("batches").ok_or("baseline missing batches")?;
-    for (name, got) in [("count", report.batch_count), ("max", report.batch_max)] {
-        let want = batches
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline missing batches.{name}"))? as u64;
-        if want != got {
-            drifts.push(format!("batches.{name}: baseline {want}, run {got}"));
-        }
-    }
-    let resilience = b.get("resilience").ok_or("baseline missing resilience")?;
-    for (name, got) in [
-        ("hedges_launched", report.resilience.hedges_launched),
-        ("hedges_won", report.resilience.hedges_won),
-        ("breaker_opens", report.resilience.breaker_opens),
-        ("spares_promoted", report.resilience.spares_promoted),
-        ("deadline_misses", report.resilience.deadline_misses),
-    ] {
-        let want = resilience
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline missing resilience.{name}"))?
-            as u64;
-        if want != got {
-            drifts.push(format!("resilience.{name}: baseline {want}, run {got}"));
-        }
-    }
-    let devs = b.get("devices").and_then(|d| d.as_arr()).ok_or("baseline missing devices")?;
-    if devs.len() != report.devices.len() {
-        drifts.push(format!(
-            "devices: baseline has {}, run has {}",
-            devs.len(),
-            report.devices.len()
-        ));
+    let want = want.unwrap_or_else(|e| {
+        eprintln!("serve: bad {label} {path}: {e}");
+        std::process::exit(2);
+    });
+    let got = json::parse(doc).expect("serve renders valid JSON");
+    let drifts = json::diff(&want, &got);
+    if drifts.is_empty() {
+        eprintln!("serve: {label} gate PASSED");
     } else {
-        for (want, got) in devs.iter().zip(&report.devices) {
-            let served = want.get("served").and_then(|v| v.as_f64()).unwrap_or(-1.0);
-            if served as i64 != got.served as i64 {
-                drifts.push(format!(
-                    "devices[{}].served: baseline {served}, run {}",
-                    got.member, got.served
-                ));
-            }
-            let lost = want.get("lost") == Some(&jsonio::Json::Bool(true));
-            if lost != got.lost {
-                drifts.push(format!(
-                    "devices[{}].lost: baseline {lost}, run {}",
-                    got.member, got.lost
-                ));
-            }
-            let standby = want.get("standby") == Some(&jsonio::Json::Bool(true));
-            if standby != got.standby {
-                drifts.push(format!(
-                    "devices[{}].standby: baseline {standby}, run {}",
-                    got.member, got.standby
-                ));
-            }
+        eprintln!("serve: {label} gate FAILED, {} drift(s):", drifts.len());
+        for d in &drifts {
+            eprintln!("  {d}");
         }
+        std::process::exit(1);
     }
-    Ok(drifts)
-}
-
-/// Resilience drift gate: the campaign is deterministic, so integer
-/// fields must match exactly and floats to 1e-9 relative.
-fn diff_resilience_baseline(e: &EscalateResult, baseline: &str) -> Result<Vec<String>, String> {
-    let b = jsonio::parse(baseline)?;
-    if b.get("schema").and_then(|v| v.as_str()) != Some("ompx-bench-resilience-v1") {
-        return Err("missing or wrong schema tag".to_string());
-    }
-    let mut drifts = Vec::new();
-    for (name, got) in [
-        ("seed", e.seed as i64),
-        ("clients", i64::from(e.clients)),
-        ("tenants", i64::from(e.tenants)),
-    ] {
-        let want = b
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .map(|f| f as i64)
-            .ok_or_else(|| format!("baseline missing {name}"))?;
-        if want != got {
-            drifts.push(format!("{name}: baseline {want}, run {got}"));
-        }
-    }
-    let rungs = b.get("rungs").and_then(|r| r.as_arr()).ok_or("baseline missing rungs")?;
-    if rungs.len() != e.rungs.len() {
-        drifts.push(format!("rungs: baseline has {}, run has {}", rungs.len(), e.rungs.len()));
-        return Ok(drifts);
-    }
-    for (k, (want, got)) in rungs.iter().zip(&e.rungs).enumerate() {
-        for (name, got_v) in [
-            ("completed", got.completed),
-            ("deadline_misses", got.deadline_misses),
-            ("hedges_launched", got.hedges_launched),
-            ("hedges_won", got.hedges_won),
-            ("breaker_opens", got.breaker_opens),
-            ("spares_promoted", got.spares_promoted),
-        ] {
-            let want_v = want
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing rungs[{k}].{name}"))?
-                as u64;
-            if want_v != got_v {
-                drifts.push(format!("rungs[{k}].{name}: baseline {want_v}, run {got_v}"));
-            }
-        }
-        let verdicts =
-            want.get("verdicts").ok_or_else(|| format!("rungs[{k}] missing verdicts"))?;
-        for (name, got_v) in [
-            ("success", got.success),
-            ("fallback", got.fallback),
-            ("typed_error", got.typed_error),
-            ("rejected", got.rejected),
-            ("corrupt", got.corrupt),
-        ] {
-            let want_v = verdicts
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing rungs[{k}].verdicts.{name}"))?
-                as u64;
-            if want_v != got_v {
-                drifts.push(format!("rungs[{k}].verdicts.{name}: baseline {want_v}, run {got_v}"));
-            }
-        }
-        for (name, got_v) in [
-            ("multiplier", got.multiplier),
-            ("fault_rate", got.fault_rate),
-            ("shed_frac", got.shed_frac),
-            ("interactive_p99_ratio", got.interactive_p99_ratio),
-            ("throughput_rps", got.throughput_rps),
-            ("latency_p99_s", got.latency_p99_s),
-        ] {
-            let want_v = want
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing rungs[{k}].{name}"))?;
-            let tol = want_v.abs().max(1e-12) * 1e-9;
-            if (want_v - got_v).abs() > tol {
-                drifts.push(format!("rungs[{k}].{name}: baseline {want_v:e}, run {got_v:e}"));
-            }
-        }
-    }
-    let want_violations =
-        b.get("violations").and_then(|v| v.as_arr()).map(|v| v.len()).unwrap_or(0);
-    if want_violations != e.violations.len() {
-        drifts.push(format!(
-            "violations: baseline has {want_violations}, run has {}",
-            e.violations.len()
-        ));
-    }
-    Ok(drifts)
-}
-
-/// Sweep drift gate: same contract as [`diff_baseline`] — the curve is
-/// deterministic, so integer fields must match exactly and floats to
-/// 1e-9 relative.
-fn diff_sweep_baseline(s: &SweepResult, baseline: &str) -> Result<Vec<String>, String> {
-    let b = jsonio::parse(baseline)?;
-    if b.get("schema").and_then(|v| v.as_str()) != Some("ompx-bench-sweep-v1") {
-        return Err("missing or wrong schema tag".to_string());
-    }
-    let mut drifts = Vec::new();
-    for (name, got) in [
-        ("seed", s.seed as i64),
-        ("clients", i64::from(s.clients)),
-        ("tenants", i64::from(s.tenants)),
-    ] {
-        let want = b
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .map(|f| f as i64)
-            .ok_or_else(|| format!("baseline missing {name}"))?;
-        if want != got {
-            drifts.push(format!("{name}: baseline {want}, run {got}"));
-        }
-    }
-    let points = b.get("points").and_then(|p| p.as_arr()).ok_or("baseline missing points")?;
-    if points.len() != s.points.len() {
-        drifts.push(format!("points: baseline has {}, run has {}", points.len(), s.points.len()));
-        return Ok(drifts);
-    }
-    for (k, (want, got)) in points.iter().zip(&s.points).enumerate() {
-        for (name, got_v) in [("completed", got.completed), ("rejected", got.rejected)] {
-            let want_v = want
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing points[{k}].{name}"))?
-                as u64;
-            if want_v != got_v {
-                drifts.push(format!("points[{k}].{name}: baseline {want_v}, run {got_v}"));
-            }
-        }
-        for (name, got_v) in [
-            ("load_factor", got.load_factor),
-            ("makespan_s", got.makespan_s),
-            ("throughput_rps", got.throughput_rps),
-            ("latency_p50_s", got.latency_p50_s),
-            ("latency_p95_s", got.latency_p95_s),
-            ("latency_p99_s", got.latency_p99_s),
-        ] {
-            let want_v = want
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing points[{k}].{name}"))?;
-            let tol = want_v.abs().max(1e-12) * 1e-9;
-            if (want_v - got_v).abs() > tol {
-                drifts.push(format!("points[{k}].{name}: baseline {want_v:e}, run {got_v:e}"));
-            }
-        }
-    }
-    Ok(drifts)
 }

@@ -28,9 +28,9 @@
 //! baseline diff.
 
 use ompx_hecbench::{run_app, with_mem_trace_full, ProgVersion, System, WorkScale, APP_NAMES};
-use ompx_prof::jsonio;
 use ompx_sanitizer::fixtures;
 use ompx_sim::exec;
+use ompx_telemetry::json;
 use std::time::Instant;
 
 /// Speedup the parallel executor must reach over serial mode on hosts
@@ -203,22 +203,31 @@ fn bench_json(
     total_parallel: f64,
     identity_ok: bool,
 ) -> String {
-    let mut lines = Vec::new();
-    for c in cells {
-        lines.push(format!(
-            "    {{\"app\":\"{}\",\"version\":\"{}\",\"checksum\":\"{:#018x}\",\"wall_s_serial\":{:e},\"wall_s_parallel\":{:e},\"speedup\":{:.4}}}",
-            c.app, c.version, c.checksum, c.wall_s_serial, c.wall_s_parallel, c.speedup()
-        ));
-    }
+    let rows = cells.iter().map(|c| {
+        format!(
+            "{{\"app\":{},\"version\":{},\"checksum\":\"{:#018x}\",\"wall_s_serial\":{:e},\"wall_s_parallel\":{:e},\"speedup\":{:.4}}}",
+            json::quoted(&c.app),
+            json::quoted(&c.version),
+            c.checksum,
+            c.wall_s_serial,
+            c.wall_s_parallel,
+            c.speedup()
+        )
+    });
     let total_speedup = if total_parallel > 0.0 { total_serial / total_parallel } else { 1.0 };
-    format!(
-        "{{\n  \"schema\": \"ompx-bench-simspeed-v1\",\n  \"host_cores\": {host_cores},\n  \"workers\": {workers},\n  \"enforced\": {enforced},\n  \"runs\": {runs},\n  \"scale\": \"{}\",\n  \"identity_ok\": {identity_ok},\n  \"total_serial_s\": {total_serial:e},\n  \"total_parallel_s\": {total_parallel:e},\n  \"speedup\": {total_speedup:.4},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        match scale {
-            WorkScale::Test => "test",
-            _ => "default",
-        },
-        lines.join(",\n")
-    )
+    json::Doc::new()
+        .str("schema", "ompx-bench-simspeed-v1")
+        .field("host_cores", host_cores)
+        .field("workers", workers)
+        .field("enforced", enforced)
+        .field("runs", runs)
+        .str("scale", if scale == WorkScale::Test { "test" } else { "default" })
+        .field("identity_ok", identity_ok)
+        .field("total_serial_s", format_args!("{total_serial:e}"))
+        .field("total_parallel_s", format_args!("{total_parallel:e}"))
+        .field("speedup", format_args!("{total_speedup:.4}"))
+        .rows("cells", rows)
+        .finish()
 }
 
 fn bench_csv(cells: &[Cell]) -> String {
@@ -240,7 +249,7 @@ fn bench_csv(cells: &[Cell]) -> String {
 /// Diff per-cell checksums against a committed `BENCH_simspeed.json`.
 /// Returns human-readable drift lines (empty = gate passed).
 fn diff_baseline(cells: &[Cell], text: &str, scale: WorkScale) -> Result<Vec<String>, String> {
-    let json = jsonio::parse(text)?;
+    let json = json::parse(text)?;
     if json.get("schema").and_then(|s| s.as_str()) != Some("ompx-bench-simspeed-v1") {
         return Err("not an ompx-bench-simspeed-v1 file".into());
     }

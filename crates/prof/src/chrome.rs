@@ -9,10 +9,11 @@
 //! `ph:"f"` flow arrows from a `nowait` submission to the work it
 //! enqueued. Byte counts ride in `args`, so memcpy bars show their sizes.
 //!
-//! This supersedes the flat launch-order export in
-//! [`ompx_sim::trace::LaunchTrace::to_chrome_trace`], which has no notion
-//! of time or concurrency.
+//! This is the workspace's one Chrome-trace writer; the simulator's
+//! launch trace ([`ompx_sim::trace::Trace`]) is inspected through its
+//! records instead.
 
+use ompx_sim::json;
 use ompx_sim::span::{Span, Track};
 
 const HOST_TID: u32 = 0;
@@ -21,20 +22,6 @@ const STREAM_TID_BASE: u32 = 10;
 /// Pool-device tracks (`ompx-serve`) sit above the stream range so a trace
 /// with both keeps stable ids: `tid 1000 + member index`.
 const DEVICE_TID_BASE: u32 = 1000;
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Stable tid assignment: host and tasks are fixed, streams get
 /// `STREAM_TID_BASE + k` by order of first appearance in the span list.
@@ -101,8 +88,8 @@ pub fn to_chrome_trace(spans: &[Span]) -> String {
             None => String::new(),
         };
         events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.6},\"dur\":{:.6},\"args\":{{\"bytes\":{}{}}}}}",
-            esc(&s.name),
+            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.6},\"dur\":{:.6},\"args\":{{\"bytes\":{}{}}}}}",
+            json::quoted(&s.name),
             s.cat.label(),
             tid,
             ts_us,
@@ -135,9 +122,9 @@ pub fn to_chrome_trace(spans: &[Span]) -> String {
 
 fn meta_thread_name(tid: u32, name: &str) -> String {
     format!(
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
+        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":{}}}}}",
         tid,
-        esc(name)
+        json::quoted(name)
     )
 }
 

@@ -29,7 +29,6 @@
 //! [`SpanLog`]: ompx_sim::span::SpanLog
 
 pub mod chrome;
-pub mod jsonio;
 pub mod metrics;
 pub mod probe;
 pub mod report;

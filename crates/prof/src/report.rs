@@ -9,8 +9,8 @@
 //! reclassification, or a cell appearing/disappearing — fails the gate
 //! (CI exits non-zero).
 
-use crate::jsonio::{self, Json};
 use crate::metrics::{Bottleneck, KernelMetrics};
+use ompx_sim::json::{self, Json};
 
 /// One profiled (app, version, system) cell.
 #[derive(Debug, Clone)]
@@ -139,10 +139,10 @@ pub fn table_csv(cells: &[CellProfile]) -> String {
 fn cell_json(c: &CellProfile) -> String {
     let m = &c.metrics;
     format!(
-        "{{\"app\":\"{}\",\"version\":\"{}\",\"system\":\"{}\",\"checksum\":\"{:016x}\",\"reported_seconds\":{:e},\"occupancy_pct\":{:.6},\"mem_throughput_pct\":{:.6},\"arithmetic_intensity\":{:.6e},\"gflops\":{:.6e},\"coalescing_eff_pct\":{:.6},\"warp_exec_eff_pct\":{:.6},\"barrier_stall_pct\":{:.6},\"atomic_stall_pct\":{:.6},\"serialization_stall_pct\":{:.6},\"divergence_stall_pct\":{:.6},\"bottleneck\":\"{}\",\"excluded\":{}}}",
-        jsonio::escape(&c.app),
-        jsonio::escape(&c.version),
-        jsonio::escape(&c.system),
+        "{{\"app\":{},\"version\":{},\"system\":{},\"checksum\":\"{:016x}\",\"reported_seconds\":{:e},\"occupancy_pct\":{:.6},\"mem_throughput_pct\":{:.6},\"arithmetic_intensity\":{:.6e},\"gflops\":{:.6e},\"coalescing_eff_pct\":{:.6},\"warp_exec_eff_pct\":{:.6},\"barrier_stall_pct\":{:.6},\"atomic_stall_pct\":{:.6},\"serialization_stall_pct\":{:.6},\"divergence_stall_pct\":{:.6},\"bottleneck\":\"{}\",\"excluded\":{}}}",
+        json::quoted(&c.app),
+        json::quoted(&c.version),
+        json::quoted(&c.system),
         c.checksum,
         c.reported_seconds,
         m.occupancy_pct,
@@ -162,11 +162,10 @@ fn cell_json(c: &CellProfile) -> String {
 
 /// Full JSON report (also the baseline file format).
 pub fn to_json(cells: &[CellProfile]) -> String {
-    let body: Vec<String> = cells.iter().map(|c| format!("    {}", cell_json(c))).collect();
-    format!(
-        "{{\n  \"schema\": \"ompx-prof-baseline-v1\",\n  \"cells\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
-    )
+    json::Doc::new()
+        .str("schema", "ompx-prof-baseline-v1")
+        .rows("cells", cells.iter().map(cell_json))
+        .finish()
 }
 
 // ---- baseline gate ---------------------------------------------------------
@@ -193,7 +192,7 @@ impl BaselineCell {
 
 /// Parse a baseline document written by [`to_json`].
 pub fn parse_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
-    let doc = jsonio::parse(text)?;
+    let doc = json::parse(text)?;
     match doc.get("schema").and_then(Json::as_str) {
         Some("ompx-prof-baseline-v1") => {}
         other => return Err(format!("unsupported baseline schema {other:?}")),

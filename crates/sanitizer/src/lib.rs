@@ -216,8 +216,8 @@ impl Report {
     }
 
     /// Machine-readable JSON in the unified finding schema (tool, kernel,
-    /// location, severity, message — see [`report`]). Hand-rolled so the
-    /// workspace needs no JSON dependency.
+    /// location, severity, message — see [`report`]), written through
+    /// `ompx_telemetry::json`.
     pub fn to_json(&self) -> String {
         report::render_json(&self.findings())
     }
@@ -226,21 +226,6 @@ impl Report {
     pub fn enabled(&self) -> ToolMask {
         self.enabled
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -267,10 +252,5 @@ mod tests {
         assert_eq!(report.exit_code(), 0);
         assert!(report.to_text().contains("clean run"));
         assert!(report.to_json().contains("\"count\": 0"));
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

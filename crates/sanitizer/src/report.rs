@@ -21,8 +21,8 @@
 //! (block/thread/index for dynamic findings, the access or buffer
 //! description for static ones).
 
-use crate::json_escape;
 use ompx_sim::san::Diagnostic;
+use ompx_telemetry::json::{self, Doc};
 
 /// Finding severity. Errors drive the non-zero exit code; warnings are
 /// reported but do not fail a run by themselves.
@@ -129,22 +129,27 @@ pub fn record_findings_metrics(findings: &[Finding]) {
     }
 }
 
+/// Append the unified schema's fields (`findings`, `count`, `exit_code`)
+/// to `doc`, after any fields the caller wrote first.
+pub fn findings_fields<'d>(doc: &'d mut Doc, findings: &[Finding]) -> &'d mut Doc {
+    let rows = findings.iter().map(|f| {
+        format!(
+            "{{\"tool\": {}, \"kernel\": {}, \"location\": {}, \"severity\": \"{}\", \"message\": {}}}",
+            json::quoted(&f.tool),
+            json::quoted(&f.kernel),
+            json::quoted(&f.location),
+            f.severity.label(),
+            json::quoted(&f.message)
+        )
+    });
+    doc.rows("findings", rows)
+        .field("count", findings.len())
+        .field("exit_code", exit_code(findings))
+}
+
 /// Render a finding list as the unified JSON document.
 pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"tool\": \"{}\", ", json_escape(&f.tool)));
-        out.push_str(&format!("\"kernel\": \"{}\", ", json_escape(&f.kernel)));
-        out.push_str(&format!("\"location\": \"{}\", ", json_escape(&f.location)));
-        out.push_str(&format!("\"severity\": \"{}\", ", f.severity.label()));
-        out.push_str(&format!("\"message\": \"{}\"}}", json_escape(&f.message)));
-        out.push_str(if i + 1 < findings.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"count\": {},\n", findings.len()));
-    out.push_str(&format!("  \"exit_code\": {}\n}}\n", exit_code(findings)));
-    out
+    findings_fields(&mut Doc::new(), findings).finish()
 }
 
 /// Render a finding list as a human-readable multi-line report with the
@@ -184,6 +189,19 @@ mod tests {
         }
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("\"exit_code\": 1"));
+    }
+
+    #[test]
+    fn special_characters_round_trip_through_the_reader() {
+        let mut f = sample();
+        f.message = "a\"b\\c\nd\te\r".into();
+        let doc = json::parse(&render_json(&[f.clone()])).unwrap();
+        let row = &doc.get("findings").and_then(json::Json::as_arr).unwrap()[0];
+        assert_eq!(row.get("message").and_then(json::Json::as_str), Some(f.message.as_str()));
+        assert_eq!(
+            render_json(&[]),
+            "{\n  \"findings\": [],\n  \"count\": 0,\n  \"exit_code\": 0\n}\n"
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::loadgen::LoadSpec;
 use crate::report::build;
 use crate::server::{serve, ServeConfig};
 use ompx_resilience::{check_contract, RungSlo};
+use ompx_telemetry::json::{self, Doc};
 
 /// The default ladder: from the plan's own rate to 16× it, doubling.
 pub const DEFAULT_MULTIPLIERS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
@@ -144,16 +145,9 @@ pub fn escalate(
 /// `ompx-bench-resilience-v1`). Field order and float formatting are
 /// fixed so the output is byte-stable for baseline diffing.
 pub fn render_escalate_json(e: &EscalateResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"ompx-bench-resilience-v1\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", e.seed));
-    out.push_str(&format!("  \"clients\": {},\n", e.clients));
-    out.push_str(&format!("  \"tenants\": {},\n", e.tenants));
-    out.push_str(&format!("  \"base_rate\": {:e},\n", e.base_rate));
-    out.push_str("  \"rungs\": [\n");
-    for (i, r) in e.rungs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"multiplier\":{:e},\"fault_rate\":{:e},\"completed\":{},\"verdicts\":{{\"success\":{},\"fallback\":{},\"typed_error\":{},\"rejected\":{},\"corrupt\":{}}},\"shed_frac\":{:e},\"interactive_p99_ratio\":{:e},\"deadline_misses\":{},\"hedges_launched\":{},\"hedges_won\":{},\"breaker_opens\":{},\"spares_promoted\":{},\"throughput_rps\":{:e},\"latency_p99_s\":{:e}}}{}\n",
+    let rungs = e.rungs.iter().map(|r| {
+        format!(
+            "{{\"multiplier\":{:e},\"fault_rate\":{:e},\"completed\":{},\"verdicts\":{{\"success\":{},\"fallback\":{},\"typed_error\":{},\"rejected\":{},\"corrupt\":{}}},\"shed_frac\":{:e},\"interactive_p99_ratio\":{:e},\"deadline_misses\":{},\"hedges_launched\":{},\"hedges_won\":{},\"breaker_opens\":{},\"spares_promoted\":{},\"throughput_rps\":{:e},\"latency_p99_s\":{:e}}}",
             r.multiplier,
             r.fault_rate,
             r.completed,
@@ -171,18 +165,18 @@ pub fn render_escalate_json(e: &EscalateResult) -> String {
             r.spares_promoted,
             r.throughput_rps,
             r.latency_p99_s,
-            if i + 1 < e.rungs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"violations\": [");
-    for (i, v) in e.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\"", v.replace('"', "'")));
-    }
-    out.push_str("]\n}\n");
-    out
+        )
+    });
+    let violations: Vec<String> = e.violations.iter().map(|v| json::quoted(v)).collect();
+    Doc::new()
+        .str("schema", "ompx-bench-resilience-v1")
+        .field("seed", e.seed)
+        .field("clients", e.clients)
+        .field("tenants", e.tenants)
+        .field("base_rate", format_args!("{:e}", e.base_rate))
+        .rows("rungs", rungs)
+        .field("violations", format_args!("[{}]", violations.join(",")))
+        .finish()
 }
 
 /// Render the campaign as a plotting-friendly CSV: one row per rung.

@@ -12,6 +12,7 @@ use crate::pool::DevicePool;
 use crate::request::{Response, Verdict};
 use crate::server::ResilienceStats;
 use ompx_resilience::Priority;
+use ompx_telemetry::json::Doc;
 use ompx_telemetry::percentile_interp;
 
 /// Per-member rollup.
@@ -230,68 +231,21 @@ pub fn build(
 /// `ompx-bench-serve-v2`). Field order and float formatting are fixed so
 /// the output is byte-stable for baseline diffing.
 pub fn render_json(r: &ServeReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"ompx-bench-serve-v2\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", r.seed));
-    out.push_str(&format!("  \"clients\": {},\n", r.clients));
-    out.push_str(&format!("  \"tenants\": {},\n", r.tenants));
-    out.push_str(&format!("  \"total\": {},\n", r.total));
-    out.push_str(&format!("  \"completed\": {},\n", r.completed));
-    out.push_str(&format!(
-        "  \"verdicts\": {{\"success\":{},\"fallback\":{},\"typed_error\":{},\"rejected\":{},\"corrupt\":{}}},\n",
-        r.success, r.fallback, r.typed_error, r.rejected, r.corrupt
-    ));
-    out.push_str(&format!("  \"makespan_s\": {:e},\n", r.makespan_s));
-    out.push_str(&format!("  \"throughput_rps\": {:e},\n", r.throughput_rps));
-    out.push_str(&format!("  \"latency_p50_s\": {:e},\n", r.latency_p50_s));
-    out.push_str(&format!("  \"latency_p95_s\": {:e},\n", r.latency_p95_s));
-    out.push_str(&format!("  \"latency_p99_s\": {:e},\n", r.latency_p99_s));
-    out.push_str(&format!(
-        "  \"batches\": {{\"count\":{},\"max\":{},\"mean\":{:.4}}},\n",
-        r.batch_count, r.batch_max, r.batch_mean
-    ));
-    out.push_str("  \"classes\": [\n");
-    for (i, c) in r.classes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"class\":\"{}\",\"completed\":{},\"shed\":{},\"deadline_misses\":{},\"lateness_p99\":{:e}}}{}\n",
-            c.class,
-            c.completed,
-            c.shed,
-            c.deadline_misses,
-            c.lateness_p99,
-            if i + 1 < r.classes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let s = &r.resilience;
-    out.push_str(&format!(
-        "  \"resilience\": {{\"hedges_launched\":{},\"hedges_won\":{},\"hedges_skipped\":{},\"breaker_transitions\":{},\"breaker_opens\":{},\"spares_promoted\":{},\"deadline_misses\":{}}},\n",
-        s.hedges_launched,
-        s.hedges_won,
-        s.hedges_skipped,
-        s.breaker_transitions,
-        s.breaker_opens,
-        s.spares_promoted,
-        s.deadline_misses
-    ));
-    out.push_str("  \"devices\": [\n");
-    for (i, d) in r.devices.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"member\":{},\"kind\":\"{}\",\"served\":{},\"batches\":{},\"busy_s\":{:e},\"lost\":{},\"standby\":{}}}{}\n",
-            d.member,
-            d.kind,
-            d.served,
-            d.batches,
-            d.busy_s,
-            d.lost,
-            d.standby,
-            if i + 1 < r.devices.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"fairness\": [\n");
-    for (i, t) in r.fairness.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tenant\":{},\"served\":{},\"rejected\":{},\"share\":{:.4},\"latency_p50_s\":{:e},\"latency_p95_s\":{:e},\"latency_p99_s\":{:e}}}{}\n",
+    let classes = r.classes.iter().map(|c| {
+        format!(
+            "{{\"class\":\"{}\",\"completed\":{},\"shed\":{},\"deadline_misses\":{},\"lateness_p99\":{:e}}}",
+            c.class, c.completed, c.shed, c.deadline_misses, c.lateness_p99,
+        )
+    });
+    let devices = r.devices.iter().map(|d| {
+        format!(
+            "{{\"member\":{},\"kind\":\"{}\",\"served\":{},\"batches\":{},\"busy_s\":{:e},\"lost\":{},\"standby\":{}}}",
+            d.member, d.kind, d.served, d.batches, d.busy_s, d.lost, d.standby,
+        )
+    });
+    let fairness = r.fairness.iter().map(|t| {
+        format!(
+            "{{\"tenant\":{},\"served\":{},\"rejected\":{},\"share\":{:.4},\"latency_p50_s\":{:e},\"latency_p95_s\":{:e},\"latency_p99_s\":{:e}}}",
             t.tenant,
             t.served,
             t.rejected,
@@ -299,11 +253,52 @@ pub fn render_json(r: &ServeReport) -> String {
             t.latency_p50_s,
             t.latency_p95_s,
             t.latency_p99_s,
-            if i + 1 < r.fairness.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    let s = &r.resilience;
+    Doc::new()
+        .str("schema", "ompx-bench-serve-v2")
+        .field("seed", r.seed)
+        .field("clients", r.clients)
+        .field("tenants", r.tenants)
+        .field("total", r.total)
+        .field("completed", r.completed)
+        .field(
+            "verdicts",
+            format_args!(
+                "{{\"success\":{},\"fallback\":{},\"typed_error\":{},\"rejected\":{},\"corrupt\":{}}}",
+                r.success, r.fallback, r.typed_error, r.rejected, r.corrupt
+            ),
+        )
+        .field("makespan_s", format_args!("{:e}", r.makespan_s))
+        .field("throughput_rps", format_args!("{:e}", r.throughput_rps))
+        .field("latency_p50_s", format_args!("{:e}", r.latency_p50_s))
+        .field("latency_p95_s", format_args!("{:e}", r.latency_p95_s))
+        .field("latency_p99_s", format_args!("{:e}", r.latency_p99_s))
+        .field(
+            "batches",
+            format_args!(
+                "{{\"count\":{},\"max\":{},\"mean\":{:.4}}}",
+                r.batch_count, r.batch_max, r.batch_mean
+            ),
+        )
+        .rows("classes", classes)
+        .field(
+            "resilience",
+            format_args!(
+                "{{\"hedges_launched\":{},\"hedges_won\":{},\"hedges_skipped\":{},\"breaker_transitions\":{},\"breaker_opens\":{},\"spares_promoted\":{},\"deadline_misses\":{}}}",
+                s.hedges_launched,
+                s.hedges_won,
+                s.hedges_skipped,
+                s.breaker_transitions,
+                s.breaker_opens,
+                s.spares_promoted,
+                s.deadline_misses
+            ),
+        )
+        .rows("devices", devices)
+        .rows("fairness", fairness)
+        .finish()
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use crate::error::ServeError;
 use crate::loadgen::LoadSpec;
 use crate::report::{build, ServeReport};
 use crate::server::{serve, ServeConfig};
+use ompx_telemetry::json::Doc;
 
 /// The default ladder: from comfortably under capacity to 3× saturated,
 /// dense around the knee at 1.0.
@@ -83,15 +84,9 @@ pub fn sweep(
 /// `ompx-bench-sweep-v1`). Field order and float formatting are fixed so
 /// the output is byte-stable for baseline diffing.
 pub fn render_sweep_json(s: &SweepResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"ompx-bench-sweep-v1\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", s.seed));
-    out.push_str(&format!("  \"clients\": {},\n", s.clients));
-    out.push_str(&format!("  \"tenants\": {},\n", s.tenants));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in s.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"load_factor\":{:e},\"completed\":{},\"rejected\":{},\"makespan_s\":{:e},\"throughput_rps\":{:e},\"latency_p50_s\":{:e},\"latency_p95_s\":{:e},\"latency_p99_s\":{:e}}}{}\n",
+    let points = s.points.iter().map(|p| {
+        format!(
+            "{{\"load_factor\":{:e},\"completed\":{},\"rejected\":{},\"makespan_s\":{:e},\"throughput_rps\":{:e},\"latency_p50_s\":{:e},\"latency_p95_s\":{:e},\"latency_p99_s\":{:e}}}",
             p.load_factor,
             p.completed,
             p.rejected,
@@ -100,11 +95,15 @@ pub fn render_sweep_json(s: &SweepResult) -> String {
             p.latency_p50_s,
             p.latency_p95_s,
             p.latency_p99_s,
-            if i + 1 < s.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    Doc::new()
+        .str("schema", "ompx-bench-sweep-v1")
+        .field("seed", s.seed)
+        .field("clients", s.clients)
+        .field("tenants", s.tenants)
+        .rows("points", points)
+        .finish()
 }
 
 /// Render the sweep as a plotting-friendly CSV: one row per load factor,

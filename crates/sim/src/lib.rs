@@ -75,6 +75,10 @@ pub mod timing;
 pub mod trace;
 pub mod warp;
 
+/// The workspace's JSON module, re-exported for crates that reach the
+/// telemetry layer only through the simulator.
+pub use ompx_telemetry::json;
+
 /// Convenient glob import for simulator users.
 pub mod prelude {
     pub use crate::constant::CBuf;

@@ -4,9 +4,9 @@
 //! module is the simulator's equivalent. When tracing is enabled on a
 //! [`crate::device::Device`], every launch appends a [`LaunchRecord`]
 //! (kernel name, geometry, counted events, and — once the language runtime
-//! reports it — the modeled duration). The trace can be inspected
-//! programmatically or exported in the Chrome trace-event format
-//! (`chrome://tracing`, Perfetto) for visual inspection.
+//! reports it — the modeled duration), inspected programmatically through
+//! [`Trace::records`]. The Chrome/Perfetto timeline is `ompx-prof`'s
+//! span exporter, fed from [`crate::span::SpanLog`].
 
 use crate::counters::StatsSnapshot;
 use crate::dim::Dim3;
@@ -84,58 +84,6 @@ impl Trace {
     pub fn clear(&self) {
         self.records.lock().clear();
     }
-
-    /// Export as Chrome trace-event JSON (open in `chrome://tracing` or
-    /// Perfetto). Records are laid out back-to-back on one serialized
-    /// launch-order track using their modeled durations (every record has
-    /// one now that raw launches model their own stats); the modeled
-    /// seconds are included in each event's `args`.
-    ///
-    /// This is the quick launch-order view. The *timeline* view — host
-    /// track, one track per stream, flow arrows, memcpy bars — is built by
-    /// `ompx-prof` from [`crate::span::SpanLog`] events.
-    pub fn to_chrome_trace(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let recs = self.records.lock();
-        let mut out = String::from("[\n");
-        out.push_str(concat!(
-            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,",
-            "\"args\":{\"name\":\"launches (serialized order)\"}}"
-        ));
-        out.push_str(if recs.is_empty() { "\n" } else { ",\n" });
-        let mut cursor_us = 0.0f64;
-        for (i, r) in recs.iter().enumerate() {
-            let dur_us = if r.modeled_seconds > 0.0 { r.modeled_seconds * 1e6 } else { 1.0 };
-            let comma = if i + 1 < recs.len() { "," } else { "" };
-            out.push_str(&format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},",
-                    "\"pid\":0,\"tid\":0,\"args\":{{\"grid\":\"{}x{}x{}\",",
-                    "\"block\":\"{}x{}x{}\",\"flops\":{},\"global_bytes\":{},",
-                    "\"modeled_seconds\":{:e},\"runtime_attributed\":{}}}}}{}\n"
-                ),
-                escape(&r.kernel),
-                cursor_us,
-                dur_us,
-                r.grid.x,
-                r.grid.y,
-                r.grid.z,
-                r.block.x,
-                r.block.y,
-                r.block.z,
-                r.stats.flops,
-                r.stats.global_bytes(),
-                r.modeled_seconds,
-                r.runtime_attributed,
-                comma
-            ));
-            cursor_us += dur_us;
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -196,21 +144,5 @@ mod tests {
         // A second attribution finds nothing left to claim.
         t.attribute_model("k", 9e-6);
         assert_eq!(t.records()[0].modeled_seconds, 3e-6);
-    }
-
-    #[test]
-    fn chrome_trace_is_wellformed_enough() {
-        let t = Trace::new();
-        let mut r = rec("kernel \"quoted\"");
-        r.modeled_seconds = 5e-6;
-        t.record(r);
-        t.record(rec("plain"));
-        let json = t.to_chrome_trace();
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"dur\":5.000"));
-        // Two events, one comma.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
     }
 }

@@ -7,6 +7,7 @@
 //! sample per exported quantile plus `_sum` and `_count`, which is how a
 //! log-linear sketch is conventionally surfaced.
 
+use crate::json;
 use crate::registry::{MetricKind, MetricValue, Snapshot};
 
 /// Quantiles exported per histogram series, in emission order:
@@ -14,7 +15,9 @@ use crate::registry::{MetricKind, MetricValue, Snapshot};
 pub const EXPORT_QUANTILES: [(f64, &str, &str); 3] =
     [(0.5, "0.5", "p50"), (0.95, "0.95", "p95"), (0.99, "0.99", "p99")];
 
-fn escape(s: &str) -> String {
+/// Escape a Prometheus label value (`\"`, `\\`, `\n`, per the text
+/// exposition format). JSON goes through [`crate::json`] instead.
+fn prom_label_value(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -29,9 +32,9 @@ fn escape(s: &str) -> String {
 
 fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
     let mut parts: Vec<String> =
-        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape(v))).collect();
+        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", prom_label_value(v))).collect();
     if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape(v)));
+        parts.push(format!("{k}=\"{}\"", prom_label_value(v)));
     }
     if parts.is_empty() {
         String::new()
@@ -74,16 +77,11 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// Render the snapshot as the `ompx-metrics-v1` JSON document. Parseable
-/// by the workspace's hand-rolled JSON reader (`ompx-prof::jsonio`).
+/// Render the snapshot as the `ompx-metrics-v1` JSON document: one
+/// compact row per sample in a [`json::Doc`], parseable by
+/// [`json::parse`].
 pub fn to_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{\n  \"schema\": \"ompx-metrics-v1\",\n  \"metrics\": [\n");
-    let mut first = true;
-    for s in &snap.samples {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
+    let rows = snap.samples.iter().map(|s| {
         let kind = snap.families.get(&s.name).map(|(k, _)| *k).unwrap_or(match &s.value {
             MetricValue::Counter(_) => MetricKind::Counter,
             MetricValue::Gauge(_) => MetricKind::Gauge,
@@ -92,19 +90,19 @@ pub fn to_json(snap: &Snapshot) -> String {
         let labels = s
             .labels
             .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
+            .map(|(k, v)| format!("{}:{}", json::quoted(k), json::quoted(v)))
             .collect::<Vec<_>>()
             .join(",");
-        out.push_str(&format!(
-            "    {{\"name\":\"{}\",\"type\":\"{}\",\"labels\":{{{labels}}},",
-            escape(&s.name),
+        let mut row = format!(
+            "{{\"name\":{},\"type\":\"{}\",\"labels\":{{{labels}}},",
+            json::quoted(&s.name),
             kind.label()
-        ));
+        );
         match &s.value {
-            MetricValue::Counter(c) => out.push_str(&format!("\"value\":{c}}}")),
-            MetricValue::Gauge(g) => out.push_str(&format!("\"value\":{g:e}}}")),
+            MetricValue::Counter(c) => row.push_str(&format!("\"value\":{c}}}")),
+            MetricValue::Gauge(g) => row.push_str(&format!("\"value\":{g:e}}}")),
             MetricValue::Histogram(h) => {
-                out.push_str(&format!(
+                row.push_str(&format!(
                     "\"count\":{},\"sum\":{:e},\"min\":{:e},\"max\":{:e}",
                     h.count(),
                     h.sum(),
@@ -112,14 +110,14 @@ pub fn to_json(snap: &Snapshot) -> String {
                     h.max()
                 ));
                 for (q, _, field) in EXPORT_QUANTILES {
-                    out.push_str(&format!(",\"{field}\":{:e}", h.quantile(q)));
+                    row.push_str(&format!(",\"{field}\":{:e}", h.quantile(q)));
                 }
-                out.push('}');
+                row.push('}');
             }
         }
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+        row
+    });
+    json::Doc::new().str("schema", "ompx-metrics-v1").rows("metrics", rows).finish()
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! crate is the one telemetry layer the whole workspace records into — a
 //! [`MetricRegistry`] of labeled counters, gauges, and log-linear
 //! histograms ([`hist`]), with two byte-stable exporters ([`export`]):
-//! Prometheus text exposition and a JSON snapshot.
+//! Prometheus text exposition and a JSON snapshot. As the workspace's
+//! base crate it also owns the one JSON module ([`json`]) every
+//! artifact writer, reader and baseline gate goes through.
 //!
 //! **Determinism is the contract.** Metrics measure *modeled* time and
 //! seeded event streams, series iterate in sorted `(name, labels)` order,
@@ -32,6 +34,7 @@
 
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod percentile;
 pub mod registry;
 

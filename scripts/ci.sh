@@ -106,18 +106,16 @@ diff "$DET/a-ext.json" "$DET/b-ext.json"
 diff "$DET/a-ext-phased.json" "$DET/b-ext-phased.json"
 rm -rf "$DET"
 
-echo "==> serve smoke + baseline gate (1000 clients, fixed seed, injected faults)"
-cargo run --release -q -p ompx-bench --bin serve -- \
-    --clients 1000 --tenants 8 \
-    --baseline results/BENCH_serve.json >/dev/null
-
-echo "==> metrics determinism gate (two identical seeded runs, snapshots bit-identical)"
+echo "==> serve smoke + baseline gate + metrics determinism gate (1000 clients, fixed seed, injected faults)"
+# One gated run writes the first metrics snapshot; an identical ungated
+# run writes the second, and the two must be bit-identical.
 MET=$(mktemp -d)
 cargo run --release -q -p ompx-bench --bin serve -- \
-    --clients 200 --tenants 4 \
+    --clients 1000 --tenants 8 \
+    --baseline results/BENCH_serve.json \
     --metrics-out "$MET/a.prom" --metrics-json "$MET/a.json" >/dev/null
 cargo run --release -q -p ompx-bench --bin serve -- \
-    --clients 200 --tenants 4 \
+    --clients 1000 --tenants 8 \
     --metrics-out "$MET/b.prom" --metrics-json "$MET/b.json" >/dev/null
 diff "$MET/a.prom" "$MET/b.prom"
 diff "$MET/a.json" "$MET/b.json"

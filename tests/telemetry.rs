@@ -1,22 +1,23 @@
 //! Cross-crate telemetry checks: the JSON snapshot exporter and the
-//! workspace's hand-rolled JSON reader (`ompx_prof::jsonio`) agree — any
-//! registry's `to_json` document parses, and every counter, gauge, and
+//! workspace's JSON reader (`ompx_telemetry::json`) agree — any
+//! registry's `to_json` document parses, every counter, gauge, and
 //! histogram value round-trips exactly (Rust's float formatting is
-//! shortest-round-trip, so `{:e}` text parses back to the same bits).
+//! shortest-round-trip, so `{:e}` text parses back to the same bits), and
+//! label values survive whatever characters they hold.
 
-use ompx_prof::jsonio;
+use ompx_telemetry::json::{self, Json};
 use ompx_telemetry::{to_json, MetricRegistry, MetricValue};
 use proptest::prelude::*;
 
 /// Find the parsed `metrics` entry with this name, or panic.
-fn entry<'a>(metrics: &'a [jsonio::Json], name: &str) -> &'a jsonio::Json {
+fn entry<'a>(metrics: &'a [Json], name: &str) -> &'a Json {
     metrics
         .iter()
         .find(|m| m.get("name").and_then(|j| j.as_str()) == Some(name))
         .unwrap_or_else(|| panic!("no metric named {name}"))
 }
 
-fn field(m: &jsonio::Json, key: &str) -> f64 {
+fn field(m: &Json, key: &str) -> f64 {
     m.get(key).and_then(|j| j.as_f64()).unwrap_or_else(|| panic!("missing field {key}"))
 }
 
@@ -24,7 +25,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn json_snapshot_round_trips_through_jsonio(
+    fn json_snapshot_round_trips_through_the_reader(
         c in 0u64..1_000_000_000_000,
         g in -1e6f64..1e6,
         samples in proptest::collection::vec(1e-3f64..1e3, 1..120),
@@ -38,7 +39,7 @@ proptest! {
             reg.hist_record("serve_latency_seconds", &[("tenant", &t)], s);
         }
         let snap = reg.snapshot();
-        let doc = jsonio::parse(&to_json(&snap)).expect("snapshot JSON must parse");
+        let doc = json::parse(&to_json(&snap)).expect("snapshot JSON must parse");
         prop_assert_eq!(
             doc.get("schema").and_then(|j| j.as_str()),
             Some("ompx-metrics-v1")
@@ -73,4 +74,19 @@ proptest! {
             prop_assert_eq!(field(hist, key).to_bits(), h.quantile(q).to_bits());
         }
     }
+}
+
+#[test]
+fn label_values_with_controls_quotes_and_backslashes_round_trip() {
+    let nasty = "a\tb\rc\"d\\e";
+    let reg = MetricRegistry::new();
+    reg.counter_add("serve_requests_total", &[("tenant", nasty)], 3);
+    let doc = json::parse(&to_json(&reg.snapshot())).expect("escaped labels must parse");
+    let metrics = doc.get("metrics").and_then(|j| j.as_arr()).expect("metrics array");
+    let counter = entry(metrics, "serve_requests_total");
+    assert_eq!(
+        counter.get("labels").and_then(|l| l.get("tenant")).and_then(|j| j.as_str()),
+        Some(nasty)
+    );
+    assert_eq!(field(counter, "value"), 3.0);
 }

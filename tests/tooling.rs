@@ -38,11 +38,6 @@ fn tracing_and_profiling_work_together() {
         assert!(r.modeled_seconds > 0.0, "klang must attribute modeled time");
     }
 
-    // Chrome trace export is well-formed and carries the events.
-    let json = ctx.device().trace().to_chrome_trace();
-    assert_eq!(json.matches("traced_saxpy").count(), 3);
-    assert!(json.contains("\"args\":{\"grid\":\"8x1x1\""));
-
     // The profiler report agrees with the trace.
     let report = ctx.profile_report();
     assert!(report.contains("traced_saxpy"));
