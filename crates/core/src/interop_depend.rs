@@ -20,6 +20,7 @@
 
 use ompx_hostrt::target::PreparedTarget;
 use ompx_hostrt::InteropObj;
+use ompx_sim::device::KernelBar;
 use ompx_sim::span::{self, SpanCategory};
 use ompx_sim::stream::Event;
 
@@ -43,15 +44,7 @@ pub fn launch_nowait_interopobj(prepared: &PreparedTarget, obj: &InteropObj) -> 
         )
     });
     obj.enqueue(move || {
-        if let Ok(r) = p.execute_quiet() {
-            stream.add_modeled_span(
-                p.kernel_name(),
-                SpanCategory::Kernel,
-                r.modeled.seconds,
-                0,
-                flow,
-            );
-        }
+        let _ = p.execute_with_bar(KernelBar::Stream(&stream, flow));
     });
     obj.record_event()
 }

@@ -25,6 +25,7 @@ use ompx_devicert::generic::{generic_kernel, generic_launch_config, GenericRegio
 use ompx_devicert::mode::ExecMode;
 use ompx_devicert::spmd::{spmd_kernel, SpmdCtx};
 use ompx_sim::counters::StatsSnapshot;
+use ompx_sim::device::KernelBar;
 use ompx_sim::dim::LaunchConfig;
 use ompx_sim::error::SimResult;
 use ompx_sim::exec::Kernel;
@@ -376,14 +377,7 @@ impl TargetRegion {
             }
         };
 
-        let prepared = PreparedTarget {
-            omp: self.omp,
-            kernel_name: self.kernel_name,
-            kernel,
-            cfg,
-            plan,
-            scratch_shared_bytes: 0,
-        };
+        let prepared = PreparedTarget { omp: self.omp, kernel, cfg, plan, scratch_shared_bytes: 0 };
         let result = prepared.execute()?;
         Ok((partials.to_vec().iter().sum(), result))
     }
@@ -425,7 +419,7 @@ impl TargetRegion {
         }
         let prepared = self.prepare_dpf(n, Arc::new(body));
         let handle = omp.inner.tasks.submit(deps_in, deps_out, move || {
-            *slot2.lock() = Some(prepared.execute_as_task(flow));
+            *slot2.lock() = Some(prepared.execute_with_bar(KernelBar::Task(flow)));
         });
         NowaitTarget { handle, result: slot }
     }
@@ -500,14 +494,7 @@ impl TargetRegion {
             }
         };
 
-        PreparedTarget {
-            omp: self.omp,
-            kernel_name: self.kernel_name,
-            kernel,
-            cfg,
-            plan,
-            scratch_shared_bytes,
-        }
+        PreparedTarget { omp: self.omp, kernel, cfg, plan, scratch_shared_bytes }
     }
 }
 
@@ -518,7 +505,6 @@ type ScratchFactory = dyn Fn() -> Scratch + Send + Sync;
 #[derive(Clone)]
 pub struct PreparedTarget {
     omp: OpenMp,
-    kernel_name: String,
     kernel: Kernel,
     cfg: LaunchConfig,
     plan: LaunchPlan,
@@ -537,34 +523,19 @@ impl PreparedTarget {
             heap_to_shared: false,
             invalid_result: false,
         };
-        PreparedTarget {
-            omp,
-            kernel_name: kernel.name().to_string(),
-            kernel,
-            cfg,
-            plan,
-            scratch_shared_bytes: 0,
-        }
+        PreparedTarget { omp, kernel, cfg, plan, scratch_shared_bytes: 0 }
     }
 
     /// Execute synchronously and model the result. A synchronous target
     /// region blocks the submitting thread for its modeled duration — one
     /// kernel bar on the profiler's host track.
     pub fn execute(&self) -> SimResult<TargetResult> {
-        let r = self.execute_quiet()?;
-        if let Some(log) = ompx_sim::span::active() {
-            log.host_op(
-                &self.kernel_name,
-                ompx_sim::span::SpanCategory::Kernel,
-                r.modeled.seconds,
-                0,
-            );
-        }
-        Ok(r)
+        self.execute_with_bar(KernelBar::Host)
     }
 
-    /// Execute without host-track span emission: the `nowait` task and
-    /// interop-stream paths record their own span.
+    /// Execute with the kernel bar drawn where `bar` says: the `nowait`
+    /// task path puts it on the helper-thread track, the interop-stream
+    /// path on the stream's track.
     ///
     /// Launches through [`ompx_sim::device::Device::launch_recovering`]
     /// with [`Recovery::HostFallback`]: an injected fault the retries
@@ -573,11 +544,12 @@ impl PreparedTarget {
     /// host-backed, so results are bit-identical by construction — but the
     /// time is a serial host core's and the plan is the 1×1 host plan a
     /// real runtime's `if(false)` path would report.
-    pub fn execute_quiet(&self) -> SimResult<TargetResult> {
+    pub fn execute_with_bar(&self, bar: KernelBar<'_>) -> SimResult<TargetResult> {
         let launched = self.omp.device().launch_recovering(
             &self.kernel,
             self.cfg.clone(),
             Recovery::HostFallback,
+            bar,
             |stats| self.model(stats).modeled,
         )?;
         let plan = match launched.recovered {
@@ -587,21 +559,10 @@ impl PreparedTarget {
         Ok(TargetResult { stats: launched.stats, modeled: launched.modeled, plan })
     }
 
-    /// Like [`PreparedTarget::execute`], but recording the kernel span on
-    /// the profiler's helper-thread (task) track with `flow` as the
-    /// incoming dependence arrow — the `nowait` dispatch path.
-    pub(crate) fn execute_as_task(&self, flow: Option<u64>) -> SimResult<TargetResult> {
-        let r = self.execute_quiet()?;
-        if let Some(log) = ompx_sim::span::active() {
-            log.task_span(&self.kernel_name, r.modeled.seconds, flow);
-        }
-        Ok(r)
-    }
-
     /// Model a statistics snapshot (possibly scaled) for this region.
     pub fn model(&self, stats: &StatsSnapshot) -> TargetResult {
         let cg = self.omp.codegen().lookup_vendor(
-            &self.kernel_name,
+            self.kernel.name(),
             self.omp.device().profile().vendor,
             self.omp.toolchain(),
             CodegenInfo::default(),
@@ -628,7 +589,7 @@ impl PreparedTarget {
 
     /// The kernel name (for codegen registration and diagnostics).
     pub fn kernel_name(&self) -> &str {
-        &self.kernel_name
+        self.kernel.name()
     }
 }
 

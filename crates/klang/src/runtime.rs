@@ -8,12 +8,13 @@
 //!
 //! Each synchronous launch returns a [`LaunchResult`] carrying both the
 //! functional statistics and the modeled execution time computed with the
-//! context's toolchain profile; the context also accumulates per-kernel
-//! totals, playing the role of `nsys`/`rocprof` for the benchmark harness.
+//! context's toolchain profile. Launches go through the device's launch
+//! pipeline, which records their kernel bars in the profiler's span log
+//! ([`ompx_sim::span`]).
 
 use crate::toolchain::{CodegenDb, Toolchain};
 use ompx_sim::counters::StatsSnapshot;
-use ompx_sim::device::Device;
+use ompx_sim::device::{Device, KernelBar};
 use ompx_sim::dim::{Dim3, LaunchConfig};
 use ompx_sim::error::{SimError, SimResult};
 use ompx_sim::exec::Kernel;
@@ -22,8 +23,6 @@ use ompx_sim::mem::{DBuf, DeviceScalar};
 use ompx_sim::span::{self, SpanCategory};
 use ompx_sim::stream::{Event, Stream};
 use ompx_sim::timing::{model_kernel, CodegenInfo, ModeOverheads, ModeledTime};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Outcome of one synchronous kernel launch.
@@ -35,18 +34,10 @@ pub struct LaunchResult {
     pub modeled: ModeledTime,
 }
 
-/// Accumulated per-kernel profile (launch count + modeled seconds).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KernelProfile {
-    pub launches: u64,
-    pub modeled_seconds: f64,
-}
-
 struct CtxInner {
     device: Device,
     toolchain: Toolchain,
     codegen: CodegenDb,
-    profiles: Mutex<HashMap<String, KernelProfile>>,
 }
 
 /// A native kernel-language context: one device + one compiling toolchain.
@@ -58,14 +49,7 @@ pub struct NativeCtx {
 impl NativeCtx {
     /// Create a context for `device` as compiled by `toolchain`.
     pub fn new(device: Device, toolchain: Toolchain) -> Self {
-        NativeCtx {
-            inner: Arc::new(CtxInner {
-                device,
-                toolchain,
-                codegen: CodegenDb::new(),
-                profiles: Mutex::new(HashMap::new()),
-            }),
-        }
+        NativeCtx { inner: Arc::new(CtxInner { device, toolchain, codegen: CodegenDb::new() }) }
     }
 
     /// The underlying device.
@@ -295,32 +279,34 @@ impl NativeCtx {
         self.launch_cfg(kernel, LaunchConfig::new(grid, block))
     }
 
-    /// Launch with a full configuration (shared-memory slots etc.).
+    /// Launch with a full configuration (shared-memory slots etc.). A
+    /// synchronous launch occupies the host thread for its modeled
+    /// duration — one kernel bar on the profiler's host track.
     pub fn launch_cfg(&self, kernel: &Kernel, cfg: LaunchConfig) -> SimResult<LaunchResult> {
-        let r = self.launch_cfg_inner(kernel, cfg)?;
-        // A synchronous launch occupies the host thread for its modeled
-        // duration — one kernel bar on the profiler's host track.
-        if let Some(log) = span::active() {
-            log.host_op(kernel.name(), SpanCategory::Kernel, r.modeled.seconds, 0);
-        }
-        Ok(r)
+        self.launch_with_bar(kernel, cfg, KernelBar::Host)
     }
 
-    /// The launch without host-track span emission: the asynchronous path
-    /// runs this from the stream worker and records a stream span instead.
+    /// The launch, with its kernel bar drawn where `bar` says.
     ///
     /// A fault the retries cannot clear degrades: native kernel languages
     /// have no host-dispatch alternative — unlike OpenMP target regions —
     /// so the kernel is re-dispatched on the device
     /// ([`Recovery::Redispatch`]); the error stays recorded as sticky
     /// device state.
-    fn launch_cfg_inner(&self, kernel: &Kernel, cfg: LaunchConfig) -> SimResult<LaunchResult> {
+    fn launch_with_bar(
+        &self,
+        kernel: &Kernel,
+        cfg: LaunchConfig,
+        bar: KernelBar<'_>,
+    ) -> SimResult<LaunchResult> {
         let (tpb, smem) = (cfg.threads_per_block() as u32, cfg.shared_bytes_per_block());
-        let launched =
-            self.inner.device.launch_recovering(kernel, cfg, Recovery::Redispatch, |stats| {
-                self.model(kernel.name(), tpb, smem, stats)
-            })?;
-        self.record(kernel.name(), launched.modeled.seconds);
+        let launched = self.inner.device.launch_recovering(
+            kernel,
+            cfg,
+            Recovery::Redispatch,
+            bar,
+            |stats| self.model(kernel.name(), tpb, smem, stats),
+        )?;
         Ok(LaunchResult { stats: launched.stats, modeled: launched.modeled })
     }
 
@@ -341,19 +327,14 @@ impl NativeCtx {
         let kernel = kernel.clone();
         let stream_handle = stream.clone();
         stream.enqueue(move || {
-            match ctx.launch_cfg_inner(&kernel, cfg) {
-                Ok(r) => stream_handle.add_modeled_span(
-                    kernel.name(),
-                    SpanCategory::Kernel,
-                    r.modeled.seconds,
-                    0,
-                    flow,
-                ),
-                // Validation passed above and injected faults are recovered
-                // or degraded inside `launch_cfg_inner`; a failure here is a
-                // simulator invariant violation — poison the stream loudly.
-                // (Deliberate panic, per the error.rs contract.)
-                Err(e) => panic!("async launch of {} failed: {e}", kernel.name()),
+            // Validation passed above and injected faults are recovered or
+            // degraded inside `launch_with_bar`; a failure here is a simulator
+            // invariant violation — poison the stream loudly. (Deliberate
+            // panic, per the error.rs contract.)
+            if let Err(e) =
+                ctx.launch_with_bar(&kernel, cfg, KernelBar::Stream(&stream_handle, flow))
+            {
+                panic!("async launch of {} failed: {e}", kernel.name());
             }
         });
         stream.record_event()
@@ -390,57 +371,6 @@ impl NativeCtx {
             self.inner.toolchain,
             CodegenInfo::default(),
         )
-    }
-
-    fn record(&self, kernel: &str, seconds: f64) {
-        let mut p = self.inner.profiles.lock();
-        let e = p.entry(kernel.to_string()).or_default();
-        e.launches += 1;
-        e.modeled_seconds += seconds;
-    }
-
-    /// Accumulated profile for one kernel (launch count, modeled seconds).
-    pub fn kernel_profile(&self, kernel: &str) -> KernelProfile {
-        self.inner.profiles.lock().get(kernel).copied().unwrap_or_default()
-    }
-
-    /// Total modeled kernel seconds across all launches on this context.
-    pub fn total_modeled_seconds(&self) -> f64 {
-        self.inner.profiles.lock().values().map(|p| p.modeled_seconds).sum()
-    }
-
-    /// A profiler summary table (the `nsys`/`rocprof` role): kernels sorted
-    /// by total modeled time, with launch counts and averages.
-    pub fn profile_report(&self) -> String {
-        use std::fmt::Write as _;
-        let profiles = self.inner.profiles.lock();
-        let mut rows: Vec<(&String, &KernelProfile)> = profiles.iter().collect();
-        rows.sort_by(|a, b| b.1.modeled_seconds.total_cmp(&a.1.modeled_seconds));
-        let total: f64 = rows.iter().map(|(_, p)| p.modeled_seconds).sum();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "kernel profile — {} ({})",
-            self.inner.device.profile().name,
-            self.inner.toolchain.label()
-        );
-        let _ = writeln!(
-            out,
-            "{:<28} {:>8} {:>14} {:>14} {:>7}",
-            "kernel", "launches", "total (us)", "avg (us)", "time%"
-        );
-        for (name, p) in rows {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>8} {:>14.2} {:>14.2} {:>6.1}%",
-                name,
-                p.launches,
-                p.modeled_seconds * 1e6,
-                p.modeled_seconds * 1e6 / p.launches.max(1) as f64,
-                if total > 0.0 { 100.0 * p.modeled_seconds / total } else { 0.0 }
-            );
-        }
-        out
     }
 }
 
@@ -497,22 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn profiles_accumulate_per_kernel() {
-        let c = ctx();
-        let x = c.malloc_from(&[1.0f32; 32]);
-        let y = c.malloc::<f32>(32);
-        let k = saxpy_kernel(1.0, &x, &y, 32);
-        for _ in 0..3 {
-            c.launch(&k, 1u32, 32u32).unwrap();
-        }
-        let p = c.kernel_profile("saxpy");
-        assert_eq!(p.launches, 3);
-        assert!(p.modeled_seconds > 0.0);
-        assert!((c.total_modeled_seconds() - p.modeled_seconds).abs() < 1e-15);
-        assert_eq!(c.kernel_profile("other"), KernelProfile::default());
-    }
-
-    #[test]
     fn async_launch_executes_on_stream() {
         let c = ctx();
         let x = c.malloc_from(&[2.0f32; 64]);
@@ -523,24 +437,6 @@ mod tests {
         ev.wait();
         assert_eq!(y.to_vec(), vec![4.0f32; 64]);
         assert!(s.modeled_busy_seconds() > 0.0);
-    }
-
-    #[test]
-    fn profile_report_lists_kernels_by_cost() {
-        let c = ctx();
-        let x = c.malloc_from(&[1.0f32; 64]);
-        let y = c.malloc::<f32>(64);
-        let cheap = saxpy_kernel(1.0, &x, &y, 8);
-        let costly = saxpy_kernel(1.0, &x, &y, 64);
-        c.launch(&cheap, 1u32, 8u32).unwrap();
-        for _ in 0..3 {
-            c.launch(&costly, 2u32, 32u32).unwrap();
-        }
-        let report = c.profile_report();
-        assert!(report.contains("saxpy"));
-        assert!(report.contains("kernel profile"));
-        // Four launches of the one kernel name.
-        assert!(report.contains("       4"), "report:\n{report}");
     }
 
     #[test]

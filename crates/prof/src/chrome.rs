@@ -4,14 +4,18 @@
 //! `chrome://tracing` and [ui.perfetto.dev](https://ui.perfetto.dev)
 //! render: one `pid 0` process with a named thread per track — `tid 0`
 //! the host thread, `tid 1` the hidden helper threads, `tid 10 + k` the
-//! k-th stream (in first-appearance order) — `ph:"X"` duration events for
-//! spans (timestamps in microseconds of *modeled* time), and `ph:"s"` /
-//! `ph:"f"` flow arrows from a `nowait` submission to the work it
-//! enqueued. Byte counts ride in `args`, so memcpy bars show their sizes.
+//! stream with the k-th smallest id, `tid 1000 + m` pool member `m` —
+//! `ph:"X"` duration events for spans (timestamps in microseconds of
+//! *modeled* time), and `ph:"s"` / `ph:"f"` flow arrows from a `nowait`
+//! submission to the work it enqueued. Byte counts ride in `args`, so
+//! memcpy bars show their sizes.
 //!
-//! This is the workspace's one Chrome-trace writer; the simulator's
-//! launch trace ([`ompx_sim::trace::Trace`]) is inspected through its
-//! records instead.
+//! Stream workers record their spans concurrently, so the span log's
+//! interleaving of tracks varies from run to run. The output does not:
+//! events are written grouped by track — host, tasks, streams by id,
+//! then pool devices by member — keeping record order within each track.
+//!
+//! This is the workspace's one Chrome-trace writer.
 
 use ompx_sim::json;
 use ompx_sim::span::{Span, Track};
@@ -23,64 +27,63 @@ const STREAM_TID_BASE: u32 = 10;
 /// with both keeps stable ids: `tid 1000 + member index`.
 const DEVICE_TID_BASE: u32 = 1000;
 
+/// Output order of a track: host, tasks, streams by id, devices by member.
+fn track_key(track: &Track) -> (u8, u64) {
+    match *track {
+        Track::Host => (0, 0),
+        Track::Tasks => (1, 0),
+        Track::Stream(id) => (2, id),
+        Track::Device(member) => (3, member as u64),
+    }
+}
+
 /// Stable tid assignment: host and tasks are fixed, streams get
-/// `STREAM_TID_BASE + k` by order of first appearance in the span list.
-fn tid_of(track: &Track, stream_order: &[u64]) -> u32 {
+/// `STREAM_TID_BASE + k` by rank in the ascending `streams` ids.
+fn tid_of(track: &Track, streams: &[u64]) -> u32 {
     match track {
         Track::Host => HOST_TID,
         Track::Tasks => TASKS_TID,
-        Track::Stream(id) => {
-            let k = stream_order.iter().position(|s| s == id).unwrap_or(0);
-            STREAM_TID_BASE + k as u32
-        }
+        Track::Stream(id) => STREAM_TID_BASE + streams.partition_point(|s| s < id) as u32,
         Track::Device(member) => DEVICE_TID_BASE + *member as u32,
     }
 }
 
 /// Render `spans` as a Chrome trace-event JSON document.
 pub fn to_chrome_trace(spans: &[Span]) -> String {
-    let mut stream_order: Vec<u64> = Vec::new();
-    let mut device_order: Vec<usize> = Vec::new();
-    let mut saw_tasks = false;
-    for s in spans {
-        match s.track {
-            Track::Stream(id) => {
-                if !stream_order.contains(&id) {
-                    stream_order.push(id);
-                }
-            }
-            Track::Device(member) => {
-                if !device_order.contains(&member) {
-                    device_order.push(member);
-                }
-            }
-            Track::Tasks => saw_tasks = true,
-            Track::Host => {}
-        }
-    }
-    device_order.sort_unstable();
+    let mut ordered: Vec<&Span> = spans.iter().collect();
+    // Stable: spans of one track keep their record order.
+    ordered.sort_by_key(|s| track_key(&s.track));
+    let mut tracks: Vec<Track> = ordered.iter().map(|s| s.track).collect();
+    tracks.dedup();
+    let streams: Vec<u64> = tracks
+        .iter()
+        .filter_map(|t| match t {
+            Track::Stream(id) => Some(*id),
+            _ => None,
+        })
+        .collect();
 
     let mut events: Vec<String> = Vec::new();
     // Thread-name metadata first, so viewers label tracks before any event.
     events.push(meta_thread_name(HOST_TID, "host (modeled time)"));
-    if saw_tasks {
-        events.push(meta_thread_name(TASKS_TID, "hidden helper threads (nowait tasks)"));
-    }
-    for (k, id) in stream_order.iter().enumerate() {
-        events.push(meta_thread_name(
-            STREAM_TID_BASE + k as u32,
-            &format!("stream {id} (interop obj)"),
-        ));
-    }
-    for member in &device_order {
-        events.push(meta_thread_name(
-            DEVICE_TID_BASE + *member as u32,
-            &format!("pool device {member}"),
-        ));
+    for track in &tracks {
+        let tid = tid_of(track, &streams);
+        match track {
+            Track::Host => {}
+            Track::Tasks => {
+                events.push(meta_thread_name(tid, "hidden helper threads (nowait tasks)"))
+            }
+            Track::Stream(id) => {
+                events.push(meta_thread_name(tid, &format!("stream {id} (interop obj)")))
+            }
+            Track::Device(member) => {
+                events.push(meta_thread_name(tid, &format!("pool device {member}")))
+            }
+        }
     }
 
-    for s in spans {
-        let tid = tid_of(&s.track, &stream_order);
+    for s in ordered {
+        let tid = tid_of(&s.track, &streams);
         let ts_us = s.start_s * 1e6;
         let dur_us = s.dur_s * 1e6;
         let trace_arg = match s.trace {
@@ -160,9 +163,54 @@ mod tests {
         assert!(json.contains("\"name\":\"stream 42 (interop obj)\""));
         assert!(json.contains("\"name\":\"stream 7 (interop obj)\""));
         assert!(json.contains("hidden helper threads"));
-        // First-seen stream gets tid 10, next tid 11.
-        assert!(json.contains("\"tid\":10,\"args\":{\"name\":\"stream 42"));
-        assert!(json.contains("\"tid\":11,\"args\":{\"name\":\"stream 7"));
+        // Streams are numbered by ascending id, not by first appearance.
+        assert!(json.contains("\"tid\":10,\"args\":{\"name\":\"stream 7"));
+        assert!(json.contains("\"tid\":11,\"args\":{\"name\":\"stream 42"));
+    }
+
+    #[test]
+    fn interleaving_of_tracks_does_not_change_the_bytes() {
+        // The same per-track sequences, recorded in two interleavings in
+        // which the streams first appear in opposite orders.
+        let host = [
+            span(Track::Host, "submit a", Some(1), None),
+            span(Track::Host, "submit b", Some(2), None),
+        ];
+        let a = [
+            span(Track::Stream(12), "a1", None, Some(1)),
+            span(Track::Stream(12), "a2", None, None),
+        ];
+        let b = [
+            span(Track::Stream(11), "b1", None, Some(2)),
+            span(Track::Stream(11), "b2", None, None),
+        ];
+        let task = span(Track::Tasks, "t", None, None);
+        let first = vec![
+            host[0].clone(),
+            a[0].clone(),
+            host[1].clone(),
+            b[0].clone(),
+            a[1].clone(),
+            task.clone(),
+            b[1].clone(),
+        ];
+        let second = vec![
+            b[0].clone(),
+            task,
+            host[0].clone(),
+            b[1].clone(),
+            a[0].clone(),
+            host[1].clone(),
+            a[1].clone(),
+        ];
+        let json = to_chrome_trace(&first);
+        assert_eq!(json, to_chrome_trace(&second));
+        // Grouped by track in record order: host, tasks, then streams by id.
+        let order: Vec<usize> = ["submit a", "submit b", "\"t\"", "b1", "b2", "a1", "a2"]
+            .iter()
+            .map(|name| json.find(name).expect(name))
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{json}");
     }
 
     #[test]

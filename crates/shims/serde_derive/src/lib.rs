@@ -1,8 +1,8 @@
 //! Offline shim for `serde_derive`.
 //!
 //! The workspace uses `#[derive(Serialize, Deserialize)]` only as metadata
-//! on plain-old-data structs (all JSON the project emits is hand-rolled in
-//! `ompx_sim::trace`), so the derives expand to nothing. The marker traits
+//! on plain-old-data structs (all JSON the project emits is written by
+//! `ompx_telemetry::json`), so the derives expand to nothing. The marker traits
 //! live in the sibling `serde` shim and carry blanket implementations.
 
 use proc_macro::TokenStream;

@@ -18,6 +18,7 @@ use crate::mem::{BufImage, CheckpointTarget, DBuf, DeviceScalar};
 use crate::memtrace::{LaunchMemTrace, MemTrace};
 use crate::san::{LaunchSan, SanState};
 use crate::span::SpanCategory;
+use crate::stream::Stream;
 use crate::timing::{host_model_seconds, ModeledTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -35,6 +36,41 @@ pub struct Launched {
     pub modeled: ModeledTime,
     /// The recovery that ran, and the fault that forced it.
     pub recovered: Option<(Recovery, SimError)>,
+}
+
+/// Where [`Device::launch_recovering`] draws a launch's kernel bar.
+#[derive(Debug, Clone, Copy)]
+pub enum KernelBar<'a> {
+    /// The host track: a synchronous launch blocks the submitting thread
+    /// for the kernel's modeled duration.
+    Host,
+    /// The hidden-helper-thread track, at the head of the `nowait` flow
+    /// arrow, if any.
+    Task(Option<u64>),
+    /// The stream's track at its modeled-busy cursor, with the incoming
+    /// flow arrow. The bar advances the cursor whether or not a span log
+    /// is installed ([`Stream::add_modeled_span`]).
+    Stream(&'a Stream, Option<u64>),
+}
+
+impl KernelBar<'_> {
+    fn record(self, name: &str, seconds: f64) {
+        match self {
+            KernelBar::Stream(stream, flow) => {
+                stream.add_modeled_span(name, SpanCategory::Kernel, seconds, 0, flow)
+            }
+            KernelBar::Host => {
+                if let Some(log) = crate::span::active() {
+                    log.host_op(name, SpanCategory::Kernel, seconds, 0);
+                }
+            }
+            KernelBar::Task(flow) => {
+                if let Some(log) = crate::span::active() {
+                    log.task_span(name, seconds, flow);
+                }
+            }
+        }
+    }
 }
 
 /// GPU vendor, used by the paper's §3.6 wrapper layer to pick the matching
@@ -228,8 +264,6 @@ pub(crate) struct DeviceInner {
     pub id: usize,
     allocated: AtomicUsize,
     pub(crate) streams: Mutex<Vec<Weak<crate::stream::StreamInner>>>,
-    trace: crate::trace::Trace,
-    trace_enabled: std::sync::atomic::AtomicBool,
     /// Attached sanitizer session, if any. All launches and allocations on
     /// this device report into it while attached.
     sanitizer: Mutex<Option<Arc<SanState>>>,
@@ -289,8 +323,6 @@ impl Device {
                 id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
                 allocated: AtomicUsize::new(0),
                 streams: Mutex::new(Vec::new()),
-                trace: crate::trace::Trace::new(),
-                trace_enabled: std::sync::atomic::AtomicBool::new(false),
                 sanitizer: Mutex::new(None),
                 mem_trace: Mutex::new(None),
                 faults: Mutex::new(None),
@@ -712,31 +744,12 @@ impl Device {
         Ok(())
     }
 
-    /// Enable launch tracing (the simulator's `nsys`-style recorder).
-    pub fn enable_tracing(&self) {
-        self.inner.trace_enabled.store(true, Ordering::Release);
-    }
-
-    /// Disable launch tracing.
-    pub fn disable_tracing(&self) {
-        self.inner.trace_enabled.store(false, Ordering::Release);
-    }
-
-    /// The device's launch trace (empty unless tracing was enabled).
-    pub fn trace(&self) -> &crate::trace::Trace {
-        &self.inner.trace
-    }
-
-    fn tracing(&self) -> bool {
-        self.inner.trace_enabled.load(Ordering::Acquire)
-    }
-
     /// Synchronously execute a kernel and return the aggregated event counts.
     ///
-    /// This is the functional half of a launch; converting the counts into a
-    /// modeled execution time is the job of [`crate::timing::model_kernel`]
-    /// (done by the language runtimes, which know the codegen profile and
-    /// execution mode).
+    /// This is the functional half of a launch and records no span;
+    /// converting the counts into a modeled execution time is the job of
+    /// [`crate::timing::model_kernel`] (done by the language runtimes, which
+    /// know the codegen profile and execution mode).
     pub fn launch(&self, kernel: &Kernel, cfg: LaunchConfig) -> SimResult<StatsSnapshot> {
         self.validate_launch(&cfg)?;
         // Most launch injections fire *before* execution: a failed launch
@@ -766,14 +779,16 @@ impl Device {
     /// injected fault survives the retries, `recovery` — note the fault
     /// state, restore the watchdog checkpoint (a killed kernel committed a
     /// partial block prefix), re-dispatch injection-blind and record a
-    /// `Fallback` span. `model` prices the device execution; the launch
-    /// trace is attributed whichever time applies. Errors that are not
-    /// injected (an invalid configuration) are returned unrecovered.
+    /// `Fallback` span. `model` prices the device execution. Last, the
+    /// kernel bar of whichever time applies goes where `bar` says. Errors
+    /// that are not injected (an invalid configuration) are returned
+    /// unrecovered, with no bar.
     pub fn launch_recovering(
         &self,
         kernel: &Kernel,
         cfg: LaunchConfig,
         recovery: Recovery,
+        bar: KernelBar<'_>,
         model: impl FnOnce(&StatsSnapshot) -> ModeledTime,
     ) -> SimResult<Launched> {
         let name = kernel.name();
@@ -782,7 +797,7 @@ impl Device {
         }) {
             Ok(stats) => {
                 let modeled = model(&stats);
-                self.inner.trace.attribute_model(name, modeled.seconds);
+                bar.record(name, modeled.seconds);
                 return Ok(Launched { stats, modeled, recovered: None });
             }
             Err(e) if e.is_injected() => e,
@@ -813,7 +828,7 @@ impl Device {
                 0,
             );
         }
-        self.inner.trace.attribute_model(name, modeled.seconds);
+        bar.record(name, modeled.seconds);
         Ok(Launched { stats, modeled, recovered: Some((recovery, cause)) })
     }
 
@@ -927,29 +942,6 @@ impl Device {
             mem.as_ref(),
             self.sim_workers(),
         );
-        if self.tracing() {
-            // Give the record a usable duration immediately: model the
-            // launch's own stats with a default codegen profile and no
-            // mode overheads. Language runtimes overwrite this with their
-            // toolchain/mode-aware value via `Trace::attribute_model`.
-            let modeled = crate::timing::model_kernel(
-                &self.inner.profile,
-                cfg.threads_per_block() as u32,
-                cfg.num_blocks() as u64,
-                cfg.shared_bytes_per_block(),
-                &stats,
-                &crate::timing::CodegenInfo::default(),
-                &crate::timing::ModeOverheads::none(),
-            );
-            self.inner.trace.record(crate::trace::LaunchRecord {
-                kernel: kernel.name().to_string(),
-                grid: cfg.grid,
-                block: cfg.block,
-                stats,
-                modeled_seconds: modeled.seconds,
-                runtime_attributed: false,
-            });
-        }
         Ok(stats)
     }
 

@@ -72,7 +72,6 @@ pub mod span;
 pub mod stream;
 pub mod thread;
 pub mod timing;
-pub mod trace;
 pub mod warp;
 
 /// The workspace's JSON module, re-exported for crates that reach the

@@ -8,10 +8,13 @@
 //!
 //! The attachment follows the ambient pattern the sanitizer and the
 //! memory trace established: a profiling harness installs a [`SpanLog`]
-//! process-wide ([`SpanLog::install`]); while one is active, the language
-//! runtimes (`ompx-klang`, `ompx-hostrt`, `ompx`) record [`Span`]s into it
-//! from their launch/memcpy/task paths. When no log is installed the hot
-//! paths pay one relaxed atomic load.
+//! process-wide ([`SpanLog::install`]); while one is active, spans are
+//! recorded into it. Every kernel bar comes from one place, the launch
+//! pipeline [`crate::device::Device::launch_recovering`], on the track its
+//! caller names ([`crate::device::KernelBar`]); the language runtimes
+//! (`ompx-klang`, `ompx-hostrt`, `ompx`) record their memcpy, task and
+//! sync spans. A raw [`crate::device::Device::launch`] records none. When
+//! no log is installed the hot paths pay one relaxed atomic load.
 //!
 //! Timestamps are **modeled seconds**, not wall time: the host track keeps
 //! a cursor that advances by each operation's modeled duration, and each

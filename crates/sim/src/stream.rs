@@ -189,16 +189,14 @@ impl Stream {
         self.inner.cv.notify_all();
     }
 
-    /// Add modeled device-busy seconds to the stream's timeline (called by
-    /// the language runtimes after they compute a kernel's modeled time).
-    pub fn add_modeled_time(&self, seconds: f64) {
-        *self.inner.modeled_busy_s.lock() += seconds;
-    }
-
-    /// Add modeled device-busy seconds *and* record a named span at the
-    /// timeline position the work occupied, if a profiler span log is
-    /// installed ([`crate::span::SpanLog::install`]). `flow_in` ties the
-    /// span to the host-side submission that enqueued it.
+    /// Add modeled device-busy seconds to the stream's timeline *and*
+    /// record a named span at the position the work occupied, if a
+    /// profiler span log is installed ([`crate::span::SpanLog::install`]).
+    /// `flow_in` ties the span to the host-side submission that enqueued
+    /// it. This is the one way work lands on a stream's timeline: the
+    /// launch pipeline calls it for kernel bars
+    /// ([`crate::device::KernelBar::Stream`]), the runtimes for async
+    /// copies.
     pub fn add_modeled_span(
         &self,
         name: &str,
@@ -361,6 +359,7 @@ impl std::fmt::Debug for Event {
 mod tests {
     use super::*;
     use crate::device::DeviceProfile;
+    use crate::span::SpanCategory;
     use std::sync::atomic::AtomicUsize;
 
     fn dev() -> Device {
@@ -480,7 +479,7 @@ mod tests {
         assert_ne!(s.id(), s2.id(), "stream ids are process-unique");
         for _ in 0..4 {
             let s3 = s.clone();
-            s.enqueue(move || s3.add_modeled_time(1e-3));
+            s.enqueue(move || s3.add_modeled_span("k", SpanCategory::Kernel, 1e-3, 0, None));
         }
         s.synchronize();
         let st = s.stats();
@@ -498,7 +497,7 @@ mod tests {
 
     #[test]
     fn add_modeled_span_records_to_installed_log() {
-        use crate::span::{SpanCategory, SpanLog, Track};
+        use crate::span::{SpanLog, Track};
         let d = dev();
         let s = Stream::new(&d);
         let log = SpanLog::new();
@@ -523,8 +522,8 @@ mod tests {
     fn modeled_time_accumulates() {
         let d = dev();
         let s = Stream::new(&d);
-        s.add_modeled_time(1.5e-3);
-        s.add_modeled_time(0.5e-3);
+        s.add_modeled_span("k", SpanCategory::Kernel, 1.5e-3, 0, None);
+        s.add_modeled_span("k", SpanCategory::Kernel, 0.5e-3, 0, None);
         assert!((s.modeled_busy_seconds() - 2.0e-3).abs() < 1e-12);
     }
 
@@ -535,7 +534,7 @@ mod tests {
         let start = s.record_event();
         {
             let s2 = s.clone();
-            s.enqueue(move || s2.add_modeled_time(3.5e-3));
+            s.enqueue(move || s2.add_modeled_span("k", SpanCategory::Kernel, 3.5e-3, 0, None));
         }
         let end = s.record_event();
         end.wait();

@@ -126,16 +126,15 @@ fn mixed_warp_and_block_sync_kernel() {
 }
 
 #[test]
-fn tracing_under_concurrent_launches() {
+fn concurrent_launches_from_four_threads_all_land() {
     let d = dev();
-    d.enable_tracing();
     let buf = Arc::new(d.alloc::<u32>(64));
     std::thread::scope(|s| {
         for _ in 0..4 {
             let d = d.clone();
             let buf = Arc::clone(&buf);
             s.spawn(move || {
-                let k = Kernel::new("traced", {
+                let k = Kernel::new("concurrent", {
                     let buf = (*buf).clone();
                     move |tc: &mut ThreadCtx<'_>| {
                         tc.atomic_add(&buf, tc.global_rank() % 64, 1);
@@ -147,13 +146,8 @@ fn tracing_under_concurrent_launches() {
             });
         }
     });
-    assert_eq!(d.trace().len(), 40);
-    let recs = d.trace().records();
-    assert!(recs.iter().all(|r| r.kernel == "traced" && r.grid.x == 4 && r.block.x == 16));
-    d.disable_tracing();
-    let k = Kernel::new("untraced", |_tc: &mut ThreadCtx<'_>| {});
-    d.launch(&k, LaunchConfig::linear(16, 16)).unwrap();
-    assert_eq!(d.trace().len(), 40, "disabled tracing must not record");
+    // 4 threads x 10 launches, each adding 1 to every cell.
+    assert_eq!(buf.to_vec(), vec![40u32; 64]);
 }
 
 #[test]

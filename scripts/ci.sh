@@ -79,10 +79,17 @@ echo "==> chaos watchdog-partial smoke run (fixed seed, kind-pure schedules)"
 cargo run --release -q -p ompx-bench --bin chaos -- \
     --seed 20260807 --schedules 3 --test-scale --only watchdog >/dev/null
 
-echo "==> profile baseline gate (all apps x versions x both systems)"
+echo "==> profile baseline gate + trace determinism gate (all apps x versions x both systems)"
+# The gated run writes the first set of Chrome traces; an identical
+# ungated run writes the second, and the two must be byte-identical.
+PROF=$(mktemp -d)
 cargo run --release -q -p ompx-bench --bin profile -- --test-scale \
     --baseline results/profile_baseline.json \
-    --bench-out results/BENCH_prof.json >/dev/null
+    --bench-out results/BENCH_prof.json --out-dir "$PROF/a" >/dev/null
+cargo run --release -q -p ompx-bench --bin profile -- --test-scale \
+    --out-dir "$PROF/b" >/dev/null
+diff -r "$PROF/a" "$PROF/b"
+rm -rf "$PROF"
 
 echo "==> simspeed determinism + speed gate (24-cell matrix, serial vs parallel)"
 cargo run --release -q -p ompx-bench --bin simspeed -- \

@@ -1,15 +1,14 @@
 //! Integration tests for the release tooling around the reproduction:
-//! launch tracing, profiler reports, the occupancy API, timed events, and
+//! kernel bars in the profiler's span log, the occupancy API, timed events, and
 //! the race detector — all through the public crate surfaces.
 
+use ompx_hecbench::with_span_log;
 use ompx_klang::cuda::cuda_context_clang;
 use ompx_sim::prelude::*;
 
 #[test]
 fn tracing_and_profiling_work_together() {
     let ctx = cuda_context_clang();
-    ctx.device().enable_tracing();
-
     let a = ctx.malloc_from(&vec![1.0f32; 1024]);
     let b = ctx.malloc::<f32>(1024);
     let kernel = Kernel::new("traced_saxpy", {
@@ -23,28 +22,23 @@ fn tracing_and_profiling_work_together() {
             }
         }
     });
-    for _ in 0..3 {
-        ctx.launch(&kernel, 8u32, 128u32).unwrap();
-    }
+    let (results, spans) = with_span_log(|| {
+        (0..3).map(|_| ctx.launch(&kernel, 8u32, 128u32).unwrap()).collect::<Vec<_>>()
+    });
 
-    // The trace recorded every launch with attributed modeled times.
-    let recs = ctx.device().trace().records();
-    assert_eq!(recs.len(), 3);
-    for r in &recs {
-        assert_eq!(r.kernel, "traced_saxpy");
-        assert_eq!(r.grid.x, 8);
-        assert_eq!(r.block.x, 128);
+    // The launch pipeline drew one host kernel bar per launch, each as
+    // wide as the modeled time the launch returned.
+    let bars: Vec<_> = spans
+        .iter()
+        .filter(|s| s.track == Track::Host && s.cat == SpanCategory::Kernel)
+        .filter(|s| s.name == "traced_saxpy")
+        .collect();
+    assert_eq!(bars.len(), 3);
+    for (bar, r) in bars.iter().zip(&results) {
         assert_eq!(r.stats.flops, 2048);
-        assert!(r.modeled_seconds > 0.0, "klang must attribute modeled time");
+        assert!(r.modeled.seconds > 0.0, "klang must model the launch");
+        assert_eq!(bar.dur_s.to_bits(), r.modeled.seconds.to_bits());
     }
-
-    // The profiler report agrees with the trace.
-    let report = ctx.profile_report();
-    assert!(report.contains("traced_saxpy"));
-    assert!(report.contains("       3"), "three launches:\n{report}");
-    let p = ctx.kernel_profile("traced_saxpy");
-    let traced_total: f64 = recs.iter().map(|r| r.modeled_seconds).sum();
-    assert!((p.modeled_seconds - traced_total).abs() < 1e-15);
 }
 
 #[test]
