@@ -285,23 +285,7 @@ impl TargetRegion {
         for i in 0..n {
             body(&mut tc, i, &scratch);
         }
-        let c = &tc.counters;
-        let stats = ompx_sim::counters::StatsSnapshot {
-            flops: c.flops,
-            int_ops: c.int_ops,
-            global_load_bytes: c.global_load_bytes,
-            global_store_bytes: c.global_store_bytes,
-            shared_accesses: c.shared_accesses,
-            barriers: c.barriers,
-            warp_ops: c.warp_ops,
-            atomic_ops: c.atomic_ops,
-            divergent_branches: c.divergent_branches,
-            serial_ops: c.serial_ops,
-            const_reads: c.const_reads,
-            uniform_load_bytes: c.uniform_load_bytes,
-            threads_executed: 1,
-            blocks_executed: 1,
-        };
+        let stats = StatsSnapshot { threads_executed: 1, blocks_executed: 1, ..tc.counters };
 
         let modeled = ModeledTime { seconds: host_model_seconds(&stats), ..Default::default() };
         TargetResult { stats, modeled, plan }

@@ -26,7 +26,7 @@
 //! worker, not per lane.
 
 use crate::barrier::{RetireBarrier, SenseBarrier};
-use crate::counters::{CostCounters, KernelStats, StatsSnapshot};
+use crate::counters::StatsSnapshot;
 use crate::dim::LaunchConfig;
 use crate::memtrace::LaunchMemTrace;
 use crate::san::{AccessSite, DiagLog, LaunchSan, ToolMask};
@@ -254,17 +254,17 @@ fn run_bounded(
     workers: usize,
     num_blocks: usize,
 ) -> StatsSnapshot {
-    let stats = Arc::new(KernelStats::new());
+    let total = Arc::new(Mutex::new(StatsSnapshot::default()));
     let payload = if kernel.runs_on_team_path(cfg.threads_per_block()) {
         TEAM_LAUNCHES.fetch_add(1, Ordering::Relaxed);
         let (san, mem) = (san.map(|s| &**s), mem.map(|m| &**m));
-        run_team(kernel, cfg, warp_size, &stats, san, mem, workers, num_blocks)
+        run_team(kernel, cfg, warp_size, &total, san, mem, workers, num_blocks)
     } else {
         let block_loop = BlockLoop {
             kernel: kernel.clone(),
             cfg: cfg.clone(),
             warp_size,
-            stats: Arc::clone(&stats),
+            total: Arc::clone(&total),
             san: san.cloned(),
             mem: mem.cloned(),
             num_blocks,
@@ -284,7 +284,8 @@ fn run_bounded(
     if let Some(p) = payload {
         std::panic::resume_unwind(p);
     }
-    stats.snapshot()
+    let stats = *total.lock();
+    stats
 }
 
 /// Launches this process ran on the thread-per-lane team path.
@@ -343,7 +344,9 @@ struct BlockLoop {
     kernel: Kernel,
     cfg: LaunchConfig,
     warp_size: u32,
-    stats: Arc<KernelStats>,
+    /// The launch total: each worker merges the sum of the blocks it
+    /// committed once, when it stops.
+    total: Arc<Mutex<StatsSnapshot>>,
     san: Option<Arc<LaunchSan>>,
     mem: Option<Arc<LaunchMemTrace>>,
     num_blocks: usize,
@@ -355,11 +358,14 @@ struct BlockLoop {
 }
 
 impl BlockLoop {
-    /// Claim and run blocks until none are left or a lane panicked; the
-    /// panic is returned rather than unwound so the caller can finish the
-    /// launch first.
+    /// Claim and run blocks until none are left or a lane panicked, then
+    /// merge this worker's committed blocks into the launch total; a panic
+    /// is returned rather than unwound so the caller can finish the launch
+    /// first.
     fn work(&self) -> Option<PanicPayload> {
-        let tpb = self.cfg.threads_per_block();
+        let tpb = self.cfg.threads_per_block() as u64;
+        let mut committed = StatsSnapshot::default();
+        let mut payload = None;
         while !self.poisoned.load(Ordering::Acquire) {
             let b = self.next_block.fetch_add(1, Ordering::Relaxed);
             if b >= self.num_blocks {
@@ -367,18 +373,21 @@ impl BlockLoop {
             }
             let (san, mem) = (self.san.as_deref(), self.mem.as_deref());
             match run_block(&self.kernel, &self.cfg, self.warp_size, san, mem, b) {
-                Ok(counters) => {
-                    self.stats.absorb_block(&counters, tpb as u64);
-                    self.stats.block_done();
-                }
+                Ok(sum) => committed.merge(&StatsSnapshot {
+                    threads_executed: tpb,
+                    blocks_executed: 1,
+                    ..sum
+                }),
                 Err(p) => {
-                    // The block's stats are not absorbed (it did not commit).
+                    // The block's sum is not merged (it did not commit).
                     self.poisoned.store(true, Ordering::Release);
-                    return Some(p);
+                    payload = Some(p);
+                    break;
                 }
             }
         }
-        None
+        self.total.lock().merge(&committed);
+        payload
     }
 }
 
@@ -445,7 +454,7 @@ fn run_block(
     san: Option<&LaunchSan>,
     mem: Option<&LaunchMemTrace>,
     b: usize,
-) -> Result<CostCounters, PanicPayload> {
+) -> Result<StatsSnapshot, PanicPayload> {
     let tpb = cfg.threads_per_block();
     let shared = block_shared(cfg, san);
     let block = cfg.grid.delinear(b);
@@ -455,7 +464,7 @@ fn run_block(
         grid_dim: cfg.grid,
         block_dim: cfg.block,
         warp_size,
-        counters: CostCounters::default(),
+        counters: StatsSnapshot::default(),
         shared: &shared,
         block_barrier: None,
         warp: None,
@@ -466,7 +475,7 @@ fn run_block(
         trace_log: Default::default(),
         diag_log: Default::default(),
     };
-    let mut counters = CostCounters::default();
+    let mut sum = StatsSnapshot::default();
     let mut outcome = Ok(());
     let mut barrier_counts = None;
     match &kernel.body {
@@ -474,7 +483,7 @@ fn run_block(
             for t in 0..tpb {
                 let mut ctx = lane_ctx(t);
                 outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                counters.merge(&ctx.counters);
+                sum.merge(&ctx.counters);
                 ctx.stage_logs();
                 if outcome.is_err() {
                     break;
@@ -488,7 +497,7 @@ fn run_block(
             }));
             let mut counts = Vec::with_capacity(tpb);
             for ctx in &mut lanes {
-                counters.merge(&ctx.counters);
+                sum.merge(&ctx.counters);
                 counts.push(ctx.counters.barriers);
                 ctx.stage_logs();
             }
@@ -496,7 +505,7 @@ fn run_block(
         }
     }
     stage_block_scan(san, cfg, block, b, &shared, barrier_counts.as_deref());
-    outcome.map(|()| counters)
+    outcome.map(|()| sum)
 }
 
 /// Block-end deterministic scans, staged as the block's final diagnostic
@@ -529,11 +538,13 @@ struct BlockExec {
     shared: BlockShared,
     warps: Vec<WarpGroup>,
     barrier: RetireBarrier,
-    /// Final `sync_threads` count of each lane, written as the lane retires
-    /// and scanned once the block completes: lanes that participated in
-    /// barriers but stopped short of the block's maximum diverged
-    /// (synccheck).
-    barrier_counts: Vec<std::sync::atomic::AtomicU64>,
+    /// Each lane's final counters, written by the lane as it retires and
+    /// read once the block completes: lane 0 sums them into the launch
+    /// total once per block, and synccheck scans their `sync_threads`
+    /// counts (lanes that participated in barriers but stopped short of the
+    /// block's maximum diverged). One slot per lane, so retiring lanes
+    /// never contend for a lock.
+    lane_counters: Vec<Mutex<StatsSnapshot>>,
 }
 
 /// Per-team coordination state.
@@ -555,7 +566,7 @@ fn run_team(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    stats: &KernelStats,
+    total: &Mutex<StatsSnapshot>,
     san: Option<&LaunchSan>,
     mem: Option<&LaunchMemTrace>,
     workers: usize,
@@ -584,7 +595,6 @@ fn run_team(
                 let team = Arc::clone(&team);
                 let next_block = Arc::clone(&next_block);
                 let launch_poisoned = Arc::clone(&launch_poisoned);
-                let stats = &*stats;
                 handles.push(s.spawn(move || {
                     lane_loop(
                         kernel,
@@ -594,7 +604,7 @@ fn run_team(
                         &team,
                         &next_block,
                         &launch_poisoned,
-                        stats,
+                        total,
                         san,
                         mem,
                         num_blocks,
@@ -632,7 +642,7 @@ fn lane_loop(
     team: &TeamState,
     next_block: &AtomicUsize,
     launch_poisoned: &AtomicBool,
-    stats: &KernelStats,
+    total: &Mutex<StatsSnapshot>,
     san: Option<&LaunchSan>,
     mem: Option<&LaunchMemTrace>,
     num_blocks: usize,
@@ -658,9 +668,7 @@ fn lane_loop(
                     shared: block_shared(cfg, san),
                     warps: build_warps(tpb, warp_size),
                     barrier: RetireBarrier::new(tpb),
-                    barrier_counts: (0..tpb)
-                        .map(|_| std::sync::atomic::AtomicU64::new(0))
-                        .collect(),
+                    lane_counters: (0..tpb).map(|_| Mutex::default()).collect(),
                 }));
             }
         }
@@ -689,7 +697,7 @@ fn lane_loop(
             grid_dim: cfg.grid,
             block_dim: cfg.block,
             warp_size,
-            counters: CostCounters::default(),
+            counters: StatsSnapshot::default(),
             shared: &exec.shared,
             block_barrier: Some(&exec.barrier),
             warp: Some(warp),
@@ -708,17 +716,25 @@ fn lane_loop(
         // Retire so barriers held by still-running lanes complete.
         exec.barrier.retire();
         warp.retire_lane();
-        exec.barrier_counts[lane].store(ctx.counters.barriers, Ordering::Relaxed);
-        stats.absorb(&ctx.counters);
+        *exec.lane_counters[lane].lock() = ctx.counters;
         ctx.stage_logs();
 
         // Step 3: whole team finishes the block before reusing the slot.
         team.gate.wait();
         if lane == 0 {
-            let counts: Vec<u64> =
-                exec.barrier_counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            let mut sum = StatsSnapshot::default();
+            let mut counts = Vec::with_capacity(tpb);
+            for slot in &exec.lane_counters {
+                let lane = *slot.lock();
+                sum.merge(&lane);
+                counts.push(lane.barriers);
+            }
             stage_block_scan(san, cfg, (bx, by, bz), b, &exec.shared, Some(&counts));
-            stats.block_done();
+            total.lock().merge(&StatsSnapshot {
+                threads_executed: tpb as u64,
+                blocks_executed: 1,
+                ..sum
+            });
         }
         match outcome {
             Err(payload) => std::panic::resume_unwind(payload),

@@ -81,7 +81,6 @@ pub use ompx_telemetry::json;
 /// Convenient glob import for simulator users.
 pub mod prelude {
     pub use crate::constant::CBuf;
-    pub use crate::counters::{CostCounters, KernelStats};
     pub use crate::device::{Device, DeviceProfile, Vendor};
     pub use crate::dim::{Dim3, LaunchConfig};
     pub use crate::error::SimError;

@@ -20,7 +20,7 @@
 //! in every case.
 
 use crate::barrier::RetireBarrier;
-use crate::counters::CostCounters;
+use crate::counters::StatsSnapshot;
 use crate::dim::Dim3;
 use crate::mem::{DBuf, DeviceScalar};
 use crate::memtrace::{BarrierEvent, LaunchMemTrace, MemAccessKind, MemEvent, MemSpace, TraceLog};
@@ -35,9 +35,11 @@ pub struct ThreadCtx<'a> {
     pub(crate) grid_dim: Dim3,
     pub(crate) block_dim: Dim3,
     pub(crate) warp_size: u32,
-    /// Cost counters for this thread; folded into the launch-wide stats when
-    /// the thread retires.
-    pub counters: CostCounters,
+    /// Cost counters for this thread, summed into its block's counters by
+    /// the executor and folded into the launch total with them.
+    /// `threads_executed` and `blocks_executed` stay zero here; the executor
+    /// sets them when it folds.
+    pub counters: StatsSnapshot,
     pub(crate) shared: &'a BlockShared,
     pub(crate) block_barrier: Option<&'a RetireBarrier>,
     pub(crate) warp: Option<&'a WarpGroup>,
@@ -76,7 +78,7 @@ impl<'a> ThreadCtx<'a> {
             grid_dim,
             block_dim,
             warp_size,
-            counters: CostCounters::default(),
+            counters: StatsSnapshot::default(),
             shared,
             block_barrier: None,
             warp: None,

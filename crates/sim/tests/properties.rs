@@ -8,6 +8,38 @@ fn small_device() -> Device {
     Device::new(DeviceProfile::test_small())
 }
 
+/// One lane's work in `exactly_once_execution`: mark the lane, then read,
+/// compute and write so that more than the geometry counters move.
+fn cover(tc: &mut ThreadCtx<'_>, hits: &DBuf<u32>, src: &DBuf<f32>, out: &DBuf<f32>) {
+    let i = tc.global_rank();
+    tc.atomic_add(hits, i, 1);
+    let v = tc.read(src, i);
+    tc.flops(2);
+    tc.write(out, i, v * 2.0 + 1.0);
+}
+
+/// `cover` in one of three executor forms: a barrier-free closure (0), a
+/// closure that calls `sync_threads` first (1, the team path for multi-lane
+/// blocks), or a phased body with one `Step::Barrier` (2).
+fn cover_kernel(form: u8, hits: &DBuf<u32>, src: &DBuf<f32>, out: &DBuf<f32>) -> Kernel {
+    let (hits, src, out) = (hits.clone(), src.clone(), out.clone());
+    match form {
+        0 => Kernel::new("cover", move |tc: &mut ThreadCtx<'_>| cover(tc, &hits, &src, &out)),
+        1 => Kernel::new("cover_sync", move |tc: &mut ThreadCtx<'_>| {
+            tc.sync_threads();
+            cover(tc, &hits, &src, &out);
+        })
+        .with_block_sync(),
+        _ => Kernel::phased("cover_phased", move |tc, phase, _: &mut ()| {
+            if phase == 0 {
+                return Step::Barrier;
+            }
+            cover(tc, &hits, &src, &out);
+            Step::Exit
+        }),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -22,30 +54,37 @@ proptest! {
     }
 
     /// Every simulated thread executes exactly once, for arbitrary
-    /// geometry, on whichever executor path the flags select.
+    /// geometry, in each executor form, and the launch's whole snapshot is
+    /// the same at any worker count.
     #[test]
     fn exactly_once_execution(
         blocks in 1u32..6,
         threads in 1u32..33,
-        use_sync in proptest::bool::ANY,
+        form in 0u8..3,
+        workers in 1usize..=4,
     ) {
-        let dev = small_device();
         let total = (blocks * threads) as usize;
-        let hits = dev.alloc::<u32>(total);
-        let flags = KernelFlags { uses_block_sync: use_sync, uses_warp_ops: false };
-        let k = Kernel::with_flags("cover", flags, {
-            let hits = hits.clone();
-            move |tc: &mut ThreadCtx<'_>| {
-                if use_sync {
-                    tc.sync_threads();
-                }
-                tc.atomic_add(&hits, tc.global_rank(), 1);
-            }
-        });
-        let stats = dev.launch(&k, LaunchConfig::new(blocks, threads)).unwrap();
-        prop_assert_eq!(stats.threads_executed as usize, total);
-        prop_assert_eq!(stats.blocks_executed as usize, blocks as usize);
-        prop_assert!(hits.to_vec().iter().all(|&h| h == 1));
+        let run = |workers: usize| {
+            let dev = small_device();
+            dev.set_sim_workers(Some(workers));
+            let hits = dev.alloc::<u32>(total);
+            let src = dev.alloc_from(&(0..total).map(|i| i as f32).collect::<Vec<_>>());
+            let out = dev.alloc::<f32>(total);
+            let k = cover_kernel(form, &hits, &src, &out);
+            let stats = dev.launch(&k, LaunchConfig::new(blocks, threads)).unwrap();
+            (stats, hits.to_vec(), out.to_vec())
+        };
+        let (serial, hits, out) = run(1);
+        let (parallel, par_hits, par_out) = run(workers);
+        prop_assert_eq!(serial, parallel);
+        prop_assert_eq!(serial.threads_executed as usize, total);
+        prop_assert_eq!(serial.blocks_executed as usize, blocks as usize);
+        prop_assert_eq!(serial.flops as usize, 2 * total);
+        prop_assert_eq!(serial.global_load_bytes as usize, 4 * total);
+        prop_assert_eq!(serial.global_store_bytes as usize, 4 * total);
+        prop_assert_eq!(serial.barriers as usize, if form == 0 { 0 } else { total });
+        prop_assert!(hits.iter().chain(&par_hits).all(|&h| h == 1));
+        prop_assert_eq!(out, par_out);
     }
 
     /// Warp shuffles permute values: a shfl from lane (lane+k)%w delivers

@@ -13,6 +13,11 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> perfbench build + unit tests (a workspace of its own)"
+# perfbench reads the simulator's public types; this keeps a change to
+# them from surfacing only in the benchmark pipeline.
+cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
