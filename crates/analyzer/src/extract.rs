@@ -25,14 +25,14 @@ use crate::check::analyze;
 use crate::expr::{
     and, bid_x, c, free, item, lt, max_e, min_e, param, tid_x, Env, Expr, Pred, Var,
 };
-use crate::replay::{items_for, predicted_set, validate_replay, EvKey};
+use crate::replay::{items_for, predicted_set, validate_replay, AllocMemo};
 use crate::summary::{
     Access, Barrier, BufferDecl, Domain, FreeDecl, GroundDomain, KernelSummary, LaunchShape, Mode,
     SharedDecl, Space, SummaryFlags, Valuation,
 };
 use ompx_sanitizer::Severity;
 use ompx_sim::memtrace::{BarrierEvent, MemAccessKind, MemEvent, MemSpace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What to extract: the launch-visible facts the harness already knows
 /// (geometry, declared buffers, domain shape) — everything the trace alone
@@ -261,20 +261,34 @@ fn build_ctx(spec: &ExtractSpec, val: &Valuation) -> Result<Ctx, String> {
     Ok(Ctx { val: val.clone(), bdim, gdim, domain: g.domain, threads })
 }
 
+/// Group the spec kernel's events of every trace by (space, mode rank,
+/// barrier class modulo `l`), each group holding one [`TauSet`] per trace.
+/// Events are grouped under integer space ids (each allocation's label is
+/// looked up once); the groups come back in (space, mode, class) order.
 fn collect_groups(
     spec: &ExtractSpec,
     traces: &[Trace],
     l: u32,
 ) -> BTreeMap<(GSpace, u8, u32), Vec<TauSet>> {
-    let mut groups: BTreeMap<(GSpace, u8, u32), Vec<TauSet>> = BTreeMap::new();
+    let mut spaces: Vec<GSpace> = Vec::new();
+    let mut intern = |space: GSpace| {
+        spaces.iter().position(|s| *s == space).unwrap_or_else(|| {
+            spaces.push(space);
+            spaces.len() - 1
+        })
+    };
+    let mut allocs = AllocMemo::new();
+    let mut groups: HashMap<(usize, u8, u32), Vec<TauSet>> = HashMap::new();
     for (v, t) in traces.iter().enumerate() {
         for e in &t.events {
-            if e.kernel != spec.kernel {
+            if *e.kernel != *spec.kernel {
                 continue;
             }
             let space = match &e.space {
-                MemSpace::Global { label, .. } => GSpace::Global(label.clone()),
-                MemSpace::Shared { slot } => GSpace::Shared(*slot),
+                MemSpace::Global { alloc_id, label } => {
+                    allocs.get(*alloc_id, label, |l| intern(GSpace::Global(l.to_string())))
+                }
+                MemSpace::Shared { slot } => intern(GSpace::Shared(*slot)),
             };
             let key = (space, mode_rank(mode_of(e.kind)), e.phase % l);
             let per_ctx = groups.entry(key).or_insert_with(|| vec![TauSet::new(); traces.len()]);
@@ -282,6 +296,9 @@ fn collect_groups(
         }
     }
     groups
+        .into_iter()
+        .map(|((space, mode, class), g)| ((spaces[space].clone(), mode, class), g))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1014,30 +1031,33 @@ fn phase_name(l: u32, class: u32) -> String {
     }
 }
 
-fn fit_all(
-    spec: &ExtractSpec,
-    traces: &[Trace],
-    l: u32,
-    max_b: u32,
-) -> Result<(KernelSummary, Vec<String>), String> {
-    let mut ctxs = Vec::new();
-    for val in &spec.fit {
-        ctxs.push(build_ctx(spec, val)?);
-    }
-    let mut params: BTreeSet<String> = BTreeSet::new();
-    for val in &spec.fit {
-        for (p, _) in val.entries() {
-            params.insert(p.clone());
+impl<'a> Fit<'a> {
+    /// The fit contexts of every fit valuation of `spec`, shared by every
+    /// phase-length candidate.
+    fn new(spec: &'a ExtractSpec) -> Result<Fit<'a>, String> {
+        let mut ctxs = Vec::new();
+        for val in &spec.fit {
+            ctxs.push(build_ctx(spec, val)?);
         }
+        let mut params: BTreeSet<String> = BTreeSet::new();
+        for val in &spec.fit {
+            for (p, _) in val.entries() {
+                params.insert(p.clone());
+            }
+        }
+        Ok(Fit { spec, ctxs, params: params.into_iter().collect() })
     }
-    let fit = Fit { spec, ctxs, params: params.into_iter().collect() };
+}
+
+fn fit_all(fit: &Fit<'_>, traces: &[Trace], l: u32, max_b: u32) -> (KernelSummary, Vec<String>) {
+    let spec = fit.spec;
     let groups = collect_groups(spec, traces, l);
     let mut namer = Namer { n: 0 };
     let mut accesses = Vec::new();
     let mut frees = Vec::new();
     let mut notes = Vec::new();
     for ((space, mrank, class), data) in &groups {
-        let (drafts, note) = fit_group(&fit, space, data, &mut namer);
+        let (drafts, note) = fit_group(fit, space, data, &mut namer);
         if let Some(n) = note {
             notes.push(n);
         }
@@ -1063,11 +1083,11 @@ fn fit_all(
         match space {
             GSpace::Global(label) if !buffers.iter().any(|b| &b.name == label) => {
                 let data = &groups[&(space.clone(), 0, 0)];
-                buffers.push(BufferDecl { name: label.clone(), len: space_len(&fit, space, data) });
+                buffers.push(BufferDecl { name: label.clone(), len: space_len(fit, space, data) });
             }
             GSpace::Shared(slot) if !shared.iter().any(|s| &s.slot == slot) => {
                 let data = &groups[&(space.clone(), 0, 0)];
-                shared.push(SharedDecl { slot: *slot, len: space_len(&fit, space, data) });
+                shared.push(SharedDecl { slot: *slot, len: space_len(fit, space, data) });
             }
             _ => {}
         }
@@ -1077,7 +1097,7 @@ fn fit_all(
     } else {
         vec![]
     };
-    Ok((
+    (
         KernelSummary {
             kernel: spec.kernel.clone(),
             app: spec.app.clone(),
@@ -1094,7 +1114,7 @@ fn fit_all(
             valuations: spec.fit.clone(),
         },
         notes,
-    ))
+    )
 }
 
 /// Extract a draft summary from fit traces (one per fit valuation).
@@ -1114,22 +1134,23 @@ pub fn extract(spec: &ExtractSpec, traces: &[Trace]) -> Result<Extraction, Strin
         return Err("extraction needs at least one fit valuation".into());
     }
     let observed: usize =
-        traces.iter().map(|t| t.events.iter().filter(|e| e.kernel == spec.kernel).count()).sum();
+        traces.iter().map(|t| t.events.iter().filter(|e| *e.kernel == *spec.kernel).count()).sum();
     if observed == 0 {
         return Err(format!("no trace events for kernel `{}`", spec.kernel));
     }
     let max_b = traces
         .iter()
         .flat_map(|t| t.barriers.iter())
-        .filter(|b| b.kernel == spec.kernel)
+        .filter(|b| *b.kernel == *spec.kernel)
         .map(|b| b.ordinal + 1)
         .max()
         .unwrap_or(0);
     let candidates: Vec<u32> =
         if max_b == 0 { vec![1] } else { (1..=(max_b + 1).min(6)).collect() };
+    let fit = Fit::new(spec)?;
     let mut best: Option<(usize, usize, u32, KernelSummary, Vec<String>)> = None;
     for l in candidates {
-        let (summary, notes) = fit_all(spec, traces, l, max_b)?;
+        let (summary, notes) = fit_all(&fit, traces, l, max_b);
         let mut errors =
             analyze(&summary, 32).iter().filter(|f| f.severity == Severity::Error).count();
         for (v, t) in traces.iter().enumerate() {
@@ -1174,8 +1195,11 @@ pub struct DiffEntry {
     pub detail: String,
 }
 
-/// Predicted cells per (space label, mode rank): `(block, index)` tuples.
-type Buckets = BTreeMap<(String, u8), BTreeSet<(u32, u32, u32, i64)>>;
+/// A predicted cell: block coordinates (zero for global memory) and index.
+type Cell = (u32, u32, u32, i64);
+
+/// Predicted cells per (space label, mode rank).
+type Buckets = BTreeMap<(String, u8), BTreeSet<Cell>>;
 
 fn bucketed(s: &KernelSummary, val: &Valuation) -> Result<Buckets, String> {
     let g = s.ground(val)?;
@@ -1186,15 +1210,15 @@ fn bucketed(s: &KernelSummary, val: &Valuation) -> Result<Buckets, String> {
             .map(|f| f.message.clone())
             .unwrap_or_else(|| "prediction failed".into()));
     };
+    // Bucket under integer space ids; name each bucket once.
+    let mut by_id: HashMap<(u32, u8), Vec<Cell>> = HashMap::new();
+    for &(space, block, index, mode) in pred.keys.keys() {
+        by_id.entry((space, mode_rank(mode))).or_default().push((block.0, block.1, block.2, index));
+    }
     let mut out = Buckets::new();
-    for key in pred.keys() {
-        let (space, mode, block, index) = match key {
-            EvKey::Global { label, index, kind } => (label.clone(), *kind, (0, 0, 0), *index),
-            EvKey::Shared { block, slot, index, kind } => {
-                (format!("shared[{slot}]"), *kind, *block, *index)
-            }
-        };
-        out.entry((space, mode_rank(mode))).or_default().insert((block.0, block.1, block.2, index));
+    for ((space, mode), cells) in by_id {
+        let mut cells: BTreeSet<_> = cells.into_iter().collect();
+        out.entry((pred.spaces.name(space), mode)).or_default().append(&mut cells);
     }
     Ok(out)
 }

@@ -21,6 +21,7 @@ use crate::summary::{Access, Ground, GroundDomain, KernelSummary, Mode, Space, V
 use ompx_sanitizer::{Finding, Severity};
 use ompx_sim::memtrace::{BarrierEvent, MemAccessKind, MemEvent, MemSpace};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Upper bound on (thread × item × free) combinations enumerated per
 /// access. Hitting it is a finding, never a silent truncation.
@@ -30,38 +31,139 @@ const ENUM_CAP: u64 = 8_000_000;
 /// one count.
 const MAX_REPORTED: usize = 5;
 
-/// One predicted (or observed) access in canonical form.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum EvKey {
-    Global {
-        label: String,
-        index: i64,
-        kind: Mode,
-    },
-    /// Shared memory is per-block, so the block coordinate is part of the
-    /// cell's identity.
-    Shared {
-        block: (u32, u32, u32),
-        slot: usize,
-        index: i64,
-        kind: Mode,
-    },
+/// One predicted (or observed) access in canonical form: the space's id in
+/// the summary's [`SpaceIds`], the block coordinates (shared memory is
+/// per-block, so the block is part of a shared cell's identity; global
+/// cells use `(0, 0, 0)`), the element index, and the mode.
+pub(crate) type EvKey = (u32, (u32, u32, u32), i64, Mode);
+
+/// A set of a summary's phases: bit `i` is [`Predicted::phases`]`[i]`.
+pub(crate) type PhaseSet = u64;
+
+/// The address spaces a grounded summary's accesses name, interned once
+/// per [`Ground`] so that access keys are plain integers: the global
+/// buffer labels in sorted order, then the shared slots in sorted order.
+pub(crate) struct SpaceIds {
+    globals: Vec<String>,
+    shared: Vec<usize>,
 }
 
-impl EvKey {
-    /// Canonical key for an observed trace event.
-    pub(crate) fn of(e: &MemEvent) -> EvKey {
-        match &e.space {
-            MemSpace::Global { label, .. } => {
-                EvKey::Global { label: label.clone(), index: e.index as i64, kind: kind_of(e.kind) }
+impl SpaceIds {
+    fn new(g: &Ground) -> SpaceIds {
+        let mut globals = Vec::new();
+        let mut shared = Vec::new();
+        for a in &g.accesses {
+            match &a.space {
+                Space::Global(label) => globals.push(label.clone()),
+                Space::Shared(slot) => shared.push(*slot),
             }
-            MemSpace::Shared { slot } => EvKey::Shared {
-                block: e.block,
-                slot: *slot,
-                index: e.index as i64,
-                kind: kind_of(e.kind),
-            },
         }
+        globals.sort_unstable();
+        globals.dedup();
+        shared.sort_unstable();
+        shared.dedup();
+        SpaceIds { globals, shared }
+    }
+
+    fn global(&self, label: &str) -> Option<u32> {
+        self.globals.binary_search_by(|l| l.as_str().cmp(label)).ok().map(|i| i as u32)
+    }
+
+    fn shared(&self, slot: usize) -> Option<u32> {
+        self.shared.binary_search(&slot).ok().map(|i| (self.globals.len() + i) as u32)
+    }
+
+    /// The id of a space the summary names.
+    fn of(&self, space: &Space) -> u32 {
+        let id = match space {
+            Space::Global(label) => self.global(label),
+            Space::Shared(slot) => self.shared(*slot),
+        };
+        id.expect("every access space is interned")
+    }
+
+    /// The space's name in reports: the buffer label, or `shared[slot]`.
+    pub(crate) fn name(&self, id: u32) -> String {
+        let id = id as usize;
+        match self.globals.get(id) {
+            Some(label) => label.clone(),
+            None => format!("shared[{}]", self.shared[id - self.globals.len()]),
+        }
+    }
+}
+
+/// Per-allocation memo of what a trace's global label resolves to, so
+/// each allocation's label is looked up once. An entry is reused only for
+/// the same label — in a recorded trace, the same shared string — so
+/// hand-built events that reuse an allocation id stay correct.
+pub(crate) struct AllocMemo<T> {
+    map: HashMap<usize, (Arc<str>, T)>,
+}
+
+impl<T: Copy> AllocMemo<T> {
+    pub(crate) fn new() -> Self {
+        AllocMemo { map: HashMap::new() }
+    }
+
+    /// What allocation `alloc_id` labeled `label` resolves to.
+    pub(crate) fn get(
+        &mut self,
+        alloc_id: usize,
+        label: &Arc<str>,
+        resolve: impl FnOnce(&str) -> T,
+    ) -> T {
+        match self.map.get(&alloc_id) {
+            Some((l, v)) if Arc::ptr_eq(l, label) || l == label => *v,
+            _ => {
+                let v = resolve(label);
+                self.map.insert(alloc_id, (Arc::clone(label), v));
+                v
+            }
+        }
+    }
+}
+
+/// A grounded summary's predicted access set: every predicted key with the
+/// phases that predict it.
+pub(crate) struct Predicted {
+    pub(crate) spaces: SpaceIds,
+    /// The summary's phase names (of accesses and barriers), sorted.
+    phases: Vec<String>,
+    pub(crate) keys: HashMap<EvKey, PhaseSet>,
+}
+
+impl Predicted {
+    /// The predicting phases of each of `events` in order; `0` for an
+    /// event of another kernel or one the summary does not predict. Each
+    /// allocation's label is looked up once.
+    fn phases_of(&self, kernel: &str, events: &[MemEvent]) -> Vec<PhaseSet> {
+        let mut allocs = AllocMemo::new();
+        let spaces = &self.spaces;
+        events
+            .iter()
+            .map(|e| {
+                if *e.kernel != *kernel {
+                    return 0;
+                }
+                let (space, block) = match &e.space {
+                    MemSpace::Global { alloc_id, label } => {
+                        (allocs.get(*alloc_id, label, |l| spaces.global(l)), (0, 0, 0))
+                    }
+                    MemSpace::Shared { slot } => (spaces.shared(*slot), e.block),
+                };
+                let Some(space) = space else { return 0 };
+                let key = (space, block, e.index as i64, kind_of(e.kind));
+                self.keys.get(&key).copied().unwrap_or(0)
+            })
+            .collect()
+    }
+
+    /// Phase names of `set`, in sorted order.
+    fn names(&self, set: PhaseSet) -> Vec<&str> {
+        (0..self.phases.len())
+            .filter(|&i| set >> i & 1 == 1)
+            .map(|i| self.phases[i].as_str())
+            .collect()
     }
 }
 
@@ -118,29 +220,30 @@ pub fn validate_replay(
             return out;
         }
     };
-    let phases = validate_coverage(&g, events, &mut out);
-    if let Some(phases) = phases {
-        validate_barrier_order(&g, events, barriers, &phases, &mut out);
+    if let Some((predicted, cands)) = validate_coverage(&g, events, &mut out) {
+        validate_barrier_order(&g, events, barriers, &predicted, &cands, &mut out);
     }
     out
 }
 
 /// Shared coverage pass: every observed event must be in the predicted
-/// set. Returns the key → predicting-phases map for the ordering pass.
+/// set. Returns the prediction and each event's predicting phases (see
+/// [`Predicted::phases_of`]) for the ordering pass.
 fn validate_coverage(
     g: &Ground,
     events: &[MemEvent],
     out: &mut Vec<Finding>,
-) -> Option<HashMap<EvKey, BTreeSet<String>>> {
+) -> Option<(Predicted, Vec<PhaseSet>)> {
     let predicted = predicted_set(g, out)?;
+    let cands = predicted.phases_of(&g.kernel, events);
     let mut unpredicted = Vec::new();
     let mut observed = 0usize;
-    for e in events {
-        if e.kernel != g.kernel {
+    for (e, &cand) in events.iter().zip(&cands) {
+        if *e.kernel != *g.kernel {
             continue;
         }
         observed += 1;
-        if !predicted.contains_key(&EvKey::of(e)) {
+        if cand == 0 {
             unpredicted.push(e);
         }
     }
@@ -154,11 +257,11 @@ fn validate_coverage(
                       kernel name mismatch"
                 .into(),
         });
-        return Some(predicted);
+        return Some((predicted, cands));
     }
     for e in unpredicted.iter().take(MAX_REPORTED) {
         let (what, idx) = match &e.space {
-            MemSpace::Global { label, .. } => (label.clone(), e.index),
+            MemSpace::Global { label, .. } => (label.to_string(), e.index),
             MemSpace::Shared { slot } => (format!("shared[{slot}]"), e.index),
         };
         out.push(mismatch(
@@ -190,15 +293,17 @@ fn validate_coverage(
             ),
         ));
     }
-    Some(predicted)
+    Some((predicted, cands))
 }
 
-/// Barrier-ordering pass (see [`validate_replay`]).
+/// Barrier-ordering pass (see [`validate_replay`]) over `events` and their
+/// predicting phases `cands`.
 fn validate_barrier_order(
     g: &Ground,
     events: &[MemEvent],
     barriers: &[BarrierEvent],
-    phases: &HashMap<EvKey, BTreeSet<String>>,
+    predicted: &Predicted,
+    cands: &[PhaseSet],
     out: &mut Vec<Finding>,
 ) {
     // The summary's barrier list, filtered to barriers whose guard holds.
@@ -221,7 +326,7 @@ fn validate_barrier_order(
     // Observed barrier count per (launch, block, thread).
     let mut bcount: BTreeMap<ThreadKey, u32> = BTreeMap::new();
     for b in barriers {
-        if b.kernel != g.kernel {
+        if *b.kernel != *g.kernel {
             continue;
         }
         let c = bcount.entry((b.launch, b.block, b.thread)).or_insert(0);
@@ -244,34 +349,46 @@ fn validate_barrier_order(
         }
         return;
     }
+    // Each listed barrier's phase as a one-bit set (barrier phases are in
+    // the summary's phase list by construction).
+    let bbits: Vec<PhaseSet> = blist
+        .iter()
+        .map(|p| predicted.phases.binary_search_by(|q| q.as_str().cmp(p)).map_or(0, |i| 1 << i))
+        .collect();
     // Candidate phases per (thread, segment): the intersection of the
-    // phases predicting each event in the segment.
-    let mut segs: BTreeMap<(ThreadKey, u32), Option<BTreeSet<String>>> = BTreeMap::new();
-    for e in events {
-        if e.kernel != g.kernel {
-            continue;
+    // phases predicting each event in the segment. A lane's events are
+    // contiguous in the trace, so each run of one segment is intersected
+    // before it reaches the map.
+    let mut segs: BTreeMap<(ThreadKey, u32), PhaseSet> = BTreeMap::new();
+    let mut run: Option<((ThreadKey, u32), PhaseSet)> = None;
+    for (e, &cand) in events.iter().zip(cands) {
+        if cand == 0 {
+            continue; // another kernel's event, or unpredicted
         }
-        let Some(cand) = phases.get(&EvKey::of(e)) else { continue };
         let key = ((e.launch, e.block, e.thread), e.phase);
-        let entry = segs.entry(key).or_insert(None);
-        match entry {
-            None => *entry = Some(cand.clone()),
-            Some(cur) => {
-                cur.retain(|p| cand.contains(p));
+        match &mut run {
+            Some((k, cur)) if *k == key => *cur &= cand,
+            _ => {
+                if let Some((k, set)) = run.replace((key, cand)) {
+                    segs.entry(k).and_modify(|cur| *cur &= set).or_insert(set);
+                }
             }
         }
     }
+    if let Some((k, set)) = run {
+        segs.entry(k).and_modify(|cur| *cur &= set).or_insert(set);
+    }
     let l = blist.len() as u32;
+    let listed = |seg: u32, s: u32| bbits[((s + seg) % l) as usize];
     let mut reported = BTreeSet::new();
-    for ((tkey, seg), cand) in &segs {
-        let total = bcount.get(tkey).copied().unwrap_or(0);
-        if *seg >= total {
+    for (&(tkey, seg), &cand) in &segs {
+        let total = bcount.get(&tkey).copied().unwrap_or(0);
+        if seg >= total {
             // Trailing segment: not ended by a barrier, so the barrier
             // list does not constrain it.
             continue;
         }
-        let Some(cand) = cand else { continue };
-        if cand.is_empty() {
+        if cand == 0 {
             let msg = format!(
                 "barrier ordering mismatch: accesses in one barrier-delimited segment \
                  are predicted by no single phase (valuation `{}`)",
@@ -286,9 +403,9 @@ fn validate_barrier_order(
         // (s + seg) mod L of the barrier list for a start offset `s`
         // consistent with the thread's other segments. Per-segment the
         // requirement is: some list position's phase is a candidate.
-        let fits = (0..l).any(|s| cand.contains(blist[((s + seg) % l) as usize]));
+        let fits = (0..l).any(|s| cand & listed(seg, s) != 0);
         if !fits {
-            let ph: Vec<&str> = cand.iter().map(String::as_str).collect();
+            let ph = predicted.names(cand);
             let msg = format!(
                 "barrier ordering mismatch: the segment ended by barrier {seg} executed \
                  phase(s) [{}], but the summary's barrier list [{}] delimits none of \
@@ -304,21 +421,15 @@ fn validate_barrier_order(
     }
     // Cross-segment consistency: within one thread the start offset must
     // be the same for every segment.
-    let mut by_thread: BTreeMap<ThreadKey, Vec<(u32, &BTreeSet<String>)>> = BTreeMap::new();
-    for ((tkey, seg), cand) in &segs {
-        let total = bcount.get(tkey).copied().unwrap_or(0);
-        if *seg >= total {
-            continue;
-        }
-        if let Some(cand) = cand {
-            if !cand.is_empty() {
-                by_thread.entry(*tkey).or_default().push((*seg, cand));
-            }
+    let mut by_thread: BTreeMap<ThreadKey, Vec<(u32, PhaseSet)>> = BTreeMap::new();
+    for (&(tkey, seg), &cand) in &segs {
+        let total = bcount.get(&tkey).copied().unwrap_or(0);
+        if seg < total && cand != 0 {
+            by_thread.entry(tkey).or_default().push((seg, cand));
         }
     }
     for (tkey, list) in &by_thread {
-        let ok = (0..l)
-            .any(|s| list.iter().all(|(seg, cand)| cand.contains(blist[((s + seg) % l) as usize])));
+        let ok = (0..l).any(|s| list.iter().all(|&(seg, cand)| cand & listed(seg, s) != 0));
         if !ok {
             let (launch, block, thread) = tkey;
             let msg = format!(
@@ -379,13 +490,28 @@ pub(crate) fn items_for(g: &Ground, rank: i64, is_master: bool) -> Vec<i64> {
 
 /// Build the predicted `(space, index, mode)` set for every access under
 /// every (thread, item, free-assignment) combination that passes its
-/// guard, mapping each predicted key to the phase labels that predict it.
-/// Returns `None` (with findings) if the enumeration cannot run.
-pub(crate) fn predicted_set(
-    g: &Ground,
-    out: &mut Vec<Finding>,
-) -> Option<HashMap<EvKey, BTreeSet<String>>> {
+/// guard, mapping each predicted key to the phases that predict it.
+/// Returns `None` (with findings) if the enumeration cannot run, or if the
+/// summary has more phases than a [`PhaseSet`] holds.
+pub(crate) fn predicted_set(g: &Ground, out: &mut Vec<Finding>) -> Option<Predicted> {
     use crate::expr::Var;
+    let spaces = SpaceIds::new(g);
+    let mut phases: Vec<String> = g.accesses.iter().map(|a| a.phase.clone()).collect();
+    phases.extend(g.barriers.iter().map(|b| b.phase.clone()));
+    phases.sort_unstable();
+    phases.dedup();
+    if phases.len() > PhaseSet::BITS as usize {
+        out.push(mismatch(
+            &g.kernel,
+            format!("valuation `{}`", g.valuation),
+            format!(
+                "summary has {} phases; replay tracks at most {}",
+                phases.len(),
+                PhaseSet::BITS
+            ),
+        ));
+        return None;
+    }
     let mut predicted = HashMap::new();
     let bdim = (i64::from(g.block.0), i64::from(g.block.1), i64::from(g.block.2));
     let gdim = (i64::from(g.grid.0), i64::from(g.grid.1), i64::from(g.grid.2));
@@ -434,6 +560,8 @@ pub(crate) fn predicted_set(
             ));
             return None;
         }
+        let space = spaces.of(&a.space);
+        let phase: PhaseSet = 1 << phases.binary_search(&a.phase).expect("access phase is listed");
         let mut eval_failure = false;
         for bz in 0..gdim.2.max(1) {
             for by in 0..gdim.1.max(1) {
@@ -461,6 +589,7 @@ pub(crate) fn predicted_set(
                                 for item in items {
                                     predict_one(
                                         a,
+                                        (space, phase),
                                         &frees,
                                         Env {
                                             tid: (tx, ty, tz),
@@ -493,19 +622,21 @@ pub(crate) fn predicted_set(
             return None;
         }
     }
-    Some(predicted)
+    Some(Predicted { spaces, phases, keys: predicted })
 }
 
 /// Enumerate the access's free-variable assignments for one (thread, item)
-/// and insert the passing combinations.
+/// and insert the passing combinations under the access's interned `space`
+/// id and `phase` bit.
 #[allow(clippy::too_many_arguments)]
 fn predict_one(
     a: &Access,
+    (space, phase): (u32, PhaseSet),
     frees: &[(String, i64, i64)],
     env: Env<'_>,
     block: (u32, u32, u32),
     per_block: bool,
-    predicted: &mut HashMap<EvKey, BTreeSet<String>>,
+    predicted: &mut HashMap<EvKey, PhaseSet>,
     eval_failure: &mut bool,
 ) {
     if frees.iter().any(|(_, lo, hi)| hi < lo) {
@@ -519,18 +650,16 @@ fn predict_one(
             Some(true) => match a.index.eval(&env) {
                 Some(idx) => {
                     let idx = idx.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
-                    let key = match &a.space {
-                        Space::Global(label) => {
-                            EvKey::Global { label: label.clone(), index: idx, kind: a.mode }
-                        }
-                        Space::Shared(slot) => {
+                    let block = match &a.space {
+                        Space::Global(_) => (0, 0, 0),
+                        Space::Shared(_) => {
                             // Without block enumeration the prediction is
                             // block-independent; replicate across blocks.
                             debug_assert!(per_block);
-                            EvKey::Shared { block, slot: *slot, index: idx, kind: a.mode }
+                            block
                         }
                     };
-                    predicted.entry(key).or_default().insert(a.phase.clone());
+                    *predicted.entry((space, block, idx, a.mode)).or_insert(0) |= phase;
                 }
                 None => *eval_failure = true,
             },
@@ -633,6 +762,20 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].tool, "summarycheck");
         assert!(f[0].message.contains("not predicted"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn more_phases_than_a_phase_set_holds_is_a_finding() {
+        let mut s = toy(7);
+        let read = s.accesses[0].clone();
+        s.accesses = (0..65).map(|i| Access { phase: format!("p{i}"), ..read.clone() }).collect();
+        let f = validate_events(&s, &s.valuations[0], &[ev("a", 0, MemAccessKind::Read)]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("65 phases"), "{}", f[0].message);
+        // 64 phases still fit.
+        s.accesses.pop();
+        let f = validate_events(&s, &s.valuations[0], &[ev("a", 0, MemAccessKind::Read)]);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

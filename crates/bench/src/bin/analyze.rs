@@ -150,32 +150,33 @@ fn parse(args: &[String]) -> Opts {
     o
 }
 
-fn write_out(o: &Opts, doc: &str) -> i32 {
-    if let Some(path) = &o.out {
-        if let Err(e) = std::fs::write(path, doc) {
+/// Write the `--out` file (every JSON document the run produced, the same
+/// bytes `--json` prints) and the ambient metrics snapshot (if
+/// `--metrics-out` installed one) as Prometheus text, then exit with
+/// `code`, or 2 if a write failed.
+fn finish(o: &Opts, out: &str, code: i32) -> ! {
+    let mut code = code;
+    let mut write = |path: &str, text: &str| {
+        if let Err(e) = std::fs::write(path, text) {
             eprintln!("analyze: cannot write {path}: {e}");
-            return 2;
+            code = code.max(2);
+        }
+    };
+    if let Some(path) = &o.out {
+        write(path, out);
+    }
+    if let Some(path) = &o.metrics_out {
+        if let Some(reg) = ompx_telemetry::uninstall() {
+            write(path, &ompx_telemetry::to_prometheus(&reg.snapshot()));
         }
     }
-    0
-}
-
-/// Write the ambient metrics snapshot (if `--metrics-out` installed one)
-/// as Prometheus text. Call before every exit path.
-fn flush_metrics(o: &Opts) -> i32 {
-    let Some(path) = &o.metrics_out else { return 0 };
-    let Some(reg) = ompx_telemetry::uninstall() else { return 0 };
-    let text = ompx_telemetry::to_prometheus(&reg.snapshot());
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("analyze: cannot write {path}: {e}");
-        return 2;
-    }
-    0
+    std::process::exit(code)
 }
 
 /// Report `findings`: as the unified JSON document (after any fields the
-/// caller already wrote into `doc`) with `--json`, as text otherwise.
-fn emit(findings: &[Finding], header: &str, doc: &mut Doc, o: &Opts) -> i32 {
+/// caller already wrote into `doc`) with `--json`, as text otherwise. The
+/// document is appended to `out`.
+fn emit(findings: &[Finding], header: &str, doc: &mut Doc, o: &Opts, out: &mut String) -> i32 {
     record_findings_metrics(findings);
     let doc = findings_fields(doc, findings).finish();
     if o.json {
@@ -184,10 +185,7 @@ fn emit(findings: &[Finding], header: &str, doc: &mut Doc, o: &Opts) -> i32 {
         println!("========= {header}");
         print!("{}", render_text(findings));
     }
-    let w = write_out(o, &doc);
-    if w != 0 {
-        return w;
-    }
+    out.push_str(&doc);
     exit_code(findings)
 }
 
@@ -196,7 +194,7 @@ fn grids_field<'d>(doc: &'d mut Doc, grids: &[String]) -> &'d mut Doc {
     doc.rows("validated_grids", grids.iter().map(|g| json::quoted(g)))
 }
 
-fn run_extract(o: &Opts) -> i32 {
+fn run_extract(o: &Opts, out: &mut String) -> i32 {
     let mut exit = 0;
     for app in &o.apps {
         for version in &o.versions {
@@ -218,39 +216,36 @@ fn run_extract(o: &Opts) -> i32 {
             }
             record_findings_metrics(&findings);
 
-            if o.json {
-                let mut doc = Doc::new();
-                doc.field(
-                    "cell",
-                    format_args!(
-                        "{{\"app\": {}, \"version\": {}, \"system\": {}}}",
-                        json::quoted(app),
-                        json::quoted(&report.version),
-                        json::quoted(&report.system),
-                    ),
+            let mut doc = Doc::new();
+            doc.field(
+                "cell",
+                format_args!(
+                    "{{\"app\": {}, \"version\": {}, \"system\": {}}}",
+                    json::quoted(app),
+                    json::quoted(&report.version),
+                    json::quoted(&report.system),
+                ),
+            )
+            .field("phases", report.extraction.phases)
+            .rows("imprecise", report.extraction.imprecise.iter().map(|n| json::quoted(n)));
+            grids_field(&mut doc, &grids)
+                .rows(
+                    "diff",
+                    report.diff.iter().map(|d| {
+                        format!(
+                            "{{\"space\": {}, \"mode\": \"{:?}\", \"class\": \"{:?}\", \"detail\": {}}}",
+                            json::quoted(&d.space),
+                            d.mode,
+                            d.class,
+                            json::quoted(&d.detail)
+                        )
+                    }),
                 )
-                .field("phases", report.extraction.phases)
-                .rows("imprecise", report.extraction.imprecise.iter().map(|n| json::quoted(n)));
-                grids_field(&mut doc, &grids)
-                    .rows(
-                        "diff",
-                        report.diff.iter().map(|d| {
-                            format!(
-                                "{{\"space\": {}, \"mode\": \"{:?}\", \"class\": \"{:?}\", \"detail\": {}}}",
-                                json::quoted(&d.space),
-                                d.mode,
-                                d.class,
-                                json::quoted(&d.detail)
-                            )
-                        }),
-                    )
-                    .field("accepted", failures.is_empty());
-                let doc = findings_fields(&mut doc, &findings).finish();
+                .field("accepted", failures.is_empty());
+            let doc = findings_fields(&mut doc, &findings).finish();
+            out.push_str(&doc);
+            if o.json {
                 print!("{doc}");
-                let w = write_out(o, &doc);
-                if w != 0 {
-                    return w;
-                }
             } else {
                 println!("========= {header}");
                 if o.emit_rust {
@@ -294,17 +289,19 @@ fn main() {
         ompx_telemetry::describe_base_families(&reg);
         ompx_telemetry::install(reg);
     }
+    let mut out = String::new();
     if o.extract {
-        let code = run_extract(&o);
-        std::process::exit(flush_metrics(&o).max(code));
+        let code = run_extract(&o, &mut out);
+        finish(&o, &out, code);
     }
     let warp = warp_size_for(o.system.label());
 
     if let Some(name) = &o.fixture {
         let fx = fixtures::by_name(name).unwrap();
         let findings = fx.run();
-        let code = emit(&findings, &format!("fixture {name} [{}]", fx.tool), &mut Doc::new(), &o);
-        std::process::exit(flush_metrics(&o).max(code));
+        let header = format!("fixture {name} [{}]", fx.tool);
+        let code = emit(&findings, &header, &mut Doc::new(), &o, &mut out);
+        finish(&o, &out, code);
     }
 
     let mut exit = 0;
@@ -345,8 +342,8 @@ fn main() {
             if o.replay {
                 grids_field(&mut doc, &grids);
             }
-            exit = exit.max(emit(&findings, &header, &mut doc, &o));
+            exit = exit.max(emit(&findings, &header, &mut doc, &o, &mut out));
         }
     }
-    std::process::exit(flush_metrics(&o).max(exit));
+    finish(&o, &out, exit);
 }

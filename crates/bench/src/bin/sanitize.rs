@@ -12,7 +12,8 @@
 //! address, allocation label) plus a summary tail, and exits non-zero when
 //! anything was found — wire it straight into CI. `--json` emits the
 //! machine-readable report instead (exportable alongside the Chrome-trace
-//! output); `--out FILE` writes that JSON to a file as well.
+//! output); `--out FILE` writes that JSON to a file as well — one document
+//! per fixture or cell, the same bytes `--json` prints.
 //! `--metrics-out FILE` meters the run — `sanitizer_findings_total` by
 //! tool at detection time, `findings_total` by tool and severity at
 //! report time — and writes the Prometheus text snapshot.
@@ -133,19 +134,17 @@ fn parse(args: &[String]) -> Opts {
     o
 }
 
-fn emit(report: &Report, header: &str, o: &Opts) -> i32 {
+/// Print one report and append its JSON document to `out`, the `--out`
+/// file's contents.
+fn emit(report: &Report, header: &str, o: &Opts, out: &mut String) -> i32 {
+    let json = report.to_json();
     if o.json {
-        print!("{}", report.to_json());
+        print!("{json}");
     } else {
         println!("========= {header}");
         print!("{}", report.to_text());
     }
-    if let Some(path) = &o.out {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("sanitize: cannot write {path}: {e}");
-            return 2;
-        }
-    }
+    out.push_str(&json);
     report.exit_code()
 }
 
@@ -165,11 +164,12 @@ fn main() {
     });
 
     let mut exit = 0;
+    let mut out = String::new();
     if let Some(fixture) = &o.fixture {
         let (run, _kind) = fixtures::by_name(fixture).unwrap();
         let report = run();
         record_findings_metrics(&report.findings());
-        exit = exit.max(emit(&report, &format!("fixture {fixture} [{}]", o.tool), &o));
+        exit = exit.max(emit(&report, &format!("fixture {fixture} [{}]", o.tool), &o, &mut out));
     }
     if let Some(app) = &o.app {
         for version in &o.versions {
@@ -177,7 +177,13 @@ fn main() {
             let report = Report::from_findings(mask, findings);
             record_findings_metrics(&report.findings());
             let header = format!("{app} / {} / {} [{}]", o.system.label(), outcome.label, o.tool);
-            exit = exit.max(emit(&report, &header, &o));
+            exit = exit.max(emit(&report, &header, &o, &mut out));
+        }
+    }
+    if let Some(path) = &o.out {
+        if let Err(e) = std::fs::write(path, &out) {
+            eprintln!("sanitize: cannot write {path}: {e}");
+            exit = exit.max(2);
         }
     }
     if let (Some(path), Some(reg)) = (&o.metrics_out, registry) {

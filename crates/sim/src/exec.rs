@@ -29,7 +29,7 @@ use crate::barrier::{RetireBarrier, SenseBarrier};
 use crate::counters::StatsSnapshot;
 use crate::dim::LaunchConfig;
 use crate::memtrace::LaunchMemTrace;
-use crate::san::{AccessSite, DiagLog, LaunchSan, ToolMask};
+use crate::san::{AccessSite, DiagLog, LaunchSan, RaceFold, ToolMask};
 use crate::shared::BlockShared;
 use crate::thread::ThreadCtx;
 use crate::warp::WarpGroup;
@@ -254,6 +254,9 @@ fn run_bounded(
     workers: usize,
     num_blocks: usize,
 ) -> StatsSnapshot {
+    if let Some(san) = san {
+        san.check_rank_width(cfg);
+    }
     let total = Arc::new(Mutex::new(StatsSnapshot::default()));
     let payload = if kernel.runs_on_team_path(cfg.threads_per_block()) {
         TEAM_LAUNCHES.fetch_add(1, Ordering::Relaxed);
@@ -276,7 +279,7 @@ fn run_bounded(
     // Deterministic merges happen even when the launch panicked, so a
     // failing kernel still leaves canonically ordered partial evidence.
     if let Some(san) = san {
-        san.finish();
+        san.finish(cfg);
     }
     if let Some(mem) = mem {
         mem.finish();
@@ -359,12 +362,13 @@ struct BlockLoop {
 
 impl BlockLoop {
     /// Claim and run blocks until none are left or a lane panicked, then
-    /// merge this worker's committed blocks into the launch total; a panic
-    /// is returned rather than unwound so the caller can finish the launch
-    /// first.
+    /// merge this worker's committed blocks into the launch total and its
+    /// lanes' race fold into the launch's; a panic is returned rather than
+    /// unwound so the caller can finish the launch first.
     fn work(&self) -> Option<PanicPayload> {
         let tpb = self.cfg.threads_per_block() as u64;
         let mut committed = StatsSnapshot::default();
+        let mut races = RaceFold::new(self.cfg.threads_per_block());
         let mut payload = None;
         while !self.poisoned.load(Ordering::Acquire) {
             let b = self.next_block.fetch_add(1, Ordering::Relaxed);
@@ -372,7 +376,7 @@ impl BlockLoop {
                 break;
             }
             let (san, mem) = (self.san.as_deref(), self.mem.as_deref());
-            match run_block(&self.kernel, &self.cfg, self.warp_size, san, mem, b) {
+            match run_block(&self.kernel, &self.cfg, self.warp_size, san, mem, &mut races, b) {
                 Ok(sum) => committed.merge(&StatsSnapshot {
                     threads_executed: tpb,
                     blocks_executed: 1,
@@ -387,6 +391,9 @@ impl BlockLoop {
             }
         }
         self.total.lock().merge(&committed);
+        if let Some(san) = &self.san {
+            san.merge_races(races);
+        }
         payload
     }
 }
@@ -444,15 +451,18 @@ fn run_serial(block_loop: Arc<BlockLoop>, workers: usize) -> Option<PanicPayload
     payload
 }
 
-/// Run every lane of block `b` on the calling worker and stage the block's
-/// logs and block-end scans. Returns the block's summed counters, or the
-/// first lane panic (the lanes still stage what they recorded).
+/// Run every lane of block `b` on the calling worker, stage the block's
+/// logs and block-end scans, and fold its lanes' race logs into the
+/// worker's `races`. Returns the block's summed counters, or the first lane
+/// panic (the lanes still stage what they recorded).
+#[allow(clippy::too_many_arguments)]
 fn run_block(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
     san: Option<&LaunchSan>,
     mem: Option<&LaunchMemTrace>,
+    races: &mut RaceFold,
     b: usize,
 ) -> Result<StatsSnapshot, PanicPayload> {
     let tpb = cfg.threads_per_block();
@@ -474,6 +484,7 @@ fn run_block(
         mem,
         trace_log: Default::default(),
         diag_log: Default::default(),
+        race_log: Default::default(),
     };
     let mut sum = StatsSnapshot::default();
     let mut outcome = Ok(());
@@ -484,7 +495,7 @@ fn run_block(
                 let mut ctx = lane_ctx(t);
                 outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
                 sum.merge(&ctx.counters);
-                ctx.stage_logs();
+                ctx.stage_logs(races);
                 if outcome.is_err() {
                     break;
                 }
@@ -499,7 +510,7 @@ fn run_block(
             for ctx in &mut lanes {
                 sum.merge(&ctx.counters);
                 counts.push(ctx.counters.barriers);
-                ctx.stage_logs();
+                ctx.stage_logs(races);
             }
             barrier_counts = Some(counts);
         }
@@ -707,6 +718,7 @@ fn lane_loop(
             mem,
             trace_log: Default::default(),
             diag_log: Default::default(),
+            race_log: Default::default(),
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
         if outcome.is_err() {
@@ -717,7 +729,11 @@ fn lane_loop(
         exec.barrier.retire();
         warp.retire_lane();
         *exec.lane_counters[lane].lock() = ctx.counters;
-        ctx.stage_logs();
+        let mut races = RaceFold::new(tpb);
+        ctx.stage_logs(&mut races);
+        if let Some(san) = san {
+            san.merge_races(races);
+        }
 
         // Step 3: whole team finishes the block before reusing the slot.
         team.gate.wait();

@@ -11,6 +11,8 @@
 //! Buffers are reference-counted handles ([`DBuf`]); cloning a handle is the
 //! device-pointer copy of `cudaMalloc`-style APIs, not a data copy.
 
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{
     AtomicBool, AtomicI32, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
@@ -19,6 +21,17 @@ use std::sync::{Arc, OnceLock};
 /// Monotonic allocation ids, unique process-wide. Sanitizer diagnostics and
 /// the leak registry key on these rather than addresses.
 static NEXT_ALLOC_ID: AtomicUsize = AtomicUsize::new(1);
+
+/// Labels of the live labeled allocations, by allocation id. Per-launch
+/// tools record only an allocation's id on every access and look its label
+/// up here when they report (see [`label_of`]).
+static LABELS: Mutex<BTreeMap<usize, Arc<str>>> = Mutex::new(BTreeMap::new());
+
+/// The diagnostic label of allocation `alloc_id`, as [`DBuf::label`] gives
+/// it: the name attached with `set_label`, else `alloc#N`.
+pub(crate) fn label_of(alloc_id: usize) -> Arc<str> {
+    LABELS.lock().get(&alloc_id).cloned().unwrap_or_else(|| format!("alloc#{alloc_id}").into())
+}
 
 /// Scalar types that can live in simulated device memory.
 ///
@@ -214,7 +227,7 @@ pub(crate) trait CheckpointTarget: Send + Sync {
 
 impl<T: DeviceScalar> CheckpointTarget for DBufInner<T> {
     fn target_label(&self) -> Option<String> {
-        self.label.get().cloned()
+        self.label.get().map(|l| l.to_string())
     }
 
     fn target_freed(&self) -> bool {
@@ -249,8 +262,8 @@ struct DBufInner<T: DeviceScalar> {
     /// Process-unique allocation id (sanitizer registry key).
     alloc_id: usize,
     /// Human-readable label for diagnostics (`alloc_labeled`), set at most
-    /// once; defaults to `alloc#<id>`.
-    label: OnceLock<String>,
+    /// once and mirrored in [`LABELS`]; defaults to `alloc#<id>`.
+    label: OnceLock<Arc<str>>,
     /// Set by `Device::free`. Storage stays valid (refcounted), so stale
     /// handles remain memory-safe; memcheck uses this to flag use-after-free.
     freed: AtomicBool,
@@ -258,6 +271,14 @@ struct DBufInner<T: DeviceScalar> {
     /// (`Device::alloc_uninit`, the `cudaMalloc` contract); `None` for
     /// zero-initialised or host-seeded buffers, which are fully defined.
     init: Option<Box<[AtomicU64]>>,
+}
+
+impl<T: DeviceScalar> Drop for DBufInner<T> {
+    fn drop(&mut self) {
+        if self.label.get().is_some() {
+            LABELS.lock().remove(&self.alloc_id);
+        }
+    }
 }
 
 /// A typed device global-memory buffer.
@@ -340,12 +361,18 @@ impl<T: DeviceScalar> DBuf<T> {
 
     /// Diagnostic label: the name given at `alloc_labeled`, else `alloc#N`.
     pub fn label(&self) -> String {
-        self.inner.label.get().cloned().unwrap_or_else(|| format!("alloc#{}", self.alloc_id()))
+        match self.inner.label.get() {
+            Some(l) => l.to_string(),
+            None => format!("alloc#{}", self.alloc_id()),
+        }
     }
 
     /// Attach a diagnostic label. First caller wins; later calls are no-ops.
     pub fn set_label(&self, label: &str) {
-        let _ = self.inner.label.set(label.to_string());
+        let label: Arc<str> = label.into();
+        if self.inner.label.set(Arc::clone(&label)).is_ok() {
+            LABELS.lock().insert(self.alloc_id(), label);
+        }
     }
 
     /// True once `Device::free` released this allocation.

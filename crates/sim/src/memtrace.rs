@@ -30,8 +30,9 @@ use std::sync::Arc;
 /// Which address space an event touched.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MemSpace {
-    /// Device global memory: the allocation's id and diagnostic label.
-    Global { alloc_id: usize, label: String },
+    /// Device global memory: the allocation's id and diagnostic label (one
+    /// shared string per allocation and launch).
+    Global { alloc_id: usize, label: Arc<str> },
     /// Block shared memory: the launch-config slot index.
     Shared { slot: usize },
 }
@@ -47,8 +48,8 @@ pub enum MemAccessKind {
 /// One recorded memory access by one simulated thread.
 #[derive(Debug, Clone)]
 pub struct MemEvent {
-    /// Kernel the access executed in.
-    pub kernel: String,
+    /// Kernel the access executed in (one shared string per launch).
+    pub kernel: Arc<str>,
     /// Sequence number of the launch within the trace (several launches of
     /// the same kernel may share one attached trace).
     pub launch: u64,
@@ -70,8 +71,8 @@ pub struct MemEvent {
 /// One block-barrier execution by one simulated thread.
 #[derive(Debug, Clone)]
 pub struct BarrierEvent {
-    /// Kernel the barrier executed in.
-    pub kernel: String,
+    /// Kernel the barrier executed in (one shared string per launch).
+    pub kernel: Arc<str>,
     /// Sequence number of the launch within the trace.
     pub launch: u64,
     /// Block coordinates of the thread.
@@ -160,6 +161,24 @@ fn append_capped<T>(out: &mut Vec<T>, items: impl ExactSizeIterator<Item = T>) -
     dropped
 }
 
+/// Where a lane-local access went: a global allocation's id or a shared
+/// slot. The launch-end merge turns it into a [`MemSpace`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LaneSpace {
+    Global(usize),
+    Shared(usize),
+}
+
+/// One access in a lane-local trace buffer: a [`MemEvent`] without the
+/// fields that are the same for the whole lane or launch.
+#[derive(Debug)]
+struct LaneAccess {
+    space: LaneSpace,
+    index: usize,
+    kind: MemAccessKind,
+    phase: u32,
+}
+
 /// A lane-local trace buffer. [`crate::thread::ThreadCtx`] records into it
 /// in program order with no locking; the executor stages each lane's buffer
 /// when the lane finishes, and [`LaunchMemTrace::finish`] merges all staged
@@ -167,28 +186,35 @@ fn append_capped<T>(out: &mut Vec<T>, items: impl ExactSizeIterator<Item = T>) -
 /// order — so the trace bytes are identical run to run no matter how the
 /// OS interleaves the lanes.
 ///
-/// Events are buffered with empty `kernel` / zero `launch` fields; the
-/// merge stamps the launch identity once, avoiding a per-event string clone
-/// on the hot path.
+/// The buffer holds only what varies per access (and each barrier's
+/// ordinal); the merge stamps the lane's coordinates, the launch identity
+/// and each allocation's label, so no string is cloned on the hot path.
 #[derive(Debug, Default)]
 pub(crate) struct TraceLog {
-    events: Vec<MemEvent>,
-    barriers: Vec<BarrierEvent>,
+    events: Vec<LaneAccess>,
+    barriers: Vec<u32>,
     truncated: bool,
 }
 
 impl TraceLog {
-    pub(crate) fn push_event(&mut self, event: MemEvent) {
+    pub(crate) fn push_access(
+        &mut self,
+        space: LaneSpace,
+        index: usize,
+        kind: MemAccessKind,
+        phase: u32,
+    ) {
         if self.events.len() < MAX_EVENTS {
-            self.events.push(event);
+            self.events.push(LaneAccess { space, index, kind, phase });
         } else {
             self.truncated = true;
         }
     }
 
-    pub(crate) fn push_barrier(&mut self, event: BarrierEvent) {
+    /// Record the lane's barrier number `ordinal` (zero-based).
+    pub(crate) fn push_barrier(&mut self, ordinal: u32) {
         if self.barriers.len() < MAX_EVENTS {
-            self.barriers.push(event);
+            self.barriers.push(ordinal);
         } else {
             self.truncated = true;
         }
@@ -203,6 +229,8 @@ impl TraceLog {
 struct StagedLane {
     block_rank: usize,
     thread_rank: usize,
+    block: (u32, u32, u32),
+    thread: (u32, u32, u32),
     log: TraceLog,
 }
 
@@ -211,7 +239,7 @@ struct StagedLane {
 /// buffers awaiting the canonical merge.
 pub struct LaunchMemTrace {
     trace: Arc<MemTrace>,
-    kernel: String,
+    kernel: Arc<str>,
     launch: u64,
     staged: Mutex<Vec<StagedLane>>,
 }
@@ -219,23 +247,31 @@ pub struct LaunchMemTrace {
 impl LaunchMemTrace {
     pub(crate) fn new(trace: Arc<MemTrace>, kernel: &str) -> LaunchMemTrace {
         let launch = trace.launches.fetch_add(1, Ordering::Relaxed);
-        LaunchMemTrace { trace, kernel: kernel.to_string(), launch, staged: Mutex::new(Vec::new()) }
+        LaunchMemTrace { trace, kernel: kernel.into(), launch, staged: Mutex::new(Vec::new()) }
     }
 
-    /// Stage a finished lane's buffer for the launch-end merge. Called once
-    /// per lane (including when the lane is unwound by a panic, so partial
-    /// traces survive).
-    pub(crate) fn stage_lane(&self, block_rank: usize, thread_rank: usize, log: &mut TraceLog) {
+    /// Stage the buffer of the finished lane `thread` (rank `thread_rank`)
+    /// of block `block` (rank `block_rank`) for the launch-end merge.
+    /// Called once per lane (including when the lane is unwound by a
+    /// panic, so partial traces survive).
+    pub(crate) fn stage_lane(
+        &self,
+        (block_rank, thread_rank): (usize, usize),
+        block: (u32, u32, u32),
+        thread: (u32, u32, u32),
+        log: &mut TraceLog,
+    ) {
         if log.is_empty() {
             return;
         }
         let log = std::mem::take(log);
-        self.staged.lock().push(StagedLane { block_rank, thread_rank, log });
+        self.staged.lock().push(StagedLane { block_rank, thread_rank, block, thread, log });
     }
 
     /// Merge every staged lane into the shared trace in canonical
-    /// (block-rank, thread-rank) order, stamping the launch identity.
-    /// Called exactly once by the executor after all workers have stopped.
+    /// (block-rank, thread-rank) order, stamping the lane coordinates, the
+    /// launch identity and the allocation labels. Called exactly once by
+    /// the executor after all workers have stopped.
     pub(crate) fn finish(&self) {
         let mut staged = std::mem::take(&mut *self.staged.lock());
         staged.sort_by_key(|s| (s.block_rank, s.thread_rank));
@@ -249,23 +285,46 @@ impl LaunchMemTrace {
         let more: usize = staged.iter().map(|s| s.log.barriers.len()).sum();
         let room = MAX_EVENTS.saturating_sub(barriers.len());
         barriers.reserve(more.min(room));
+        // One label per allocation the launch touched; a launch touches few.
+        let mut labels: Vec<(usize, Arc<str>)> = Vec::new();
+        let mut label = |alloc_id: usize| -> Arc<str> {
+            if let Some((_, l)) = labels.iter().find(|(id, _)| *id == alloc_id) {
+                return Arc::clone(l);
+            }
+            let l = crate::mem::label_of(alloc_id);
+            labels.push((alloc_id, Arc::clone(&l)));
+            l
+        };
         let mut truncated = false;
         for lane in staged {
+            let (block, thread) = (lane.block, lane.thread);
             truncated |= lane.log.truncated;
             truncated |= append_capped(
                 &mut events,
-                lane.log.events.into_iter().map(|mut e| {
-                    e.kernel = self.kernel.clone();
-                    e.launch = self.launch;
-                    e
+                lane.log.events.into_iter().map(|a| MemEvent {
+                    kernel: Arc::clone(&self.kernel),
+                    launch: self.launch,
+                    block,
+                    thread,
+                    space: match a.space {
+                        LaneSpace::Global(alloc_id) => {
+                            MemSpace::Global { alloc_id, label: label(alloc_id) }
+                        }
+                        LaneSpace::Shared(slot) => MemSpace::Shared { slot },
+                    },
+                    index: a.index,
+                    kind: a.kind,
+                    phase: a.phase,
                 }),
             );
             truncated |= append_capped(
                 &mut barriers,
-                lane.log.barriers.into_iter().map(|mut b| {
-                    b.kernel = self.kernel.clone();
-                    b.launch = self.launch;
-                    b
+                lane.log.barriers.into_iter().map(|ordinal| BarrierEvent {
+                    kernel: Arc::clone(&self.kernel),
+                    launch: self.launch,
+                    block,
+                    thread,
+                    ordinal,
                 }),
             );
         }
@@ -305,13 +364,52 @@ mod tests {
         let reads = events.iter().filter(|e| e.kind == MemAccessKind::Read).count();
         let writes = events.iter().filter(|e| e.kind == MemAccessKind::Write).count();
         assert_eq!((reads, writes), (4, 4));
-        assert!(events.iter().all(|e| e.kernel == "copy"));
+        assert!(events.iter().all(|e| &*e.kernel == "copy"));
         // A barrier-free kernel records every access in segment 0 of launch 0.
         assert!(events.iter().all(|e| e.phase == 0 && e.launch == 0));
         assert!(trace.barrier_events().is_empty());
         assert!(events
             .iter()
             .all(|e| matches!(e.space, MemSpace::Global { alloc_id, .. } if alloc_id == a.alloc_id() || alloc_id == b.alloc_id())));
+    }
+
+    #[test]
+    fn kernel_and_labels_are_one_string_per_launch_and_allocation() {
+        let d = Device::new(DeviceProfile::test_small());
+        let a = d.alloc_from(&[1u32; 4]);
+        a.set_label("input");
+        let b = d.alloc::<u32>(4);
+        let trace = MemTrace::new();
+        d.attach_mem_trace(Arc::clone(&trace));
+        let k = Kernel::new("copy", {
+            let (a, b) = (a.clone(), b.clone());
+            move |tc: &mut ThreadCtx| {
+                let i = tc.global_thread_id_x();
+                let v = tc.read(&a, i);
+                tc.write(&b, i, v);
+            }
+        });
+        d.launch(&k, LaunchConfig::linear(4, 2)).unwrap();
+        d.detach_mem_trace();
+        let events = trace.events();
+        let labels: Vec<(usize, Arc<str>)> = events
+            .iter()
+            .map(|e| match &e.space {
+                MemSpace::Global { alloc_id, label } => (*alloc_id, Arc::clone(label)),
+                MemSpace::Shared { .. } => unreachable!("the kernel touches global memory only"),
+            })
+            .collect();
+        let unlabeled = format!("alloc#{}", b.alloc_id());
+        for (id, label) in &labels {
+            let (want, first) = if *id == a.alloc_id() {
+                ("input", &labels[0].1)
+            } else {
+                (&*unlabeled, &labels[1].1)
+            };
+            assert_eq!(&**label, want);
+            assert!(Arc::ptr_eq(label, first), "one label string per allocation");
+        }
+        assert!(events.iter().all(|e| Arc::ptr_eq(&e.kernel, &events[0].kernel)));
     }
 
     #[test]
@@ -400,29 +498,14 @@ mod tests {
         let trace = MemTrace::new();
         let launch = LaunchMemTrace::new(Arc::clone(&trace), "k");
         let mut log = TraceLog::default();
-        log.push_event(MemEvent {
-            kernel: String::new(),
-            launch: 0,
-            block: (0, 0, 0),
-            thread: (0, 0, 0),
-            space: MemSpace::Shared { slot: 0 },
-            index: 0,
-            kind: MemAccessKind::Write,
-            phase: 0,
-        });
-        log.push_barrier(BarrierEvent {
-            kernel: String::new(),
-            launch: 0,
-            block: (0, 0, 0),
-            thread: (0, 0, 0),
-            ordinal: 0,
-        });
-        launch.stage_lane(0, 0, &mut log);
+        log.push_access(LaneSpace::Shared(0), 0, MemAccessKind::Write, 0);
+        log.push_barrier(0);
+        launch.stage_lane((0, 0), (0, 0, 0), (0, 0, 0), &mut log);
         launch.finish();
         let (events, barriers) = trace.take_events();
         assert_eq!((events.len(), barriers.len()), (1, 1));
-        assert!(events.iter().all(|e| e.kernel == "k"));
-        assert!(barriers.iter().all(|b| b.kernel == "k"));
+        assert!(events.iter().all(|e| &*e.kernel == "k"));
+        assert!(barriers.iter().all(|b| &*b.kernel == "k"));
         assert!(trace.is_empty());
         assert!(trace.barrier_events().is_empty());
     }

@@ -22,7 +22,10 @@
 //!   atomics. Blocks have no ordering within a launch, so this is exact,
 //!   not timing-based — and because both detectors fold accesses into
 //!   commutative summaries scanned at block/launch end, the findings are
-//!   identical run to run regardless of host scheduling.
+//!   identical run to run regardless of host scheduling. The global fold
+//!   costs a lane one log append per access: each block-loop worker folds
+//!   its lanes' logs into its own `RaceFold` of packed integer ranks and
+//!   merges it into the launch's once (see [`LaunchSan`]).
 //! * **synccheck** — barrier divergence (a lane that participated in block
 //!   barriers abandons lanes still waiting at one) and invalid `shfl_sync`
 //!   member masks.
@@ -33,6 +36,7 @@
 //!   resets the device (`Device::reset`, the `cudaDeviceReset` analogue);
 //!   like the hardware tool, implicit process-exit teardown is not a leak.
 
+use crate::dim::LaunchConfig;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -190,71 +194,109 @@ pub struct AllocRecord {
     pub live: bool,
 }
 
-/// One party to a potential cross-block race: a plain global access with
-/// enough identity to rank it canonically and name it in a report.
+/// "No access" in a [`CellRanks`] slot. Every real packed rank is smaller
+/// (see [`LaunchSan::check_rank_width`]).
+const NONE: u64 = u64::MAX;
+
+/// Order-independent access summary of one (allocation, element) for the
+/// cross-block race detector, as three packed ranks: the minimum-ranked
+/// write, the minimum-ranked access, and the minimum-ranked access from a
+/// different block than that one ([`NONE`] where there is none).
+///
+/// An access by thread `t` of block `b` packs to
+/// `(b * threads_per_block + t) << 1 | !write`, so integer order is the
+/// canonical `(block rank, thread rank, !write)` order: block-linear
+/// first, thread-linear second, and on one thread a write outranks a read.
+/// Every fold step is commutative, so accesses may arrive in any real-time
+/// order and the launch-end scan still reports the same canonical pair.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Party {
-    pub(crate) block_rank: usize,
-    pub(crate) thread_rank: usize,
-    pub(crate) block: (u32, u32, u32),
-    pub(crate) thread: (u32, u32, u32),
-    pub(crate) write: bool,
+struct CellRanks {
+    wmin: u64,
+    amin: u64,
+    amin2: u64,
 }
 
-impl Party {
-    /// Canonical ordering key: block-linear first, thread-linear second; on
-    /// the same thread a write outranks a read so the representative's kind
-    /// is deterministic.
-    fn rank(self) -> (usize, usize, bool) {
-        (self.block_rank, self.thread_rank, !self.write)
-    }
-}
+impl CellRanks {
+    const EMPTY: CellRanks = CellRanks { wmin: NONE, amin: NONE, amin2: NONE };
 
-/// Order-independent per-(allocation, element) access summary for the
-/// cross-block race detector: the minimum-ranked write, the minimum-ranked
-/// access, and the minimum-ranked access from a different block than that
-/// one. Every fold step is commutative, so concurrent blocks can feed it in
-/// any real-time order and the launch-end scan still reports the same
-/// canonical conflicting pair.
-#[derive(Debug, Default)]
-struct GlobalCellFold {
-    label: String,
-    wmin: Option<Party>,
-    amin: Option<Party>,
-    amin2: Option<Party>,
-}
-
-impl GlobalCellFold {
-    fn offer(&mut self, p: Party) {
-        if p.write && self.wmin.is_none_or(|w| p.rank() < w.rank()) {
-            self.wmin = Some(p);
+    /// Fold in the access with packed rank `p` (blocks of `tpb` threads).
+    fn offer(&mut self, p: u64, tpb: u64) {
+        let block = |r: u64| (r >> 1) / tpb;
+        if p & 1 == 0 && p < self.wmin {
+            self.wmin = p;
         }
-        match self.amin {
-            None => self.amin = Some(p),
-            Some(a) if p.rank() < a.rank() => {
-                self.amin = Some(p);
-                let mut runner = self.amin2.filter(|r| r.block_rank != p.block_rank);
-                if a.block_rank != p.block_rank && runner.is_none_or(|r| a.rank() < r.rank()) {
-                    runner = Some(a);
-                }
-                self.amin2 = runner;
+        if p < self.amin {
+            let a = std::mem::replace(&mut self.amin, p);
+            let pb = block(p);
+            let mut runner =
+                if self.amin2 != NONE && block(self.amin2) != pb { self.amin2 } else { NONE };
+            if a != NONE && block(a) != pb && a < runner {
+                runner = a;
             }
-            Some(a) => {
-                if p.block_rank != a.block_rank && self.amin2.is_none_or(|r| p.rank() < r.rank()) {
-                    self.amin2 = Some(p);
-                }
-            }
+            self.amin2 = runner;
+        } else if p < self.amin2 && block(p) != block(self.amin) {
+            self.amin2 = p;
         }
     }
 
-    /// The canonical conflicting pair, if this summary is a cross-block
-    /// race: at least one write and accesses from at least two blocks.
-    fn conflict(&self) -> Option<(Party, Party)> {
-        let w = self.wmin?;
-        let second = self.amin2?;
-        let a = self.amin?;
-        let other = if a.block_rank != w.block_rank { a } else { second };
-        Some(if w.rank() <= other.rank() { (w, other) } else { (other, w) })
+    /// The canonical conflicting pair `(lower, higher)`, if this summary is
+    /// a cross-block race: at least one write and accesses from at least
+    /// two blocks.
+    fn conflict(&self, tpb: u64) -> Option<(u64, u64)> {
+        if self.wmin == NONE || self.amin2 == NONE {
+            return None;
+        }
+        let other =
+            if (self.amin >> 1) / tpb != (self.wmin >> 1) / tpb { self.amin } else { self.amin2 };
+        Some((self.wmin.min(other), self.wmin.max(other)))
+    }
+}
+
+/// A lane's plain (non-atomic, in-bounds) global accesses under racecheck,
+/// in program order: `(allocation id, element, write)`. The lane only
+/// appends; [`RaceFold::absorb`] ranks and folds the log when the lane
+/// retires.
+pub(crate) type RaceLog = Vec<(usize, usize, bool)>;
+
+/// The cross-block race fold over some set of lanes: (allocation id,
+/// element) to [`CellRanks`]. A block-loop worker keeps one for every lane
+/// it runs and merges it into the launch's once, when it stops; a team-path
+/// lane merges its own when it retires. No lock is taken per access.
+#[derive(Debug)]
+pub(crate) struct RaceFold {
+    tpb: u64,
+    cells: HashMap<(usize, usize), CellRanks>,
+}
+
+impl RaceFold {
+    /// An empty fold for lanes of a launch with `tpb` threads per block.
+    pub(crate) fn new(tpb: usize) -> RaceFold {
+        RaceFold { tpb: tpb as u64, cells: HashMap::new() }
+    }
+
+    /// Fold (and empty) the log of the lane `thread_rank` of block
+    /// `block_rank`.
+    pub(crate) fn absorb(&mut self, block_rank: usize, thread_rank: usize, log: &mut RaceLog) {
+        let lane = (block_rank as u64 * self.tpb + thread_rank as u64) << 1;
+        for (alloc, index, write) in log.drain(..) {
+            let cell = self.cells.entry((alloc, index)).or_insert(CellRanks::EMPTY);
+            cell.offer(lane | u64::from(!write), self.tpb);
+        }
+    }
+
+    /// Fold `other` into `self` by offering each of its cells' ranks.
+    fn merge(&mut self, mut other: RaceFold) {
+        if other.cells.len() > self.cells.len() {
+            std::mem::swap(self, &mut other);
+        }
+        for (key, theirs) in other.cells {
+            let cell = self.cells.entry(key).or_insert(CellRanks::EMPTY);
+            for r in [theirs.wmin, theirs.amin, theirs.amin2] {
+                if r != NONE {
+                    cell.offer(r, self.tpb);
+                }
+            }
+        }
     }
 }
 
@@ -425,15 +467,16 @@ impl SanState {
     /// suppressed (out-of-bounds or use-after-free under memcheck — the
     /// simulated hardware access does not happen; reads yield zero).
     ///
-    /// Findings go into the caller's lane-local `log`; the cross-block race
-    /// fold is a separate per-launch step ([`LaunchSan::fold_global_access`])
-    /// driven by [`crate::thread::ThreadCtx`].
+    /// Findings go into the caller's lane-local `log`; `alloc_label` is
+    /// called only to name a finding. The cross-block race fold is a
+    /// separate step: [`crate::thread::ThreadCtx`] appends the access to its
+    /// [`RaceLog`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn global_access(
         &self,
         site: AccessSite<'_>,
         alloc_id: usize,
-        alloc_label: &str,
+        alloc_label: impl FnOnce() -> String,
         len: usize,
         freed: bool,
         index: usize,
@@ -443,6 +486,7 @@ impl SanState {
     ) -> bool {
         if self.tool_on(ToolMask::MEMCHECK) {
             if freed {
+                let alloc_label = alloc_label();
                 log.push(
                     Diagnostic {
                         kind: DiagKind::UseAfterFree,
@@ -450,7 +494,7 @@ impl SanState {
                         block: site.block,
                         thread: site.thread,
                         address: Some(index),
-                        alloc: Some(alloc_label.to_string()),
+                        alloc: Some(alloc_label.clone()),
                         message: format!(
                             "{:?} of element {index} in freed allocation {alloc_label}",
                             kind
@@ -461,6 +505,7 @@ impl SanState {
                 return true;
             }
             if index >= len {
+                let alloc_label = alloc_label();
                 log.push(
                     Diagnostic {
                         kind: DiagKind::OutOfBounds,
@@ -468,7 +513,7 @@ impl SanState {
                         block: site.block,
                         thread: site.thread,
                         address: Some(index),
-                        alloc: Some(alloc_label.to_string()),
+                        alloc: Some(alloc_label.clone()),
                         message: format!(
                             "{:?} of element {index} past the end of {alloc_label} (len {len})",
                             kind
@@ -485,6 +530,7 @@ impl SanState {
             return false;
         }
         if kind == GlobalKind::Read && init_tracked_unwritten && self.tool_on(ToolMask::INITCHECK) {
+            let alloc_label = alloc_label();
             log.push(
                 Diagnostic {
                     kind: DiagKind::UninitGlobalRead,
@@ -492,7 +538,7 @@ impl SanState {
                     block: site.block,
                     thread: site.thread,
                     address: Some(index),
-                    alloc: Some(alloc_label.to_string()),
+                    alloc: Some(alloc_label.clone()),
                     message: format!("read of element {index} of {alloc_label} before any write"),
                 },
                 (DiagKind::UninitGlobalRead, alloc_id, index),
@@ -507,7 +553,7 @@ impl SanState {
         &self,
         site: AccessSite<'_>,
         alloc_id: usize,
-        alloc_label: &str,
+        alloc_label: impl FnOnce() -> String,
         byte_offset: usize,
         align: usize,
         type_name: &str,
@@ -516,6 +562,7 @@ impl SanState {
         if !self.tool_on(ToolMask::MEMCHECK) {
             return;
         }
+        let alloc_label = alloc_label();
         log.push(
             Diagnostic {
                 kind: DiagKind::MisalignedAccess,
@@ -523,7 +570,7 @@ impl SanState {
                 block: site.block,
                 thread: site.thread,
                 address: Some(byte_offset),
-                alloc: Some(alloc_label.to_string()),
+                alloc: Some(alloc_label.clone()),
                 message: format!(
                     "{type_name} load at byte offset {byte_offset} of {alloc_label} \
                      (requires {align}-byte alignment)"
@@ -717,13 +764,19 @@ struct StagedDiagLog {
 /// [`SanState`] until [`LaunchSan::finish`] merges everything in canonical
 /// order, so the session's findings are bit-identical run to run no matter
 /// how the OS schedules the blocks.
+///
+/// The race fold is integer-only: lanes log `(allocation, element, write)`,
+/// each block-loop worker folds its lanes' logs into a `RaceFold` of its
+/// own and merges it here once when it stops (a team-path lane merges its
+/// own log when it retires). Labels and block/thread coordinates are worked
+/// out in `finish`, for conflicting elements only.
 pub struct LaunchSan {
     pub(crate) state: Arc<SanState>,
     pub(crate) kernel: String,
     staged: Mutex<Vec<StagedDiagLog>>,
-    /// Cross-block race fold: (alloc id, element) -> access summary.
-    /// Per-launch (blocks are unordered only within a launch).
-    cells: Mutex<HashMap<(usize, usize), GlobalCellFold>>,
+    /// Cross-block race fold of the lanes merged so far. Per-launch (blocks
+    /// are unordered only within a launch).
+    races: Mutex<Option<RaceFold>>,
 }
 
 impl LaunchSan {
@@ -732,7 +785,7 @@ impl LaunchSan {
             state,
             kernel: kernel.to_string(),
             staged: Mutex::new(Vec::new()),
-            cells: Mutex::new(HashMap::new()),
+            races: Mutex::new(None),
         }
     }
 
@@ -746,22 +799,32 @@ impl LaunchSan {
         &self.kernel
     }
 
-    /// Fold one plain (non-atomic, in-bounds) global access into the
-    /// cross-block race summary. Commutative, so concurrent lanes may call
-    /// it in any order.
-    pub(crate) fn fold_global_access(
-        &self,
-        alloc_id: usize,
-        alloc_label: &str,
-        index: usize,
-        party: Party,
-    ) {
-        let mut cells = self.cells.lock();
-        let fold = cells.entry((alloc_id, index)).or_default();
-        if fold.label.is_empty() {
-            fold.label = alloc_label.to_string();
+    /// Under racecheck, panic unless every packed rank of launch `cfg` fits
+    /// in 64 bits (below [`NONE`]), rather than truncate one: a launch of
+    /// fewer than 2^63 threads always does. Called once per launch.
+    pub(crate) fn check_rank_width(&self, cfg: &LaunchConfig) {
+        if !self.state.tool_on(ToolMask::RACECHECK) {
+            return;
         }
-        fold.offer(party);
+        let (blocks, tpb) = (cfg.num_blocks() as u64, cfg.threads_per_block() as u64);
+        let fits = blocks.checked_mul(tpb).and_then(|n| n.checked_mul(2));
+        assert!(
+            fits.is_some(),
+            "racecheck: {blocks} blocks of {tpb} threads overflow a 64-bit rank"
+        );
+    }
+
+    /// Merge a worker's (or a retired team lane's) race fold into the
+    /// launch's. Commutative, so workers may merge in any order.
+    pub(crate) fn merge_races(&self, fold: RaceFold) {
+        if fold.cells.is_empty() {
+            return;
+        }
+        let mut races = self.races.lock();
+        match races.as_mut() {
+            Some(launch) => launch.merge(fold),
+            None => *races = Some(fold),
+        }
     }
 
     /// Stage a lane's diagnostic buffer for the launch-end merge. Called
@@ -789,10 +852,11 @@ impl LaunchSan {
 
     /// Merge everything into the session in canonical order: staged lane
     /// and block-scan buffers sorted by (block rank, thread rank), then the
-    /// cross-block races sorted by (allocation, element). Called exactly
-    /// once by the executor after all workers have stopped — including when
-    /// the launch panicked, so partial findings are preserved.
-    pub(crate) fn finish(&self) {
+    /// cross-block races of launch `cfg` sorted by (allocation, element).
+    /// Called exactly once by the executor after all workers have stopped —
+    /// including when the launch panicked, so partial findings are
+    /// preserved.
+    pub(crate) fn finish(&self, cfg: &LaunchConfig) {
         let mut staged = std::mem::take(&mut *self.staged.lock());
         staged.sort_by_key(|a| (a.block_rank, a.order));
         for entry in staged {
@@ -801,32 +865,42 @@ impl LaunchSan {
             }
         }
 
-        let cells = std::mem::take(&mut *self.cells.lock());
-        let mut keys: Vec<(usize, usize)> = cells.keys().copied().collect();
-        keys.sort_unstable();
-        for (alloc_id, index) in keys {
-            let fold = &cells[&(alloc_id, index)];
-            let Some((prev, cur)) = fold.conflict() else { continue };
-            let label = &fold.label;
+        let Some(fold) = self.races.lock().take() else { return };
+        let mut races: Vec<((usize, usize), (u64, u64))> = fold
+            .cells
+            .iter()
+            .filter_map(|(&key, cell)| Some((key, cell.conflict(fold.tpb)?)))
+            .collect();
+        races.sort_unstable_by_key(|&(key, _)| key);
+        // Unpack a rank into (block coordinates, thread coordinates, write).
+        let party = |r: u64| {
+            let lane = (r >> 1) as usize;
+            let tpb = fold.tpb as usize;
+            (cfg.grid.delinear(lane / tpb), cfg.block.delinear(lane % tpb), r & 1 == 0)
+        };
+        for ((alloc_id, index), (prev, cur)) in races {
+            let (prev_block, _, prev_write) = party(prev);
+            let (cur_block, cur_thread, cur_write) = party(cur);
+            let label = crate::mem::label_of(alloc_id);
             self.state.record(
                 Diagnostic {
                     kind: DiagKind::GlobalRace,
                     kernel: self.kernel.clone(),
-                    block: cur.block,
-                    thread: cur.thread,
+                    block: cur_block,
+                    thread: cur_thread,
                     address: Some(index),
-                    alloc: Some(label.clone()),
+                    alloc: Some(label.to_string()),
                     message: format!(
                         "element {index} of {label} {} by block ({},{},{}) and {} by \
                          block ({},{},{}) in the same launch without atomics",
-                        if prev.write { "written" } else { "read" },
-                        prev.block.0,
-                        prev.block.1,
-                        prev.block.2,
-                        if cur.write { "written" } else { "read" },
-                        cur.block.0,
-                        cur.block.1,
-                        cur.block.2,
+                        if prev_write { "written" } else { "read" },
+                        prev_block.0,
+                        prev_block.1,
+                        prev_block.2,
+                        if cur_write { "written" } else { "read" },
+                        cur_block.0,
+                        cur_block.1,
+                        cur_block.2,
                     ),
                 },
                 (DiagKind::GlobalRace, alloc_id, index),
@@ -867,7 +941,7 @@ mod tests {
             assert!(s.global_access(
                 site,
                 1,
-                "buf",
+                || "buf".to_string(),
                 4,
                 false,
                 9,
@@ -877,7 +951,7 @@ mod tests {
             ));
         }
         launch.stage_lane(0, 0, &mut log);
-        launch.finish();
+        launch.finish(&cfg());
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.diagnostics()[0].kind, DiagKind::OutOfBounds);
     }
@@ -892,10 +966,20 @@ mod tests {
             let site =
                 AccessSite { kernel: "k", block: (0, 0, 0), thread: (lane, 0, 0), block_rank: 0 };
             let mut log = DiagLog::default();
-            s.global_access(site, 1, "buf", 4, false, 9, GlobalKind::Write, false, &mut log);
+            s.global_access(
+                site,
+                1,
+                || "buf".to_string(),
+                4,
+                false,
+                9,
+                GlobalKind::Write,
+                false,
+                &mut log,
+            );
             launch.stage_lane(0, lane as usize, &mut log);
         }
-        launch.finish();
+        launch.finish(&cfg());
         let d = s.diagnostics();
         assert_eq!(d.len(), 1);
         // Canonical merge: the lowest-ranked lane's report wins.
@@ -915,14 +999,26 @@ mod tests {
         assert_eq!(d[0].alloc.as_deref(), Some("b"));
     }
 
-    fn party(block_rank: usize, thread_rank: usize, write: bool) -> Party {
-        Party {
-            block_rank,
-            thread_rank,
-            block: (block_rank as u32, 0, 0),
-            thread: (thread_rank as u32, 0, 0),
-            write,
-        }
+    /// A 1-D launch of 4 blocks of 8 threads.
+    fn cfg() -> LaunchConfig {
+        LaunchConfig::new(4u32, 8u32)
+    }
+
+    /// An allocation id no real buffer in this process reaches.
+    const ALLOC: usize = usize::MAX - 7;
+
+    /// One plain access by thread `thread_rank` of block `block_rank`,
+    /// folded the way a retiring team-path lane folds its log.
+    fn access(
+        launch: &LaunchSan,
+        block_rank: usize,
+        thread_rank: usize,
+        index: usize,
+        write: bool,
+    ) {
+        let mut fold = RaceFold::new(8);
+        fold.absorb(block_rank, thread_rank, &mut vec![(ALLOC, index, write)]);
+        launch.merge_races(fold);
     }
 
     #[test]
@@ -930,29 +1026,28 @@ mod tests {
         let s = SanState::new(ToolMask::RACECHECK);
         // Read/read from two blocks: not a race.
         let launch = LaunchSan::new(s.clone(), "k");
-        launch.fold_global_access(7, "buf", 3, party(0, 0, false));
-        launch.fold_global_access(7, "buf", 3, party(1, 0, false));
-        launch.finish();
+        access(&launch, 0, 0, 3, false);
+        access(&launch, 1, 0, 3, false);
+        launch.finish(&cfg());
         assert_eq!(s.finding_count(), 0);
         // Add a write from one of the blocks: race.
         let launch = LaunchSan::new(s.clone(), "k");
-        launch.fold_global_access(7, "buf", 3, party(0, 0, false));
-        launch.fold_global_access(7, "buf", 3, party(1, 0, false));
-        launch.fold_global_access(7, "buf", 3, party(0, 0, true));
-        launch.finish();
+        access(&launch, 0, 0, 3, false);
+        access(&launch, 1, 0, 3, false);
+        access(&launch, 0, 0, 3, true);
+        launch.finish(&cfg());
         assert_eq!(s.finding_count(), 1);
         // Same-block write/write in a fresh launch: not a cross-block race.
         let launch = LaunchSan::new(s.clone(), "k");
-        launch.fold_global_access(7, "buf", 5, party(0, 0, true));
-        launch.fold_global_access(7, "buf", 5, party(0, 1, true));
-        launch.finish();
+        access(&launch, 0, 0, 5, true);
+        access(&launch, 0, 1, 5, true);
+        launch.finish(&cfg());
         assert_eq!(s.finding_count(), 1);
     }
 
     #[test]
     fn global_race_report_is_fold_order_independent() {
-        let accesses =
-            [party(3, 1, false), party(1, 0, true), party(2, 5, false), party(1, 2, false)];
+        let accesses = [(3, 1, false), (1, 0, true), (2, 5, false), (1, 2, false)];
         let mut messages = Vec::new();
         for order in [false, true] {
             let s = SanState::new(ToolMask::RACECHECK);
@@ -961,10 +1056,10 @@ mod tests {
             if order {
                 seq.reverse();
             }
-            for p in seq {
-                launch.fold_global_access(9, "buf", 0, p);
+            for (block, thread, write) in seq {
+                access(&launch, block, thread, 0, write);
             }
-            launch.finish();
+            launch.finish(&cfg());
             let d = s.diagnostics();
             assert_eq!(d.len(), 1);
             messages.push(format!("{}", d[0]));
@@ -973,5 +1068,33 @@ mod tests {
         // The canonical pair: block 1's write vs block 2's read (the
         // lowest-ranked access outside block 1).
         assert!(messages[0].contains("written by block (1,0,0) and read by block (2,0,0)"));
+        assert!(messages[0].contains("block (2,0,0) thread (5,0,0)"), "{}", messages[0]);
+    }
+
+    #[test]
+    fn worker_folds_merge_to_the_one_worker_result() {
+        // Folding everything on one worker equals folding any split of it
+        // on several workers and merging: the merge offers each worker's
+        // three ranks, which is all the fold keeps.
+        let log: Vec<(usize, usize, bool)> =
+            (0..32).map(|i| (i % 4, (i * 7 + 3) % 8, i % 3 == 0)).collect();
+        let run = |split: usize| {
+            let s = SanState::new(ToolMask::RACECHECK);
+            let launch = LaunchSan::new(s.clone(), "k");
+            for part in log.chunks(split) {
+                let mut fold = RaceFold::new(8);
+                for &(block, thread, write) in part {
+                    fold.absorb(block, thread, &mut vec![(ALLOC, 0, write)]);
+                }
+                launch.merge_races(fold);
+            }
+            launch.finish(&cfg());
+            s.diagnostics().iter().map(|d| format!("{d}")).collect::<Vec<_>>()
+        };
+        let whole = run(32);
+        assert_eq!(whole.len(), 1);
+        for split in [1, 3, 5, 16] {
+            assert_eq!(run(split), whole, "split {split}");
+        }
     }
 }

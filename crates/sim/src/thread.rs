@@ -23,8 +23,8 @@ use crate::barrier::RetireBarrier;
 use crate::counters::StatsSnapshot;
 use crate::dim::Dim3;
 use crate::mem::{DBuf, DeviceScalar};
-use crate::memtrace::{BarrierEvent, LaunchMemTrace, MemAccessKind, MemEvent, MemSpace, TraceLog};
-use crate::san::{AccessSite, DiagLog, GlobalKind, LaunchSan, Party, ToolMask};
+use crate::memtrace::{LaneSpace, LaunchMemTrace, MemAccessKind, TraceLog};
+use crate::san::{AccessSite, DiagLog, GlobalKind, LaunchSan, RaceFold, RaceLog, ToolMask};
 use crate::shared::{BlockShared, SharedView};
 use crate::warp::WarpGroup;
 
@@ -55,6 +55,9 @@ pub struct ThreadCtx<'a> {
     pub(crate) trace_log: TraceLog,
     /// Lane-local sanitizer findings, staged alongside the trace buffer.
     pub(crate) diag_log: DiagLog,
+    /// Plain global accesses for racecheck's cross-block fold, folded when
+    /// the lane retires.
+    pub(crate) race_log: RaceLog,
 }
 
 impl<'a> ThreadCtx<'a> {
@@ -88,6 +91,7 @@ impl<'a> ThreadCtx<'a> {
             mem: None,
             trace_log: TraceLog::default(),
             diag_log: DiagLog::default(),
+            race_log: RaceLog::new(),
         }
     }
 
@@ -103,9 +107,9 @@ impl<'a> ThreadCtx<'a> {
         }
     }
 
-    /// Run the memcheck/initcheck global-memory hook and fold the access
-    /// into the cross-block race summary. Returns `true` when the access
-    /// must be suppressed (OOB / use-after-free under memcheck).
+    /// Run the memcheck/initcheck global-memory hook and log the access
+    /// for the cross-block race fold. Returns `true` when the access must
+    /// be suppressed (OOB / use-after-free under memcheck).
     #[inline]
     fn san_global<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize, kind: GlobalKind) -> bool {
         let Some(san) = self.san else { return false };
@@ -113,7 +117,7 @@ impl<'a> ThreadCtx<'a> {
         let suppress = san.state().global_access(
             site,
             buf.alloc_id(),
-            &buf.label(),
+            || buf.label(),
             buf.len(),
             buf.is_freed(),
             i,
@@ -127,18 +131,7 @@ impl<'a> ThreadCtx<'a> {
             && kind != GlobalKind::Atomic
             && san.state().tool_on(ToolMask::RACECHECK)
         {
-            san.fold_global_access(
-                buf.alloc_id(),
-                &buf.label(),
-                i,
-                Party {
-                    block_rank: site.block_rank,
-                    thread_rank: self.thread_rank(),
-                    block: self.block,
-                    thread: self.thread,
-                    write: kind == GlobalKind::Write,
-                },
-            );
+            self.race_log.push((buf.alloc_id(), i, kind == GlobalKind::Write));
         }
         suppress
     }
@@ -168,18 +161,19 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Stage this lane's trace and diagnostic buffers for the canonical
-    /// launch-end merge. Called by the executor when the lane retires —
-    /// including when it was unwound by a panic, so partial evidence
-    /// survives a failing kernel.
-    pub(crate) fn stage_logs(&mut self) {
+    /// launch-end merge and fold its race log into `races`. Called by the
+    /// executor when the lane retires — including when it was unwound by a
+    /// panic, so partial evidence survives a failing kernel.
+    pub(crate) fn stage_logs(&mut self, races: &mut RaceFold) {
         let block_rank = self.block_rank();
         let thread_rank = self.thread_rank();
         if let Some(mem) = self.mem {
-            mem.stage_lane(block_rank, thread_rank, &mut self.trace_log);
+            mem.stage_lane((block_rank, thread_rank), self.block, self.thread, &mut self.trace_log);
         }
         if let Some(san) = self.san {
             san.stage_lane(block_rank, thread_rank, &mut self.diag_log);
         }
+        races.absorb(block_rank, thread_rank, &mut self.race_log);
     }
 
     // ---- memory-trace plumbing ------------------------------------------
@@ -188,16 +182,7 @@ impl<'a> ThreadCtx<'a> {
     fn trace_global<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize, kind: MemAccessKind) {
         if self.mem.is_some() {
             let phase = self.counters.barriers as u32;
-            self.trace_log.push_event(MemEvent {
-                kernel: String::new(),
-                launch: 0,
-                block: self.block,
-                thread: self.thread,
-                space: MemSpace::Global { alloc_id: buf.alloc_id(), label: buf.label() },
-                index: i,
-                kind,
-                phase,
-            });
+            self.trace_log.push_access(LaneSpace::Global(buf.alloc_id()), i, kind, phase);
         }
     }
 
@@ -205,16 +190,7 @@ impl<'a> ThreadCtx<'a> {
     fn trace_shared(&mut self, slot: usize, i: usize, kind: MemAccessKind) {
         if self.mem.is_some() {
             let phase = self.counters.barriers as u32;
-            self.trace_log.push_event(MemEvent {
-                kernel: String::new(),
-                launch: 0,
-                block: self.block,
-                thread: self.thread,
-                space: MemSpace::Shared { slot },
-                index: i,
-                kind,
-                phase,
-            });
+            self.trace_log.push_access(LaneSpace::Shared(slot), i, kind, phase);
         }
     }
 
@@ -367,7 +343,7 @@ impl<'a> ThreadCtx<'a> {
                 san.state().misaligned_access(
                     site,
                     buf.alloc_id(),
-                    &buf.label(),
+                    || buf.label(),
                     byte_offset,
                     align,
                     std::any::type_name::<T>(),
@@ -546,13 +522,7 @@ impl<'a> ThreadCtx<'a> {
     /// lane's `Step::Barrier` does exactly this and no more.
     pub(crate) fn arrive_barrier(&mut self) {
         if self.mem.is_some() {
-            self.trace_log.push_barrier(BarrierEvent {
-                kernel: String::new(),
-                launch: 0,
-                block: self.block,
-                thread: self.thread,
-                ordinal: self.counters.barriers as u32,
-            });
+            self.trace_log.push_barrier(self.counters.barriers as u32);
         }
         self.counters.barriers += 1;
     }

@@ -243,7 +243,7 @@ fn memtrace_observes_exactly_the_committed_prefix() {
     // from blocks below the cutoff, covering exactly elements 0..40.
     let events = trace.events();
     assert_eq!(events.len(), 40, "one traced write per committed thread");
-    assert!(events.iter().all(|e| e.kernel == "stamp" && e.block.0 < 10));
+    assert!(events.iter().all(|e| &*e.kernel == "stamp" && e.block.0 < 10));
     assert!(events.iter().all(|e| e.kind == ompx_sim::memtrace::MemAccessKind::Write));
     let mut indices: Vec<usize> = events.iter().map(|e| e.index).collect();
     indices.sort_unstable();

@@ -7,8 +7,11 @@
 //! session-scoped: attach a `SanState` with `ToolMask::RACECHECK` to the
 //! device and read the structured diagnostics back afterwards.
 
+use ompx_sim::memtrace::{MemAccessKind, MemEvent, MemSpace, MemTrace};
 use ompx_sim::prelude::*;
 use ompx_sim::san::{DiagKind, Diagnostic, SanState, ToolMask};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn dev() -> Device {
@@ -129,4 +132,158 @@ fn racecheck_off_by_default_never_fires() {
     let mut cfg = LaunchConfig::new(1u32, tpb as u32);
     let slot = cfg.shared_array::<u32>(tpb);
     d.launch(&tile_kernel(slot, tpb, false), cfg).unwrap();
+}
+
+/// The `j`-th plain access of the lane with global rank `rank` in the
+/// race-fold property kernel: an element of a `len`-element buffer and
+/// whether it is a write (one access in four).
+fn fold_access(rank: usize, j: usize, seed: u64, len: usize) -> (usize, bool) {
+    let mut h = (rank as u64) << 8 | j as u64;
+    h = (h ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ h >> 29).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^= h >> 32;
+    ((h >> 2) as usize % len, h & 3 == 0)
+}
+
+/// Three plain accesses of one lane.
+fn touch(tc: &mut ThreadCtx<'_>, buf: &DBuf<u32>, seed: u64) {
+    let rank = tc.global_rank();
+    for j in 0..3 {
+        let (i, write) = fold_access(rank, j, seed, buf.len());
+        if write {
+            tc.write(buf, i, rank as u32);
+        } else {
+            let _ = tc.read(buf, i);
+        }
+    }
+}
+
+/// `touch` as a barrier-free closure (0), a closure that calls
+/// `sync_threads` first (1, the team path for multi-lane blocks), or a
+/// phased body that accesses after one `Step::Barrier` (2). All three carry
+/// the same name, so their reports must be byte-identical.
+fn fold_kernel(form: u8, buf: &DBuf<u32>, seed: u64) -> Kernel {
+    let buf = buf.clone();
+    match form {
+        0 => Kernel::new("fold", move |tc: &mut ThreadCtx<'_>| touch(tc, &buf, seed)),
+        1 => Kernel::new("fold", move |tc: &mut ThreadCtx<'_>| {
+            tc.sync_threads();
+            touch(tc, &buf, seed);
+        })
+        .with_block_sync(),
+        _ => Kernel::phased("fold", move |tc, phase, _: &mut ()| {
+            if phase == 0 {
+                return Step::Barrier;
+            }
+            touch(tc, &buf, seed);
+            Step::Exit
+        }),
+    }
+}
+
+/// The cross-block race rule applied directly to a memtrace: an element
+/// races when it has a write and accesses from two blocks. Ranking
+/// accesses by (block rank, thread rank, write first), the report pairs the
+/// lowest write with the lowest access from any other block, and names the
+/// higher-ranked of the two.
+fn reference_races(events: &[MemEvent], cfg: &LaunchConfig) -> Vec<String> {
+    type Access = ((usize, usize, bool), (u32, u32, u32), (u32, u32, u32));
+    let mut cells: BTreeMap<(usize, usize), (String, Vec<Access>)> = BTreeMap::new();
+    for e in events {
+        let MemSpace::Global { alloc_id, label } = &e.space else { continue };
+        let write = match e.kind {
+            MemAccessKind::Read => false,
+            MemAccessKind::Write => true,
+            MemAccessKind::Atomic => continue,
+        };
+        let block_rank = cfg.grid.linear(e.block.0, e.block.1, e.block.2);
+        let thread_rank = cfg.block.linear(e.thread.0, e.thread.1, e.thread.2);
+        let cell = cells.entry((*alloc_id, e.index)).or_insert_with(|| (label.to_string(), vec![]));
+        cell.1.push(((block_rank, thread_rank, !write), e.block, e.thread));
+    }
+    let mut out = Vec::new();
+    for ((_, index), (label, accesses)) in cells {
+        let Some(w) = accesses.iter().filter(|a| !a.0 .2).min() else { continue };
+        let Some(other) = accesses.iter().filter(|a| a.0 .0 != w.0 .0).min() else { continue };
+        let (prev, cur) = if w <= other { (w, other) } else { (other, w) };
+        let verb = |a: &Access| if a.0 .2 { "read" } else { "written" };
+        let diag = Diagnostic {
+            kind: DiagKind::GlobalRace,
+            kernel: "fold".into(),
+            block: cur.1,
+            thread: cur.2,
+            address: Some(index),
+            alloc: Some(label.clone()),
+            message: format!(
+                "element {index} of {label} {} by block ({},{},{}) and {} by block ({},{},{}) \
+                 in the same launch without atomics",
+                verb(prev),
+                prev.1 .0,
+                prev.1 .1,
+                prev.1 .2,
+                verb(cur),
+                cur.1 .0,
+                cur.1 .1,
+                cur.1 .2,
+            ),
+        };
+        out.push(diag.to_string());
+    }
+    out
+}
+
+/// Launch the property kernel under racecheck with a memtrace attached:
+/// the `GlobalRace` reports, and the reference computed from the trace.
+fn fold_reports(
+    form: u8,
+    workers: usize,
+    cfg: &LaunchConfig,
+    len: usize,
+    seed: u64,
+) -> [Vec<String>; 2] {
+    let d = dev();
+    d.set_sim_workers(Some(workers));
+    let buf = d.alloc::<u32>(len);
+    buf.set_label("cells");
+    let san = SanState::new(ToolMask::RACECHECK);
+    let trace = MemTrace::new();
+    d.attach_sanitizer(Arc::clone(&san));
+    d.attach_mem_trace(Arc::clone(&trace));
+    d.launch(&fold_kernel(form, &buf, seed), cfg.clone()).unwrap();
+    d.detach_sanitizer();
+    d.detach_mem_trace();
+    let races = san
+        .drain_diagnostics()
+        .iter()
+        .filter(|g| g.kind == DiagKind::GlobalRace)
+        .map(|g| g.to_string())
+        .collect();
+    [races, reference_races(&trace.events(), cfg)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The cross-block race fold reports exactly what the race rule says
+    /// of the launch's memtrace, for multi-dimensional grids, blocks of any
+    /// size, every executor form and any worker count.
+    #[test]
+    fn global_race_fold_matches_the_trace_reference(
+        gx in 1u32..4, gy in 1u32..3, gz in 1u32..3,
+        bx in 1u32..6, by in 1u32..4, bz in 1u32..3,
+        len in 1usize..9,
+        seed in 0u64..1_000_000,
+        workers in 1usize..=4,
+    ) {
+        let cfg = LaunchConfig::new([gx, gy, gz], [bx, by, bz]);
+        let [first, reference] = fold_reports(0, 1, &cfg, len, seed);
+        prop_assert_eq!(&first, &reference);
+        for form in 0..3u8 {
+            for w in [1, workers] {
+                let [races, reference] = fold_reports(form, w, &cfg, len, seed);
+                prop_assert_eq!(&races, &reference, "form {} workers {}", form, w);
+                prop_assert_eq!(&races, &first, "form {} workers {}", form, w);
+            }
+        }
+    }
 }

@@ -46,8 +46,16 @@ cargo run --release -q -p ompx-bench --bin analyze -- --replay
 echo "==> analyze replay, AMD leg (MI250, warp 64)"
 cargo run --release -q -p ompx-bench --bin analyze -- --replay --system amd
 
-echo "==> summary extraction, A100 leg (all 24 cells: fit, replay-validate, diff)"
-cargo run --release -q -p ompx-bench --bin analyze -- extract --diff
+echo "==> summary extraction, A100 leg (all 24 cells: fit, replay-validate, diff), full width vs 1 worker"
+# The same leg at full worker width and at the reference serial width must
+# write byte-identical reports.
+EXT=$(mktemp -d)
+OMPX_SIM_WORKERS="$(nproc)" cargo run --release -q -p ompx-bench --bin analyze -- \
+    extract --json --out "$EXT/full.json" >/dev/null
+OMPX_SIM_WORKERS=1 cargo run --release -q -p ompx-bench --bin analyze -- \
+    extract --json --out "$EXT/one.json" >/dev/null
+diff "$EXT/full.json" "$EXT/one.json"
+rm -rf "$EXT"
 
 echo "==> summary extraction, MI250 leg (warp 64)"
 cargo run --release -q -p ompx-bench --bin analyze -- extract --diff --system amd
@@ -107,6 +115,8 @@ for r in a b; do
     # the point here, the gate is the byte-diff below.
     OMPX_SIM_WORKERS="$(nproc)" cargo run --release -q -p ompx-bench --bin sanitize -- \
         --tool all --fixture shared-race --json --out "$DET/$r-san.json" >/dev/null || true
+    OMPX_SIM_WORKERS="$(nproc)" cargo run --release -q -p ompx-bench --bin sanitize -- \
+        --tool all --fixture global-race --json --out "$DET/$r-san-global.json" >/dev/null || true
     OMPX_SIM_WORKERS="$(nproc)" cargo run --release -q -p ompx-bench --bin analyze -- \
         extract --app stencil --version omp --json --out "$DET/$r-ext.json" >/dev/null
     # A phased barrier cell: its lanes run phase by phase on the block loop.
@@ -114,6 +124,7 @@ for r in a b; do
         extract --app stencil --version ompx --json --out "$DET/$r-ext-phased.json" >/dev/null
 done
 diff "$DET/a-san.json" "$DET/b-san.json"
+diff "$DET/a-san-global.json" "$DET/b-san-global.json"
 diff "$DET/a-ext.json" "$DET/b-ext.json"
 diff "$DET/a-ext-phased.json" "$DET/b-ext-phased.json"
 rm -rf "$DET"
