@@ -31,6 +31,7 @@
 use ompx_analyzer::{
     analyze, describe, fixtures, to_rust_literal, validate_events, warp_size_for, DiffClass,
 };
+use ompx_bench::cli::{self, Args, MetricsOut};
 use ompx_hecbench::extraction::extract_cell;
 use ompx_hecbench::summaries::{replay_events, summary_for, version_str};
 use ompx_hecbench::{ProgVersion, System, APP_NAMES};
@@ -54,7 +55,7 @@ fn usage() -> ! {
 
 struct Opts {
     extract: bool,
-    apps: Vec<String>,
+    apps: Vec<&'static str>,
     versions: Vec<ProgVersion>,
     system: System,
     replay: bool,
@@ -66,10 +67,11 @@ struct Opts {
     metrics_out: Option<String>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse() -> Opts {
+    let mut args = Args::new(usage);
     let mut o = Opts {
-        extract: false,
-        apps: APP_NAMES.iter().map(|s| s.to_string()).collect(),
+        extract: args.next_is("extract"),
+        apps: APP_NAMES.to_vec(),
         versions: ProgVersion::all().to_vec(),
         system: System::Nvidia,
         replay: false,
@@ -80,47 +82,16 @@ fn parse(args: &[String]) -> Opts {
         out: None,
         metrics_out: None,
     };
-    let mut i = 0;
-    if args.first().map(String::as_str) == Some("extract") {
-        o.extract = true;
-        i = 1;
-    }
-    while i < args.len() {
-        match args[i].as_str() {
-            "--app" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) if APP_NAMES.contains(&a.as_str()) => o.apps = vec![a.clone()],
-                    _ => usage(),
-                }
-            }
-            "--version" => {
-                i += 1;
-                o.versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
-            "--system" => {
-                i += 1;
-                o.system = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => System::Nvidia,
-                    Some("amd") => System::Amd,
-                    _ => usage(),
-                };
-            }
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--app" => o.apps = vec![args.value_with(cli::app)],
+            "--version" => o.versions = vec![args.value_with(cli::version)],
+            "--system" => o.system = args.value_with(cli::system),
             "--replay" => o.replay = true,
             "--emit-rust" if o.extract => o.emit_rust = true,
             "--diff" if o.extract => o.diff = true,
             "--fixture" if !o.extract => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) if fixtures::by_name(f).is_some() => o.fixture = Some(f.clone()),
-                    _ => usage(),
-                }
+                o.fixture = Some(args.value_with(|f| fixtures::by_name(f).map(|_| f.to_string())))
             }
             "--list-fixtures" => {
                 for f in &fixtures::ALL {
@@ -129,46 +100,23 @@ fn parse(args: &[String]) -> Opts {
                 std::process::exit(0);
             }
             "--json" => o.json = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--metrics-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.metrics_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
+            "--out" => o.out = Some(args.value()),
+            "--metrics-out" => o.metrics_out = Some(args.value()),
             _ => usage(),
         }
-        i += 1;
     }
     o
 }
 
 /// Write the `--out` file (every JSON document the run produced, the same
-/// bytes `--json` prints) and the ambient metrics snapshot (if
-/// `--metrics-out` installed one) as Prometheus text, then exit with
-/// `code`, or 2 if a write failed.
-fn finish(o: &Opts, out: &str, code: i32) -> ! {
-    let mut code = code;
-    let mut write = |path: &str, text: &str| {
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("analyze: cannot write {path}: {e}");
-            code = code.max(2);
-        }
-    };
+/// bytes `--json` prints) and the `--metrics-out` snapshot, then exit with
+/// `code`.
+fn finish(o: &Opts, metrics: Option<MetricsOut>, out: &str, code: i32) -> ! {
     if let Some(path) = &o.out {
-        write(path, out);
+        cli::write_file("analyze", path, out);
     }
-    if let Some(path) = &o.metrics_out {
-        if let Some(reg) = ompx_telemetry::uninstall() {
-            write(path, &ompx_telemetry::to_prometheus(&reg.snapshot()));
-        }
+    if let Some(metrics) = metrics {
+        metrics.finish("analyze");
     }
     std::process::exit(code)
 }
@@ -196,7 +144,7 @@ fn grids_field<'d>(doc: &'d mut Doc, grids: &[String]) -> &'d mut Doc {
 
 fn run_extract(o: &Opts, out: &mut String) -> i32 {
     let mut exit = 0;
-    for app in &o.apps {
+    for &app in &o.apps {
         for version in &o.versions {
             let header =
                 format!("extract {app} / {} / {}", o.system.label(), version_str(*version));
@@ -282,17 +230,12 @@ fn run_extract(o: &Opts, out: &mut String) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
-    if o.metrics_out.is_some() {
-        let reg = ompx_telemetry::MetricRegistry::new();
-        ompx_telemetry::describe_base_families(&reg);
-        ompx_telemetry::install(reg);
-    }
+    let o = parse();
+    let metrics = o.metrics_out.as_deref().map(MetricsOut::start);
     let mut out = String::new();
     if o.extract {
         let code = run_extract(&o, &mut out);
-        finish(&o, &out, code);
+        finish(&o, metrics, &out, code);
     }
     let warp = warp_size_for(o.system.label());
 
@@ -301,11 +244,11 @@ fn main() {
         let findings = fx.run();
         let header = format!("fixture {name} [{}]", fx.tool);
         let code = emit(&findings, &header, &mut Doc::new(), &o, &mut out);
-        finish(&o, &out, code);
+        finish(&o, metrics, &out, code);
     }
 
     let mut exit = 0;
-    for app in &o.apps {
+    for &app in &o.apps {
         for version in &o.versions {
             let s = summary_for(app, *version);
             let mut findings = analyze(&s, warp);
@@ -345,5 +288,5 @@ fn main() {
             exit = exit.max(emit(&findings, &header, &mut doc, &o, &mut out));
         }
     }
-    finish(&o, &out, exit);
+    finish(&o, metrics, &out, exit);
 }

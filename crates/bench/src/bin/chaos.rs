@@ -22,6 +22,7 @@
 //! in the same `{tool, kernel, location, severity, message}` schema the
 //! sanitizer and analyzer CLIs emit, and drive the non-zero exit code.
 
+use ompx_bench::cli::{self, Args};
 use ompx_hecbench::{run_app_chaos, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_sanitizer::report::{exit_code, render_json, render_text};
 use ompx_sanitizer::{Finding, Severity};
@@ -52,7 +53,7 @@ struct Opts {
     out: Option<String>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse() -> Opts {
     let mut o = Opts {
         seed: 20260807,
         schedules: 5,
@@ -65,74 +66,36 @@ fn parse(args: &[String]) -> Opts {
         json: false,
         out: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                o.seed = match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(n)) => n,
-                    _ => usage(),
-                };
-            }
+    let mut args = Args::new(usage);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--seed" => o.seed = args.parse(),
             "--schedules" => {
-                i += 1;
-                o.schedules = match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(n)) if n > 0 => n,
-                    _ => usage(),
-                };
-            }
-            "--rate" => {
-                i += 1;
-                o.rate = match args.get(i).map(|s| s.parse::<f64>()) {
-                    Some(Ok(r)) if (0.0..=1.0).contains(&r) => r,
-                    _ => usage(),
-                };
-            }
-            "--app" => {
-                i += 1;
-                match args.get(i).and_then(|a| APP_NAMES.iter().find(|n| **n == a.as_str())) {
-                    Some(name) => o.apps = vec![name],
-                    None => usage(),
+                o.schedules = args.parse();
+                if o.schedules == 0 {
+                    usage();
                 }
             }
-            "--system" => {
-                i += 1;
-                o.systems = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => vec![System::Nvidia],
-                    Some("amd") => vec![System::Amd],
-                    _ => usage(),
-                };
+            "--rate" => {
+                o.rate = args.parse();
+                if !(0.0..=1.0).contains(&o.rate) {
+                    usage();
+                }
             }
-            "--version" => {
-                i += 1;
-                o.versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
+            "--app" => o.apps = vec![args.value_with(cli::app)],
+            "--system" => o.systems = vec![args.value_with(cli::system)],
+            "--version" => o.versions = vec![args.value_with(cli::version)],
             "--only" => {
-                i += 1;
-                o.only = match args.get(i).map(String::as_str) {
-                    Some("watchdog") => Some(FaultKind::Watchdog),
+                o.only = match args.value().as_str() {
+                    "watchdog" => Some(FaultKind::Watchdog),
                     _ => usage(),
-                };
+                }
             }
             "--test-scale" => o.scale = WorkScale::Test,
             "--json" => o.json = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
+            "--out" => o.out = Some(args.value()),
             _ => usage(),
         }
-        i += 1;
     }
     o
 }
@@ -161,8 +124,7 @@ fn finding(cell: &str, seed: u64, schedule: u64, severity: Severity, message: St
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse();
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut tally = Tally::default();
@@ -311,10 +273,7 @@ fn main() {
         );
     }
     if let Some(path) = &o.out {
-        if let Err(e) = std::fs::write(path, render_json(&findings)) {
-            eprintln!("chaos: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
+        cli::write_file("chaos", path, &render_json(&findings));
     }
     std::process::exit(exit_code(&findings));
 }

@@ -7,11 +7,13 @@
 //! figures fig8 --system nvidia      # 8a-8f
 //! figures fig8 --system amd --app stencil
 //! figures all                       # everything, in paper order
+//! figures fig8 --csv results/fig8.csv   # Figure 8 as CSV (instead of the text)
 //! ```
 //!
 //! Add `--test-scale` to use the tiny unit-test workloads (fast, identical
 //! orderings, coarser absolute numbers).
 
+use ompx_bench::cli::{self, Args};
 use ompx_bench::{print_fig6, print_fig7, print_fig8, print_fig8_all};
 use ompx_hecbench::{System, WorkScale, APP_NAMES};
 
@@ -26,43 +28,20 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
+    let mut args = Args::new(usage);
+    let sub = args.next().unwrap_or_else(|| usage());
     let mut system: Option<System> = None;
-    let mut app: Option<String> = None;
+    let mut app: Option<&str> = None;
     let mut scale = WorkScale::Default;
     let mut csv: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--csv" => {
-                i += 1;
-                csv = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-                i += 1;
-                continue;
-            }
-            "--system" => {
-                i += 1;
-                system = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => Some(System::Nvidia),
-                    Some("amd") => Some(System::Amd),
-                    _ => usage(),
-                };
-            }
-            "--app" => {
-                i += 1;
-                let a = args.get(i).cloned().unwrap_or_else(|| usage());
-                if !APP_NAMES.contains(&a.as_str()) {
-                    usage();
-                }
-                app = Some(a);
-            }
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--csv" if sub == "fig8" => csv = Some(args.value()),
+            "--system" => system = Some(args.value_with(cli::system)),
+            "--app" => app = Some(args.value_with(cli::app)),
             "--test-scale" => scale = WorkScale::Test,
             _ => usage(),
         }
-        i += 1;
     }
 
     let systems = match system {
@@ -72,15 +51,12 @@ fn main() {
 
     if let Some(path) = &csv {
         let data = ompx_bench::fig8_csv(scale);
-        if let Err(e) = std::fs::write(path, &data) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_file("figures", path, &data);
         println!("wrote {} ({} rows)", path, data.lines().count() - 1);
         return;
     }
 
-    match args[0].as_str() {
+    match sub.as_str() {
         "fig6" => print_fig6(),
         "fig7" => print_fig7(),
         "shapecheck" => {
@@ -118,7 +94,7 @@ fn main() {
         }
         "fig8" => {
             for sys in systems {
-                match &app {
+                match app {
                     Some(a) => print_fig8(a, sys, scale),
                     None => print_fig8_all(sys, scale),
                 }

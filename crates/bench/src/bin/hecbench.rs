@@ -8,6 +8,7 @@
 //! hecbench adam                      # all versions on both systems
 //! ```
 
+use ompx_bench::cli::{self, Args};
 use ompx_hecbench::{run_app, ProgVersion, System, WorkScale, APP_NAMES};
 
 fn usage() -> ! {
@@ -20,40 +21,18 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(app) = args.first() else { usage() };
-    if !APP_NAMES.contains(&app.as_str()) {
-        usage();
-    }
-
+    let mut args = Args::new(usage);
+    let app = args.value_with(cli::app);
     let mut systems = vec![System::Nvidia, System::Amd];
     let mut versions = ProgVersion::all().to_vec();
     let mut scale = WorkScale::Default;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--system" => {
-                i += 1;
-                systems = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => vec![System::Nvidia],
-                    Some("amd") => vec![System::Amd],
-                    _ => usage(),
-                };
-            }
-            "--version" => {
-                i += 1;
-                versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--system" => systems = vec![args.value_with(cli::system)],
+            "--version" => versions = vec![args.value_with(cli::version)],
             "--test-scale" => scale = WorkScale::Test,
             _ => usage(),
         }
-        i += 1;
     }
 
     for sys in systems {

@@ -5,7 +5,7 @@
 //! profile --app xsbench --system nvidia
 //! profile --format csv                      # or json; default is a text table
 //! profile --out-dir results/profile         # roofline.csv + per-cell Chrome traces
-//! profile --write-baseline results/profile_baseline.json
+//! profile --format json > results/profile_baseline.json   # re-record the baseline
 //! profile --baseline results/profile_baseline.json   # gate: exit 1 on drift
 //! profile --bench-out results/BENCH_prof.json
 //! ```
@@ -16,16 +16,17 @@
 //! the host track, the hidden-helper-thread track when `nowait` target
 //! tasks ran, and two genuine stream tracks with flow arrows. Metrics are
 //! derived from the run's extrapolated counters and modeled-time
-//! breakdown; `--baseline` diffs them against a committed baseline and
-//! exits non-zero past tolerance — the repo's perf-regression gate.
+//! breakdown; `--baseline` diffs the run's JSON report against a committed
+//! baseline field by field ([`cli::gate`]) and exits non-zero on any
+//! drift — the repo's perf-regression gate.
 
+use ompx_bench::cli::{self, Args};
 use ompx_hecbench::{run_app, with_span_log, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_hostrt::{KnownIssues, OpenMp};
 use ompx_klang::toolchain::Toolchain;
 use ompx_prof::probe::{overlap_probe, OverlapReport};
 use ompx_prof::{
-    derive_metrics, diff_baseline, parse_baseline, roofline, table_csv, table_text,
-    to_chrome_trace, to_json, CellProfile, Tolerance,
+    derive_metrics, roofline, table_csv, table_text, to_chrome_trace, to_json, CellProfile,
 };
 use ompx_sim::device::{Device, DeviceProfile};
 use ompx_telemetry::json;
@@ -35,8 +36,7 @@ fn usage() -> ! {
         "usage: profile [--app <name>] [--version ompx|omp|native|vendor]\n\
          \x20              [--system nvidia|amd|both] [--test-scale]\n\
          \x20              [--format text|csv|json] [--out-dir DIR]\n\
-         \x20              [--baseline FILE] [--tolerance REL] [--write-baseline FILE]\n\
-         \x20              [--bench-out FILE]\n\
+         \x20              [--baseline FILE] [--bench-out FILE]\n\
          apps: {}",
         APP_NAMES.join(", ")
     );
@@ -51,108 +51,52 @@ enum Format {
 }
 
 struct Opts {
-    apps: Vec<String>,
+    apps: Vec<&'static str>,
     versions: Vec<ProgVersion>,
     systems: Vec<System>,
     scale: WorkScale,
     format: Format,
     out_dir: Option<String>,
     baseline: Option<String>,
-    write_baseline: Option<String>,
     bench_out: Option<String>,
-    tolerance: Tolerance,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse() -> Opts {
     let mut o = Opts {
-        apps: APP_NAMES.iter().map(|s| s.to_string()).collect(),
+        apps: APP_NAMES.to_vec(),
         versions: ProgVersion::all().to_vec(),
         systems: vec![System::Nvidia, System::Amd],
         scale: WorkScale::Default,
         format: Format::Text,
         out_dir: None,
         baseline: None,
-        write_baseline: None,
         bench_out: None,
-        tolerance: Tolerance::default(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--app" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) if APP_NAMES.contains(&a.as_str()) => o.apps = vec![a.clone()],
-                    _ => usage(),
-                }
-            }
-            "--version" => {
-                i += 1;
-                o.versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
+    let mut args = Args::new(usage);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--app" => o.apps = vec![args.value_with(cli::app)],
+            "--version" => o.versions = vec![args.value_with(cli::version)],
             "--system" => {
-                i += 1;
-                o.systems = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => vec![System::Nvidia],
-                    Some("amd") => vec![System::Amd],
-                    Some("both") => vec![System::Nvidia, System::Amd],
-                    _ => usage(),
-                };
+                o.systems = match args.value().as_str() {
+                    "both" => vec![System::Nvidia, System::Amd],
+                    s => vec![cli::system(s).unwrap_or_else(|| usage())],
+                }
             }
             "--test-scale" => o.scale = WorkScale::Test,
             "--format" => {
-                i += 1;
-                o.format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("csv") => Format::Csv,
-                    Some("json") => Format::Json,
-                    _ => usage(),
-                };
-            }
-            "--out-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.out_dir = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.baseline = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--write-baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.write_baseline = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--bench-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.bench_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--tolerance" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(t) if t >= 0.0 => o.tolerance.rel_seconds = t,
+                o.format = match args.value().as_str() {
+                    "text" => Format::Text,
+                    "csv" => Format::Csv,
+                    "json" => Format::Json,
                     _ => usage(),
                 }
             }
+            "--out-dir" => o.out_dir = Some(args.value()),
+            "--baseline" => o.baseline = Some(args.value()),
+            "--bench-out" => o.bench_out = Some(args.value()),
             _ => usage(),
         }
-        i += 1;
     }
     o
 }
@@ -164,19 +108,8 @@ fn device_profile(sys: System) -> DeviceProfile {
     }
 }
 
-fn write_file(path: &str, content: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(path, content) {
-        eprintln!("profile: cannot write {path}: {e}");
-        std::process::exit(2);
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse();
 
     let mut cells: Vec<CellProfile> = Vec::new();
     let mut roofline_points = Vec::new();
@@ -184,7 +117,7 @@ fn main() {
 
     for &sys in &o.systems {
         let dev_profile = device_profile(sys);
-        for app in &o.apps {
+        for &app in &o.apps {
             for &version in &o.versions {
                 // The span log captures the app's host-side activity plus
                 // the overlap probe's two stream timelines, so every
@@ -201,7 +134,7 @@ fn main() {
                 });
                 let metrics = derive_metrics(&dev_profile, &outcome.stats, &outcome.kernel_model);
                 let cell = CellProfile {
-                    app: app.clone(),
+                    app: app.to_string(),
                     version: version.label(sys).to_string(),
                     system: sys.label().to_string(),
                     checksum: outcome.checksum,
@@ -211,7 +144,8 @@ fn main() {
                 };
                 roofline_points.push(roofline::place(&dev_profile, &cell.key(), &cell.metrics));
                 if let Some(dir) = &o.out_dir {
-                    write_file(
+                    cli::write_file(
+                        "profile",
                         &format!("{dir}/trace_{}_{}_{}.json", app, version.label(sys), sys.label()),
                         &to_chrome_trace(&spans),
                     );
@@ -222,54 +156,26 @@ fn main() {
         }
     }
 
+    let report = to_json(&cells);
     match o.format {
         Format::Text => print!("{}", table_text(&cells)),
         Format::Csv => print!("{}", table_csv(&cells)),
-        Format::Json => print!("{}", to_json(&cells)),
+        Format::Json => print!("{report}"),
     }
 
     if let Some(dir) = &o.out_dir {
-        write_file(&format!("{dir}/roofline.csv"), &roofline::to_csv(&roofline_points));
-        write_file(&format!("{dir}/profile.json"), &to_json(&cells));
-    }
-    if let Some(path) = &o.write_baseline {
-        write_file(path, &to_json(&cells));
-        eprintln!("profile: baseline written to {path} ({} cells)", cells.len());
+        cli::write_file(
+            "profile",
+            &format!("{dir}/roofline.csv"),
+            &roofline::to_csv(&roofline_points),
+        );
+        cli::write_file("profile", &format!("{dir}/profile.json"), &report);
     }
     if let Some(path) = &o.bench_out {
-        write_file(path, &bench_summary(&cells, &probes));
+        cli::write_file("profile", path, &bench_summary(&cells, &probes));
     }
-
     if let Some(path) = &o.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("profile: cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let baseline = match parse_baseline(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("profile: bad baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let drifts = diff_baseline(&cells, &baseline, o.tolerance);
-        if drifts.is_empty() {
-            eprintln!(
-                "profile: baseline gate PASSED ({} cells within ±{:.0}% / ±{:.1} occupancy pts)",
-                cells.len(),
-                100.0 * o.tolerance.rel_seconds,
-                o.tolerance.occupancy_pts
-            );
-        } else {
-            eprintln!("profile: baseline gate FAILED, {} drift(s):", drifts.len());
-            for d in &drifts {
-                eprintln!("  {d}");
-            }
-            std::process::exit(1);
-        }
+        cli::gate("profile", "baseline", path, &report);
     }
 }
 

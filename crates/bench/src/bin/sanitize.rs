@@ -18,6 +18,7 @@
 //! tool at detection time, `findings_total` by tool and severity at
 //! report time — and writes the Prometheus text snapshot.
 
+use ompx_bench::cli::{self, Args, MetricsOut};
 use ompx_hecbench::{run_app_sanitized, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_sanitizer::report::record_findings_metrics;
 use ompx_sanitizer::{fixtures, Report, Tool};
@@ -38,7 +39,7 @@ fn usage() -> ! {
 
 struct Opts {
     tool: Tool,
-    app: Option<String>,
+    app: Option<&'static str>,
     fixture: Option<String>,
     system: System,
     versions: Vec<ProgVersion>,
@@ -48,7 +49,7 @@ struct Opts {
     metrics_out: Option<String>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse() -> Opts {
     let mut o = Opts {
         tool: Tool::All,
         app: None,
@@ -60,29 +61,13 @@ fn parse(args: &[String]) -> Opts {
         out: None,
         metrics_out: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tool" => {
-                i += 1;
-                o.tool = match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(t)) => t,
-                    _ => usage(),
-                };
-            }
-            "--app" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) if APP_NAMES.contains(&a.as_str()) => o.app = Some(a.clone()),
-                    _ => usage(),
-                }
-            }
+    let mut args = Args::new(usage);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--tool" => o.tool = args.parse(),
+            "--app" => o.app = Some(args.value_with(cli::app)),
             "--fixture" => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) if fixtures::by_name(f).is_some() => o.fixture = Some(f.clone()),
-                    _ => usage(),
-                }
+                o.fixture = Some(args.value_with(|f| fixtures::by_name(f).map(|_| f.to_string())))
             }
             "--list-fixtures" => {
                 for (name, _, kind) in fixtures::ALL {
@@ -90,43 +75,14 @@ fn parse(args: &[String]) -> Opts {
                 }
                 std::process::exit(0);
             }
-            "--system" => {
-                i += 1;
-                o.system = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => System::Nvidia,
-                    Some("amd") => System::Amd,
-                    _ => usage(),
-                };
-            }
-            "--version" => {
-                i += 1;
-                o.versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
+            "--system" => o.system = args.value_with(cli::system),
+            "--version" => o.versions = vec![args.value_with(cli::version)],
             "--test-scale" => o.scale = WorkScale::Test,
             "--json" => o.json = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--metrics-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.metrics_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
+            "--out" => o.out = Some(args.value()),
+            "--metrics-out" => o.metrics_out = Some(args.value()),
             _ => usage(),
         }
-        i += 1;
     }
     if o.app.is_none() && o.fixture.is_none() {
         usage();
@@ -149,19 +105,12 @@ fn emit(report: &Report, header: &str, o: &Opts, out: &mut String) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse();
     let mask = o.tool.mask();
 
-    // With --metrics-out, install a session registry so detection-time
-    // counters (`sanitizer_findings_total`) land alongside the
-    // report-time `findings_total` rollup.
-    let registry = o.metrics_out.as_ref().map(|_| {
-        let reg = ompx_telemetry::MetricRegistry::new();
-        ompx_telemetry::describe_base_families(&reg);
-        ompx_telemetry::install(std::sync::Arc::clone(&reg));
-        reg
-    });
+    // Detection-time counters (`sanitizer_findings_total`) land alongside
+    // the report-time `findings_total` rollup.
+    let metrics = o.metrics_out.as_deref().map(MetricsOut::start);
 
     let mut exit = 0;
     let mut out = String::new();
@@ -171,7 +120,7 @@ fn main() {
         record_findings_metrics(&report.findings());
         exit = exit.max(emit(&report, &format!("fixture {fixture} [{}]", o.tool), &o, &mut out));
     }
-    if let Some(app) = &o.app {
+    if let Some(app) = o.app {
         for version in &o.versions {
             let (outcome, findings) = run_app_sanitized(app, o.system, *version, o.scale, mask);
             let report = Report::from_findings(mask, findings);
@@ -181,19 +130,10 @@ fn main() {
         }
     }
     if let Some(path) = &o.out {
-        if let Err(e) = std::fs::write(path, &out) {
-            eprintln!("sanitize: cannot write {path}: {e}");
-            exit = exit.max(2);
-        }
+        cli::write_file("sanitize", path, &out);
     }
-    if let (Some(path), Some(reg)) = (&o.metrics_out, registry) {
-        ompx_telemetry::uninstall();
-        let text = ompx_telemetry::to_prometheus(&reg.snapshot());
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("sanitize: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("sanitize: Prometheus metrics written to {path}");
+    if let Some(metrics) = metrics {
+        metrics.finish("sanitize");
     }
     std::process::exit(exit);
 }

@@ -35,6 +35,7 @@
 //! contract breaches are findings and drive a non-zero exit. `--spares N`
 //! benches N warm spares that promote on device loss in any mode.
 
+use ompx_bench::cli::{self, Args};
 use ompx_prof::chrome::to_chrome_trace;
 use ompx_sanitizer::report::{exit_code, render_json as findings_json, render_text};
 use ompx_sanitizer::{Finding, Severity};
@@ -44,7 +45,6 @@ use ompx_serve::{
     ServeError, ServeReport, Verdict,
 };
 use ompx_sim::fault::FaultPlan;
-use ompx_telemetry::json;
 use ompx_telemetry::{to_json as metrics_json, to_prometheus};
 
 fn usage() -> ! {
@@ -99,7 +99,12 @@ fn fail(o: &Opts, e: &ServeError) -> ! {
     std::process::exit(exit_code(&findings));
 }
 
-fn parse(args: &[String]) -> Opts {
+/// A comma-separated list of numbers; `usage` when one does not parse.
+fn factors(list: &str) -> Vec<f64> {
+    list.split(',').map(|f| f.trim().parse().unwrap_or_else(|_| usage())).collect()
+}
+
+fn parse() -> Opts {
     let mut cfg = ServeConfig::new(20260808);
     let mut spec = LoadSpec { seed: 20260808, clients: 1000, tenants: 8 };
     // Default chaos: a low fault rate everywhere plus one scheduled
@@ -122,27 +127,19 @@ fn parse(args: &[String]) -> Opts {
         multipliers: ompx_serve::DEFAULT_MULTIPLIERS.to_vec(),
         csv_out: None,
     };
-    let mut i = 0;
-    macro_rules! val {
-        () => {{
-            i += 1;
-            match args.get(i) {
-                Some(v) => v,
-                None => usage(),
-            }
-        }};
-    }
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::new(usage);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--seed" => {
-                let v: u64 = val!().parse().unwrap_or_else(|_| usage());
+                let v: u64 = args.parse();
                 cfg.seed = v;
                 spec.seed = v;
             }
-            "--clients" => spec.clients = val!().parse().unwrap_or_else(|_| usage()),
-            "--tenants" => spec.tenants = val!().parse().unwrap_or_else(|_| usage()),
+            "--clients" => spec.clients = args.parse(),
+            "--tenants" => spec.tenants = args.parse(),
             "--devices" => {
-                cfg.devices = val!()
+                cfg.devices = args
+                    .value()
                     .split(',')
                     .map(|d| match d.trim() {
                         "a100" => DeviceKind::A100,
@@ -152,50 +149,33 @@ fn parse(args: &[String]) -> Opts {
                     .collect();
             }
             "--spares" => {
-                let n: usize = val!().parse().unwrap_or_else(|_| usage());
+                let n: usize = args.parse();
                 // Alternate profiles starting with A100 so a mixed bench
                 // can cover either side of the pool.
                 cfg.spares = (0..n)
                     .map(|i| if i % 2 == 0 { DeviceKind::A100 } else { DeviceKind::Mi250 })
                     .collect();
             }
-            "--max-batch" => cfg.max_batch = val!().parse().unwrap_or_else(|_| usage()),
-            "--queue-cap" => cfg.queue_cap = val!().parse().unwrap_or_else(|_| usage()),
-            "--load-factor" => cfg.load_factor = val!().parse().unwrap_or_else(|_| usage()),
-            "--rate" => rate = val!().parse().unwrap_or_else(|_| usage()),
-            "--lose-at" => lose_at = Some(val!().parse().unwrap_or_else(|_| usage())),
+            "--max-batch" => cfg.max_batch = args.parse(),
+            "--queue-cap" => cfg.queue_cap = args.parse(),
+            "--load-factor" => cfg.load_factor = args.parse(),
+            "--rate" => rate = args.parse(),
+            "--lose-at" => lose_at = Some(args.parse()),
             "--no-faults" => faults = false,
             "--default-scale" => cfg.scale = ompx_hecbench::WorkScale::Default,
             "--json" => o.json = true,
-            "--bench-out" => o.bench_out = Some(val!().clone()),
-            "--trace" => o.trace = Some(val!().clone()),
-            "--baseline" => o.baseline = Some(val!().clone()),
-            "--metrics-out" => o.metrics_out = Some(val!().clone()),
-            "--metrics-json" => o.metrics_json = Some(val!().clone()),
+            "--bench-out" => o.bench_out = Some(args.value()),
+            "--trace" => o.trace = Some(args.value()),
+            "--baseline" => o.baseline = Some(args.value()),
+            "--metrics-out" => o.metrics_out = Some(args.value()),
+            "--metrics-json" => o.metrics_json = Some(args.value()),
             "--sweep" => o.sweep = true,
-            "--sweep-factors" => {
-                o.sweep_factors = val!()
-                    .split(',')
-                    .map(|f| f.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if o.sweep_factors.is_empty() {
-                    usage();
-                }
-            }
+            "--sweep-factors" => o.sweep_factors = factors(&args.value()),
             "--escalate" => o.escalate = true,
-            "--multipliers" => {
-                o.multipliers = val!()
-                    .split(',')
-                    .map(|f| f.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if o.multipliers.is_empty() {
-                    usage();
-                }
-            }
-            "--csv-out" => o.csv_out = Some(val!().clone()),
+            "--multipliers" => o.multipliers = factors(&args.value()),
+            "--csv-out" => o.csv_out = Some(args.value()),
             _ => usage(),
         }
-        i += 1;
     }
     if faults {
         let mut plan = FaultPlan::seeded(cfg.seed, rate);
@@ -212,19 +192,8 @@ fn parse(args: &[String]) -> Opts {
     o
 }
 
-fn write_file(path: &str, text: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("serve: cannot write {path}: {e}");
-        std::process::exit(2);
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse();
     if o.escalate {
         run_escalate(&o);
         return;
@@ -288,26 +257,26 @@ fn main() {
     }
 
     if let Some(path) = &o.bench_out {
-        write_file(path, &json);
+        cli::write_file("serve", path, &json);
         eprintln!("serve: report written to {path}");
     }
     if let Some(path) = &o.trace {
-        write_file(path, &to_chrome_trace(&out.spans));
+        cli::write_file("serve", path, &to_chrome_trace(&out.spans));
         eprintln!("serve: timeline trace written to {path} ({} spans)", out.spans.len());
     }
     if o.metrics_out.is_some() || o.metrics_json.is_some() {
         let snap = out.metrics.as_ref().expect("serve sessions install a metric registry");
         if let Some(path) = &o.metrics_out {
-            write_file(path, &to_prometheus(snap));
+            cli::write_file("serve", path, &to_prometheus(snap));
             eprintln!("serve: Prometheus metrics written to {path}");
         }
         if let Some(path) = &o.metrics_json {
-            write_file(path, &metrics_json(snap));
+            cli::write_file("serve", path, &metrics_json(snap));
             eprintln!("serve: JSON metrics written to {path}");
         }
     }
     if let Some(path) = &o.baseline {
-        gate("baseline", path, &json);
+        cli::gate("serve", "baseline", path, &json);
     }
     std::process::exit(exit_code(&findings));
 }
@@ -345,15 +314,15 @@ fn run_sweep(o: &Opts) {
     }
     eprintln!("serve: swept {} load factors in {:.2}s wall", s.points.len(), wall.as_secs_f64());
     if let Some(path) = &o.bench_out {
-        write_file(path, &json);
+        cli::write_file("serve", path, &json);
         eprintln!("serve: sweep report written to {path}");
     }
     if let Some(path) = &o.csv_out {
-        write_file(path, &render_sweep_csv(&s));
+        cli::write_file("serve", path, &render_sweep_csv(&s));
         eprintln!("serve: sweep CSV written to {path}");
     }
     if let Some(path) = &o.baseline {
-        gate("sweep baseline", path, &json);
+        cli::gate("serve", "sweep baseline", path, &json);
     }
 }
 
@@ -423,15 +392,15 @@ fn run_escalate(o: &Opts) {
         }
     }
     if let Some(path) = &o.bench_out {
-        write_file(path, &json);
+        cli::write_file("serve", path, &json);
         eprintln!("serve: resilience report written to {path}");
     }
     if let Some(path) = &o.csv_out {
-        write_file(path, &render_escalate_csv(&e));
+        cli::write_file("serve", path, &render_escalate_csv(&e));
         eprintln!("serve: resilience CSV written to {path}");
     }
     if let Some(path) = &o.baseline {
-        gate("resilience baseline", path, &json);
+        cli::gate("serve", "resilience baseline", path, &json);
     }
     std::process::exit(exit_code(&findings));
 }
@@ -478,32 +447,5 @@ fn print_text(r: &ServeReport) {
             100.0 * t.share,
             t.rejected
         );
-    }
-}
-
-/// The `--baseline` gate, shared by all three modes: the committed
-/// document and the run's own rendered document must agree field for
-/// field ([`json::diff`]: key sets and array lengths equal, strings and
-/// bools exact, numbers to 1e-9 relative). Exits 2 on an unreadable
-/// baseline, 1 on drift.
-fn gate(label: &str, path: &str, doc: &str) {
-    let want = match std::fs::read_to_string(path) {
-        Ok(text) => json::parse(&text),
-        Err(e) => Err(e.to_string()),
-    };
-    let want = want.unwrap_or_else(|e| {
-        eprintln!("serve: bad {label} {path}: {e}");
-        std::process::exit(2);
-    });
-    let got = json::parse(doc).expect("serve renders valid JSON");
-    let drifts = json::diff(&want, &got);
-    if drifts.is_empty() {
-        eprintln!("serve: {label} gate PASSED");
-    } else {
-        eprintln!("serve: {label} gate FAILED, {} drift(s):", drifts.len());
-        for d in &drifts {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
     }
 }

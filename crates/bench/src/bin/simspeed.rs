@@ -27,6 +27,7 @@
 //! numbers are machine-dependent and deliberately not part of the
 //! baseline diff.
 
+use ompx_bench::cli::{self, Args};
 use ompx_hecbench::{run_app, with_mem_trace_full, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_sanitizer::fixtures;
 use ompx_sim::exec;
@@ -54,7 +55,7 @@ struct Opts {
     baseline: Option<String>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse() -> Opts {
     let mut o = Opts {
         runs: 3,
         scale: WorkScale::Default,
@@ -63,49 +64,22 @@ fn parse(args: &[String]) -> Opts {
         csv_out: None,
         baseline: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::new(usage);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--runs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => o.runs = n,
-                    _ => usage(),
+                o.runs = args.parse();
+                if o.runs == 0 {
+                    usage();
                 }
             }
             "--test-scale" => o.scale = WorkScale::Test,
-            "--system" => {
-                i += 1;
-                o.system = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => System::Nvidia,
-                    Some("amd") => System::Amd,
-                    _ => usage(),
-                };
-            }
-            "--bench-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.bench_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--csv-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.csv_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.baseline = Some(p.clone()),
-                    None => usage(),
-                }
-            }
+            "--system" => o.system = args.value_with(cli::system),
+            "--bench-out" => o.bench_out = Some(args.value()),
+            "--csv-out" => o.csv_out = Some(args.value()),
+            "--baseline" => o.baseline = Some(args.value()),
             _ => usage(),
         }
-        i += 1;
     }
     o
 }
@@ -179,16 +153,6 @@ fn trace_bytes(sys: System, scale: WorkScale) -> String {
 fn findings_bytes(fixture: &str) -> String {
     let (run, _) = fixtures::by_name(fixture).expect("known fixture");
     run().to_json()
-}
-
-fn write_file(path: &str, content: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(path, content) {
-        eprintln!("simspeed: cannot write {path}: {e}");
-        std::process::exit(2);
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -291,8 +255,7 @@ fn diff_baseline(cells: &[Cell], text: &str, scale: WorkScale) -> Result<Vec<Str
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse();
 
     let host_cores = std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(1);
     let workers = exec::default_workers();
@@ -400,11 +363,11 @@ fn main() {
         identity_ok,
     );
     if let Some(path) = &o.bench_out {
-        write_file(path, &json);
+        cli::write_file("simspeed", path, &json);
         eprintln!("simspeed: wrote {path}");
     }
     if let Some(path) = &o.csv_out {
-        write_file(path, &bench_csv(&cells));
+        cli::write_file("simspeed", path, &bench_csv(&cells));
         eprintln!("simspeed: wrote {path}");
     }
 

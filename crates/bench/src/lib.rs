@@ -10,6 +10,11 @@
 //! *simulator* for each program version (useful for tracking the
 //! reproduction itself); the paper-facing numbers are the modeled times
 //! printed by the `figures` binary and recorded in EXPERIMENTS.md.
+//!
+//! [`cli`] is the front end every harness binary shares: argument
+//! cursor, output-file writer, `--metrics-out` session and baseline gate.
+
+pub mod cli;
 
 use ompx_hecbench::{run_app, ProgVersion, RunOutcome, System, WorkScale, APP_NAMES};
 

@@ -1,0 +1,54 @@
+//! The harness binaries' command-line contract: a malformed command line
+//! prints the usage text on stderr, nothing on stdout, and exits 2.
+
+use std::process::{Command, Output};
+
+/// Each binary with the arguments before its flags (a subcommand or app
+/// positional) and a value flag it takes.
+const BINS: [(&str, &str, &[&str], &str); 8] = [
+    ("figures", env!("CARGO_BIN_EXE_figures"), &["fig8"], "--system"),
+    ("hecbench", env!("CARGO_BIN_EXE_hecbench"), &["adam"], "--system"),
+    ("profile", env!("CARGO_BIN_EXE_profile"), &[], "--system"),
+    ("simspeed", env!("CARGO_BIN_EXE_simspeed"), &[], "--system"),
+    ("sanitize", env!("CARGO_BIN_EXE_sanitize"), &[], "--system"),
+    ("analyze", env!("CARGO_BIN_EXE_analyze"), &[], "--system"),
+    ("chaos", env!("CARGO_BIN_EXE_chaos"), &[], "--system"),
+    ("serve", env!("CARGO_BIN_EXE_serve"), &[], "--seed"),
+];
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe).args(args).output().expect("harness binary starts")
+}
+
+fn assert_usage(name: &str, out: &Output) {
+    assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{name}: {out:?}");
+    assert!(out.stdout.is_empty(), "{name}: {out:?}");
+}
+
+#[test]
+fn an_unknown_flag_prints_usage_and_exits_2() {
+    for (name, exe, positional, _) in BINS {
+        let args = [positional, &["--no-such-flag"]].concat();
+        assert_usage(name, &run(exe, &args));
+    }
+}
+
+#[test]
+fn a_value_flag_without_its_value_prints_usage_and_exits_2() {
+    for (name, exe, positional, flag) in BINS {
+        let args = [positional, &[flag]].concat();
+        assert_usage(name, &run(exe, &args));
+    }
+}
+
+#[test]
+fn figures_csv_checks_the_subcommand_before_writing() {
+    let path = format!("{}/figures_bogus.csv", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_file(&path);
+    let (_, exe, _, _) = BINS[0];
+    for sub in ["bogus", "fig6", "all"] {
+        assert_usage("figures", &run(exe, &[sub, "--csv", &path]));
+        assert!(!std::path::Path::new(&path).exists(), "figures {sub} --csv wrote {path}");
+    }
+}

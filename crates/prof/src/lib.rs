@@ -15,9 +15,9 @@
 //!   one for the hidden helper threads.
 //! * **Rooflines** ([`roofline`]) — per-kernel `(AI, GFLOP/s)` placement
 //!   against the device's memory and compute roofs, as CSV.
-//! * **Regression gating** ([`report`]) — profile tables in text/CSV/JSON
-//!   and a committed-baseline diff that fails CI on checksum changes,
-//!   modeled-time drift, occupancy drift, or bottleneck reclassification.
+//! * **Reports** ([`report`]) — profile tables in text/CSV/JSON; the JSON
+//!   report is the committed baseline the `profile --baseline` gate diffs
+//!   field by field.
 //! * **Stream-overlap probe** ([`probe`]) — the §3.5
 //!   `depend(interopobj:)` idiom run as a self-check, so every profile
 //!   carries a genuine multi-stream timeline and a serialization canary.
@@ -37,8 +37,5 @@ pub mod roofline;
 pub use chrome::to_chrome_trace;
 pub use metrics::{classify, derive_metrics, Bottleneck, KernelMetrics};
 pub use probe::{overlap_probe, OverlapReport};
-pub use report::{
-    diff_baseline, parse_baseline, table_csv, table_text, to_json, BaselineCell, CellProfile,
-    Drift, Tolerance,
-};
+pub use report::{table_csv, table_text, to_json, CellProfile};
 pub use roofline::{place, RooflinePoint};

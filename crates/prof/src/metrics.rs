@@ -54,22 +54,6 @@ impl Bottleneck {
             Bottleneck::Launch => "launch",
         }
     }
-
-    /// Inverse of [`Bottleneck::label`] (baseline parsing).
-    pub fn from_label(s: &str) -> Option<Bottleneck> {
-        Some(match s {
-            "membw" => Bottleneck::MemoryBandwidth,
-            "memlat" => Bottleneck::MemoryLatency,
-            "compute" => Bottleneck::Compute,
-            "shared" => Bottleneck::SharedMemory,
-            "barrier" => Bottleneck::Barrier,
-            "atomic" => Bottleneck::Atomic,
-            "divergence" => Bottleneck::Divergence,
-            "serialization" => Bottleneck::Serialization,
-            "launch" => Bottleneck::Launch,
-            _ => return None,
-        })
-    }
 }
 
 /// Classify the kernel by the largest term of its modeled time. The body
@@ -229,23 +213,5 @@ mod tests {
             model_kernel(&dev, 32, 1, 0, &stats, &CodegenInfo::default(), &ModeOverheads::none());
         let k = derive_metrics(&dev, &stats, &m);
         assert_eq!(k.bottleneck, Bottleneck::Launch);
-    }
-
-    #[test]
-    fn bottleneck_labels_round_trip() {
-        for b in [
-            Bottleneck::MemoryBandwidth,
-            Bottleneck::MemoryLatency,
-            Bottleneck::Compute,
-            Bottleneck::SharedMemory,
-            Bottleneck::Barrier,
-            Bottleneck::Atomic,
-            Bottleneck::Divergence,
-            Bottleneck::Serialization,
-            Bottleneck::Launch,
-        ] {
-            assert_eq!(Bottleneck::from_label(b.label()), Some(b));
-        }
-        assert_eq!(Bottleneck::from_label("nonsense"), None);
     }
 }

@@ -1,16 +1,14 @@
-//! Profile reports and perf-regression gating.
+//! Profile reports.
 //!
 //! One profiled cell is (app, program version, system): its checksum,
 //! reported modeled seconds, and the representative kernel's derived
 //! metrics. This module renders cell sets as an aligned text table, CSV,
-//! or JSON, and implements the baseline gate: a committed JSON baseline is
-//! diffed against the current run, and any drift beyond tolerance —
-//! checksum change, modeled-time drift, occupancy drift, bottleneck
-//! reclassification, or a cell appearing/disappearing — fails the gate
-//! (CI exits non-zero).
+//! or JSON. The JSON report is also the committed baseline format: the
+//! `profile --baseline` gate diffs it field by field with
+//! [`json::diff`].
 
-use crate::metrics::{Bottleneck, KernelMetrics};
-use ompx_sim::json::{self, Json};
+use crate::metrics::KernelMetrics;
+use ompx_sim::json;
 
 /// One profiled (app, version, system) cell.
 #[derive(Debug, Clone)]
@@ -33,7 +31,7 @@ pub struct CellProfile {
 }
 
 impl CellProfile {
-    /// Stable cell key used in tables and baseline matching.
+    /// Stable cell key used in tables and reports.
     pub fn key(&self) -> String {
         format!("{}/{}/{}", self.app, self.version, self.system)
     }
@@ -168,181 +166,10 @@ pub fn to_json(cells: &[CellProfile]) -> String {
         .finish()
 }
 
-// ---- baseline gate ---------------------------------------------------------
-
-/// The gated subset of one baseline cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineCell {
-    pub app: String,
-    pub version: String,
-    pub system: String,
-    pub checksum: u64,
-    pub reported_seconds: f64,
-    pub occupancy_pct: f64,
-    pub bottleneck: Bottleneck,
-    pub excluded: bool,
-}
-
-impl BaselineCell {
-    /// Stable cell key, matching [`CellProfile::key`].
-    pub fn key(&self) -> String {
-        format!("{}/{}/{}", self.app, self.version, self.system)
-    }
-}
-
-/// Parse a baseline document written by [`to_json`].
-pub fn parse_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
-    let doc = json::parse(text)?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("ompx-prof-baseline-v1") => {}
-        other => return Err(format!("unsupported baseline schema {other:?}")),
-    }
-    let cells = doc.get("cells").and_then(Json::as_arr).ok_or("baseline has no cells array")?;
-    let mut out = Vec::with_capacity(cells.len());
-    for (i, c) in cells.iter().enumerate() {
-        let str_field = |k: &str| -> Result<String, String> {
-            c.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("cell {i}: missing string field {k:?}"))
-        };
-        let num_field = |k: &str| -> Result<f64, String> {
-            c.get(k).and_then(Json::as_f64).ok_or(format!("cell {i}: missing number field {k:?}"))
-        };
-        let checksum_hex = str_field("checksum")?;
-        let checksum = u64::from_str_radix(&checksum_hex, 16)
-            .map_err(|e| format!("cell {i}: bad checksum {checksum_hex:?}: {e}"))?;
-        let bl = str_field("bottleneck")?;
-        let bottleneck =
-            Bottleneck::from_label(&bl).ok_or(format!("cell {i}: unknown bottleneck {bl:?}"))?;
-        out.push(BaselineCell {
-            app: str_field("app")?,
-            version: str_field("version")?,
-            system: str_field("system")?,
-            checksum,
-            reported_seconds: num_field("reported_seconds")?,
-            occupancy_pct: num_field("occupancy_pct")?,
-            bottleneck,
-            excluded: matches!(c.get("excluded"), Some(Json::Bool(true))),
-        });
-    }
-    Ok(out)
-}
-
-/// Gate tolerances. Checksums and bottleneck classes must match exactly;
-/// modeled time may drift within a relative band (the model is
-/// deterministic, so the default band only absorbs intentional
-/// re-calibrations smaller than a report-worthy regression), occupancy
-/// within an absolute percentage-point band.
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerance {
-    /// Allowed relative drift of `reported_seconds` (0.05 = ±5 %).
-    pub rel_seconds: f64,
-    /// Allowed absolute drift of occupancy, percentage points.
-    pub occupancy_pts: f64,
-}
-
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance { rel_seconds: 0.05, occupancy_pts: 1.0 }
-    }
-}
-
-/// One gate violation.
-#[derive(Debug, Clone)]
-pub struct Drift {
-    /// Cell key the violation is about.
-    pub cell: String,
-    /// Human-readable description of what moved.
-    pub what: String,
-}
-
-impl std::fmt::Display for Drift {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.cell, self.what)
-    }
-}
-
-/// Diff a current run against a baseline. Empty result ⇒ gate passes.
-pub fn diff_baseline(
-    current: &[CellProfile],
-    baseline: &[BaselineCell],
-    tol: Tolerance,
-) -> Vec<Drift> {
-    let mut drifts = Vec::new();
-    for cur in current {
-        let key = cur.key();
-        let Some(base) = baseline.iter().find(|b| b.key() == key) else {
-            drifts.push(Drift {
-                cell: key,
-                what: "cell not present in baseline (new cell? re-record the baseline)".into(),
-            });
-            continue;
-        };
-        if cur.checksum != base.checksum {
-            drifts.push(Drift {
-                cell: key.clone(),
-                what: format!(
-                    "checksum changed: {:016x} -> {:016x} (results differ!)",
-                    base.checksum, cur.checksum
-                ),
-            });
-        }
-        let rel = (cur.reported_seconds - base.reported_seconds).abs()
-            / base.reported_seconds.abs().max(1e-30);
-        if rel > tol.rel_seconds {
-            drifts.push(Drift {
-                cell: key.clone(),
-                what: format!(
-                    "modeled time drifted {:+.1}%: {:.3e}s -> {:.3e}s (tolerance ±{:.0}%)",
-                    100.0 * (cur.reported_seconds - base.reported_seconds)
-                        / base.reported_seconds.abs().max(1e-30),
-                    base.reported_seconds,
-                    cur.reported_seconds,
-                    100.0 * tol.rel_seconds
-                ),
-            });
-        }
-        if (cur.metrics.occupancy_pct - base.occupancy_pct).abs() > tol.occupancy_pts {
-            drifts.push(Drift {
-                cell: key.clone(),
-                what: format!(
-                    "occupancy drifted: {:.1}% -> {:.1}% (tolerance ±{:.1} pts)",
-                    base.occupancy_pct, cur.metrics.occupancy_pct, tol.occupancy_pts
-                ),
-            });
-        }
-        if cur.metrics.bottleneck != base.bottleneck {
-            drifts.push(Drift {
-                cell: key.clone(),
-                what: format!(
-                    "bottleneck reclassified: {} -> {}",
-                    base.bottleneck.label(),
-                    cur.metrics.bottleneck.label()
-                ),
-            });
-        }
-        if cur.excluded != base.excluded {
-            drifts.push(Drift {
-                cell: key,
-                what: format!("exclusion flag changed: {} -> {}", base.excluded, cur.excluded),
-            });
-        }
-    }
-    for base in baseline {
-        if !current.iter().any(|c| c.key() == base.key()) {
-            drifts.push(Drift {
-                cell: base.key(),
-                what: "cell present in baseline but missing from this run".into(),
-            });
-        }
-    }
-    drifts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Bottleneck;
 
     fn metrics() -> KernelMetrics {
         KernelMetrics {
@@ -370,62 +197,6 @@ mod tests {
             excluded: false,
             metrics: metrics(),
         }
-    }
-
-    #[test]
-    fn baseline_round_trips_through_json() {
-        let cells = vec![cell("xsbench", "ompx"), cell("su3", "cuda-nvcc")];
-        let parsed = parse_baseline(&to_json(&cells)).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].key(), "xsbench/ompx/nvidia");
-        assert_eq!(parsed[0].checksum, 0xdeadbeef);
-        assert_eq!(parsed[1].bottleneck, Bottleneck::MemoryBandwidth);
-        assert!(diff_baseline(&cells, &parsed, Tolerance::default()).is_empty());
-    }
-
-    #[test]
-    fn drift_is_detected_and_described() {
-        let cells = vec![cell("xsbench", "ompx")];
-        let mut base = parse_baseline(&to_json(&cells)).unwrap();
-        base[0].reported_seconds *= 1.5;
-        base[0].checksum ^= 1;
-        base[0].bottleneck = Bottleneck::Compute;
-        let drifts = diff_baseline(&cells, &base, Tolerance::default());
-        let all = drifts.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n");
-        assert!(all.contains("checksum changed"), "{all}");
-        assert!(all.contains("modeled time drifted"), "{all}");
-        assert!(all.contains("bottleneck reclassified"), "{all}");
-    }
-
-    #[test]
-    fn missing_and_extra_cells_both_fail_the_gate() {
-        let current = vec![cell("xsbench", "ompx")];
-        let recorded = vec![cell("xsbench", "ompx"), cell("xsbench", "omp")];
-        let base = parse_baseline(&to_json(&recorded)).unwrap();
-        let drifts = diff_baseline(&current, &base, Tolerance::default());
-        assert_eq!(drifts.len(), 1);
-        assert!(drifts[0].to_string().contains("missing from this run"));
-
-        let drifts = diff_baseline(
-            &recorded,
-            &parse_baseline(&to_json(&current)).unwrap(),
-            Tolerance::default(),
-        );
-        assert_eq!(drifts.len(), 1);
-        assert!(drifts[0].to_string().contains("not present in baseline"));
-    }
-
-    #[test]
-    fn tolerance_band_admits_small_drift() {
-        let cells = vec![cell("adam", "omp")];
-        let mut base = parse_baseline(&to_json(&cells)).unwrap();
-        base[0].reported_seconds *= 1.02;
-        base[0].occupancy_pct += 0.5;
-        assert!(diff_baseline(&cells, &base, Tolerance::default()).is_empty());
-        assert_eq!(
-            diff_baseline(&cells, &base, Tolerance { rel_seconds: 0.01, occupancy_pts: 0.1 }).len(),
-            2
-        );
     }
 
     #[test]

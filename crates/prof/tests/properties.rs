@@ -130,49 +130,4 @@ proptest! {
             b, winner.0, max_term
         );
     }
-
-    /// Baselines written by the reporter always parse back losslessly and
-    /// diff clean against themselves, whatever the cell contents.
-    #[test]
-    fn baseline_roundtrip_never_drifts(
-        checksum in 0u64..u64::MAX,
-        seconds_exp in -6i32..2,
-        occupancy in 0u32..101,
-        which_bottleneck in 0usize..9,
-        excluded in proptest::bool::ANY,
-    ) {
-        let bottlenecks = [
-            Bottleneck::MemoryBandwidth, Bottleneck::MemoryLatency, Bottleneck::Compute,
-            Bottleneck::SharedMemory, Bottleneck::Barrier, Bottleneck::Atomic,
-            Bottleneck::Divergence, Bottleneck::Serialization, Bottleneck::Launch,
-        ];
-        let cell = ompx_prof::CellProfile {
-            app: "probe".into(),
-            version: "ompx".into(),
-            system: "nvidia".into(),
-            checksum,
-            reported_seconds: 10f64.powi(seconds_exp),
-            excluded,
-            metrics: ompx_prof::KernelMetrics {
-                occupancy_pct: occupancy as f64,
-                mem_throughput_pct: 50.0,
-                arithmetic_intensity: 0.5,
-                gflops: 10.0,
-                coalescing_eff_pct: 75.0,
-                warp_exec_eff_pct: 100.0,
-                barrier_stall_pct: 0.0,
-                atomic_stall_pct: 0.0,
-                serialization_stall_pct: 0.0,
-                divergence_stall_pct: 0.0,
-                bottleneck: bottlenecks[which_bottleneck],
-            },
-        };
-        let cells = vec![cell];
-        let parsed = ompx_prof::parse_baseline(&ompx_prof::to_json(&cells)).unwrap();
-        prop_assert_eq!(parsed.len(), 1);
-        prop_assert_eq!(parsed[0].checksum, checksum);
-        prop_assert_eq!(parsed[0].bottleneck, bottlenecks[which_bottleneck]);
-        let drifts = ompx_prof::diff_baseline(&cells, &parsed, ompx_prof::Tolerance::default());
-        prop_assert!(drifts.is_empty(), "self-diff drifted: {:?}", drifts);
-    }
 }

@@ -15,7 +15,6 @@ use crate::mem::DeviceScalar;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The shared-memory arena of a single thread block.
 pub struct BlockShared {
@@ -155,25 +154,6 @@ impl BlockShared {
             init: slot.init.as_deref(),
             slot: idx,
             _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Reset all slots to zero (block reuse between executions). Also
-    /// resets tooling state: the next block starts with a clean race fold
-    /// and an all-uninitialized bitmap.
-    pub fn clear(&self) {
-        for slot in &self.slots {
-            for w in slot.words.iter() {
-                w.store(0, Ordering::Relaxed);
-            }
-            if let Some(race) = &slot.race {
-                race.lock().clear();
-            }
-            if let Some(init) = &slot.init {
-                for w in init.iter() {
-                    w.store(0, Ordering::Relaxed);
-                }
-            }
         }
     }
 
@@ -328,9 +308,6 @@ impl<'a, T: DeviceScalar> SharedView<'a, T> {
     }
 }
 
-/// A shared arena wrapped for handoff to block lanes.
-pub type SharedArc = Arc<BlockShared>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,16 +346,6 @@ mod tests {
     fn slot_out_of_range_panics() {
         let bs = BlockShared::new(&decls());
         let _ = bs.view::<f32>(2);
-    }
-
-    #[test]
-    fn clear_zeroes_all_slots() {
-        let bs = BlockShared::new(&decls());
-        bs.view::<f32>(0).set(0, 1.0);
-        bs.view::<u32>(1).set(1, 9);
-        bs.clear();
-        assert_eq!(bs.view::<f32>(0).get(0), 0.0);
-        assert_eq!(bs.view::<u32>(1).get(1), 0);
     }
 
     #[test]
@@ -439,8 +406,6 @@ mod tests {
         let keys: Vec<(usize, usize, u64)> =
             races.iter().map(|(slot, r)| (*slot, r.cell, r.epoch)).collect();
         assert_eq!(keys, vec![(0, 2, 1), (0, 2, 3), (0, 4, 0)]);
-        bs.clear();
-        assert!(bs.collect_races().is_empty());
     }
 
     #[test]

@@ -24,6 +24,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> committed figure artifacts regenerate byte for byte (figures all, fig8 --csv, shapecheck)"
+FIG=$(mktemp -d)
+cargo run --release -q -p ompx-bench --bin figures -- all >"$FIG/figures_all.txt"
+cargo run --release -q -p ompx-bench --bin figures -- fig8 --csv "$FIG/fig8.csv" >/dev/null
+cargo run --release -q -p ompx-bench --bin figures -- shapecheck >"$FIG/shapecheck.txt"
+cmp "$FIG/figures_all.txt" results/figures_all.txt
+cmp "$FIG/fig8.csv" results/fig8.csv
+cmp "$FIG/shapecheck.txt" results/shapecheck.txt
+rm -rf "$FIG"
+
 echo "==> sanitize smoke run (all tools, stencil omp, test scale)"
 cargo run --release -q -p ompx-bench --bin sanitize -- \
     --tool all --app stencil --version omp --test-scale

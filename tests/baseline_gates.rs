@@ -1,9 +1,9 @@
-//! The `serve --baseline` gate is `json::diff` over the whole document.
-//! Each committed serving baseline agrees with itself, and perturbing a
-//! single field — including fields no per-document comparator ever
-//! checked (fairness shares, class shed counts, device busy time,
-//! violation texts, unexpected keys) — yields exactly one drift, named by
-//! its path.
+//! The `serve --baseline` and `profile --baseline` gates are `json::diff`
+//! over the whole document. Each committed baseline agrees with itself,
+//! and perturbing a single field — including fields no per-document
+//! comparator ever checked (fairness shares, class shed counts, device
+//! busy time, violation texts, unexpected keys, a profile cell's GFLOP/s
+//! and stall percentages) — yields exactly one drift, named by its path.
 
 use ompx_telemetry::json::{self, Json};
 
@@ -100,4 +100,21 @@ fn resilience_gate_compares_violation_texts() {
     );
     let drifts = drifts_after(&doc, "rungs[3].verdicts.rejected", |j| *j = Json::Num(154.0));
     assert_eq!(drifts, ["rungs[3].verdicts.rejected: baseline 153, run 154"]);
+}
+
+#[test]
+fn profile_gate_checks_fields_the_old_comparator_skipped() {
+    let doc = baseline("profile_baseline.json");
+    assert_eq!(json::diff(&doc, &doc), Vec::<String>::new());
+    for path in [
+        "cells[0].gflops",
+        "cells[0].mem_throughput_pct",
+        "cells[5].arithmetic_intensity",
+        "cells[12].coalescing_eff_pct",
+        "cells[47].barrier_stall_pct",
+    ] {
+        let drifts = drifts_after(&doc, path, bump);
+        assert_eq!(drifts.len(), 1, "{path}: {drifts:?}");
+        assert!(drifts[0].starts_with(&format!("{path}: baseline ")), "{drifts:?}");
+    }
 }

@@ -6,11 +6,10 @@ use ompx_hecbench::{run_app, with_span_log, ProgVersion, System, WorkScale};
 use ompx_hostrt::{KnownIssues, OpenMp};
 use ompx_klang::toolchain::Toolchain;
 use ompx_prof::probe::overlap_probe;
-use ompx_prof::{
-    derive_metrics, diff_baseline, parse_baseline, to_chrome_trace, to_json, CellProfile, Tolerance,
-};
+use ompx_prof::{derive_metrics, to_chrome_trace, to_json, CellProfile};
 use ompx_sim::device::{Device, DeviceProfile};
 use ompx_sim::span::Track;
+use ompx_telemetry::json;
 
 fn omp_small() -> OpenMp {
     OpenMp::with_device(
@@ -67,35 +66,36 @@ fn profiled_benchmark_run_yields_spans_and_multitrack_trace() {
 
 #[test]
 fn derived_metrics_gate_against_a_baseline_round_trip() {
-    let outcome = run_app("adam", System::Amd, ProgVersion::Omp, WorkScale::Test);
     let dev = DeviceProfile::mi250();
-    let metrics = derive_metrics(&dev, &outcome.stats, &outcome.kernel_model);
+    let profile = || {
+        let outcome = run_app("adam", System::Amd, ProgVersion::Omp, WorkScale::Test);
+        let metrics = derive_metrics(&dev, &outcome.stats, &outcome.kernel_model);
+        vec![CellProfile {
+            app: "adam".into(),
+            version: "omp".into(),
+            system: "amd".into(),
+            checksum: outcome.checksum,
+            reported_seconds: outcome.reported_seconds,
+            excluded: outcome.excluded,
+            metrics,
+        }]
+    };
+    let cells = profile();
+    let metrics = &cells[0].metrics;
     assert!(metrics.occupancy_pct > 0.0 && metrics.occupancy_pct <= 100.0);
     assert!(metrics.mem_throughput_pct <= 100.0);
-
-    let cell = CellProfile {
-        app: "adam".into(),
-        version: "omp".into(),
-        system: "amd".into(),
-        checksum: outcome.checksum,
-        reported_seconds: outcome.reported_seconds,
-        excluded: outcome.excluded,
-        metrics,
-    };
-    let cells = vec![cell];
-    let baseline = parse_baseline(&to_json(&cells)).expect("baseline round-trips");
-    assert!(diff_baseline(&cells, &baseline, Tolerance::default()).is_empty());
+    let baseline = json::parse(&to_json(&cells)).expect("baseline round-trips");
 
     // A rerun of the same deterministic cell still matches the baseline.
-    let rerun = run_app("adam", System::Amd, ProgVersion::Omp, WorkScale::Test);
-    assert_eq!(rerun.checksum, baseline[0].checksum);
-    assert_eq!(rerun.reported_seconds, baseline[0].reported_seconds);
+    let rerun = json::parse(&to_json(&profile())).expect("report parses");
+    assert_eq!(json::diff(&baseline, &rerun), Vec::<String>::new());
 
-    // And a genuinely slower run fails the gate.
+    // And a genuinely slower run fails the gate, naming the field.
     let mut slower = cells.clone();
     slower[0].reported_seconds *= 2.0;
-    let drifts = diff_baseline(&slower, &baseline, Tolerance::default());
-    assert!(drifts.iter().any(|d| d.to_string().contains("modeled time drifted")));
+    let drifts = json::diff(&baseline, &json::parse(&to_json(&slower)).expect("report parses"));
+    assert_eq!(drifts.len(), 1, "{drifts:?}");
+    assert!(drifts[0].starts_with("cells[0].reported_seconds: "), "{drifts:?}");
 }
 
 #[test]
