@@ -22,9 +22,12 @@
 //! throughput / p50/p95/p99-vs-load curve as `BENCH_sweep.json`
 //! (`--bench-out`) and CSV (`--csv-out`); `--baseline` then gates the
 //! sweep document instead of the single-point report. `--metrics-out` /
-//! `--metrics-json` dump the run's deterministic metric snapshot in
+//! `--metrics-json` dump a single run's deterministic metric snapshot in
 //! Prometheus text / JSON form — identical seeded runs produce
-//! bit-identical files, which CI diffs directly.
+//! bit-identical files, which CI diffs directly. Each output flag is
+//! accepted only by the modes that write it: `--csv-out` by `--sweep` and
+//! `--escalate`, `--metrics-out`, `--metrics-json` and `--trace` by the
+//! single run; any other pairing prints usage and exits 2.
 //!
 //! `--escalate` runs the chaos-escalation campaign instead: the same
 //! seeded load replayed at a ladder of fault-rate multipliers
@@ -185,6 +188,14 @@ fn parse() -> Opts {
         cfg.plan = Some(plan);
     }
     if spec.tenants == 0 || spec.clients == 0 {
+        usage();
+    }
+    // An output flag the chosen mode never writes is a usage error, not a
+    // silently missing file: the campaigns write no metrics snapshot or
+    // timeline, the single run writes no CSV.
+    let campaign = o.sweep || o.escalate;
+    let single_run_only = o.metrics_out.is_some() || o.metrics_json.is_some() || o.trace.is_some();
+    if (campaign && single_run_only) || (!campaign && o.csv_out.is_some()) {
         usage();
     }
     o.cfg = cfg;

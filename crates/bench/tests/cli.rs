@@ -52,3 +52,24 @@ fn figures_csv_checks_the_subcommand_before_writing() {
         assert!(!std::path::Path::new(&path).exists(), "figures {sub} --csv wrote {path}");
     }
 }
+
+#[test]
+fn serve_rejects_output_flags_its_mode_does_not_write() {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let (_, exe, _, _) = BINS[7];
+    for (mode, flag) in [
+        (Some("--sweep"), "--metrics-out"),
+        (Some("--sweep"), "--metrics-json"),
+        (Some("--escalate"), "--metrics-out"),
+        (Some("--escalate"), "--metrics-json"),
+        (Some("--sweep"), "--trace"),
+        (Some("--escalate"), "--trace"),
+        (None, "--csv-out"),
+    ] {
+        let path = format!("{dir}/serve_unwritten{}.out", flag.trim_start_matches('-'));
+        let _ = std::fs::remove_file(&path);
+        let args: Vec<&str> = mode.into_iter().chain([flag, path.as_str()]).collect();
+        assert_usage("serve", &run(exe, &args));
+        assert!(!std::path::Path::new(&path).exists(), "serve {args:?} wrote {path}");
+    }
+}

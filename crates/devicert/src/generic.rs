@@ -18,8 +18,8 @@
 //!
 //! * each `parallel` region charges two barrier participations per team
 //!   thread (fork + join) plus descriptor-handling ALU work;
-//! * sequential sections record their work as `serial_ops`, which the
-//!   timing model runs at single-thread speed per resident master;
+//! * the master's dispatch of each region is recorded as `serial_ops`,
+//!   which the timing model runs at single-thread speed per resident master;
 //! * the launch geometry reported to the timing model is the *modeled*
 //!   geometry (`team_size` threads per team), not the simulated one.
 //!
@@ -27,41 +27,22 @@
 //! `cuda`/`ompx` counterparts, and their extra modeled time comes from
 //! counted events plus the per-mode overheads in [`crate::mode`].
 
-use crate::globalization::GlobalizedArray;
-use ompx_sim::device::Device;
 use ompx_sim::dim::{Dim3, LaunchConfig};
 use ompx_sim::exec::Kernel;
-use ompx_sim::mem::DeviceScalar;
 use ompx_sim::thread::ThreadCtx;
-use std::sync::Arc;
 
 /// ALU operations charged per thread per parallel region for work-descriptor
 /// handling (fetch, decode, loop-bound setup). From the state-machine
 /// structure in Doerfert et al. (IPDPS'22).
-pub const DESCRIPTOR_OPS_PER_THREAD: u64 = 24;
+const DESCRIPTOR_OPS_PER_THREAD: u64 = 24;
 
 /// Serialized cycles the master spends launching one parallel region
 /// (signalling workers, publishing the descriptor).
-pub const REGION_DISPATCH_SERIAL_OPS: u64 = 120;
-
-/// Configuration of a generic-mode target region.
-#[derive(Debug, Clone, Copy)]
-pub struct GenericRegionConfig {
-    /// Threads per team the OpenMP runtime would launch (`thread_limit`).
-    pub team_size: u32,
-}
-
-impl GenericRegionConfig {
-    pub fn new(team_size: u32) -> Self {
-        assert!(team_size > 0, "team size must be positive");
-        GenericRegionConfig { team_size }
-    }
-}
+const REGION_DISPATCH_SERIAL_OPS: u64 = 120;
 
 /// The master thread's view of a generic-mode team.
 pub struct TeamCtx<'a, 'b> {
     tc: &'b mut ThreadCtx<'a>,
-    device: &'b Device,
     team_size: usize,
 }
 
@@ -71,40 +52,9 @@ impl<'a, 'b> TeamCtx<'a, 'b> {
         self.tc.block_rank()
     }
 
-    /// `omp_get_num_teams()`.
-    pub fn num_teams(&self) -> usize {
-        self.tc.grid_dim_x() * self.tc.grid_dim_y() * self.tc.grid_dim_z()
-    }
-
-    /// `omp_get_team_size()` — the modeled thread count of this team.
-    pub fn team_size(&self) -> usize {
-        self.team_size
-    }
-
-    /// Raw access to the master's thread context (for memory traffic in
-    /// sequential sections; prefer [`TeamCtx::seq`] so the serialization is
-    /// charged).
+    /// Raw access to the master's thread context.
     pub fn thread(&mut self) -> &mut ThreadCtx<'a> {
         self.tc
-    }
-
-    /// Run a sequential (master-only) section and charge its work as
-    /// serialized: the team's other threads are parked in the state machine
-    /// while this executes.
-    pub fn seq<R>(&mut self, f: impl FnOnce(&mut ThreadCtx<'a>) -> R) -> R {
-        let before = self.tc.counters;
-        let r = f(self.tc);
-        let after = self.tc.counters;
-        let mem_ops = (after.global_load_bytes - before.global_load_bytes
-            + after.global_store_bytes
-            - before.global_store_bytes)
-            / 8;
-        let delta = (after.flops - before.flops)
-            + (after.int_ops - before.int_ops)
-            + (after.shared_accesses - before.shared_accesses)
-            + mem_ops;
-        self.tc.counters.serial_ops += delta;
-        r
     }
 
     /// Execute an OpenMP `parallel for` over `0..n` with static scheduling.
@@ -116,15 +66,6 @@ impl<'a, 'b> TeamCtx<'a, 'b> {
         self.charge_region();
         for i in 0..n {
             body(self.tc, i);
-        }
-    }
-
-    /// Execute a raw `parallel` region: `body(tc, thread_num)` once per
-    /// modeled team thread.
-    pub fn parallel(&mut self, mut body: impl FnMut(&mut ThreadCtx<'a>, usize)) {
-        self.charge_region();
-        for t in 0..self.team_size {
-            body(self.tc, t);
         }
     }
 
@@ -158,42 +99,27 @@ impl<'a, 'b> TeamCtx<'a, 'b> {
         // Master-side dispatch is serialized.
         self.tc.counters.serial_ops += REGION_DISPATCH_SERIAL_OPS;
     }
-
-    /// Allocate a globalized team-local array on the runtime's device heap
-    /// (the default placement — global-memory traffic).
-    pub fn globalized_heap<T: DeviceScalar>(&mut self, len: usize) -> GlobalizedArray<'a, T> {
-        GlobalizedArray::Heap(self.device.alloc(len))
-    }
-
-    /// Use a shared-memory slot (declared on the launch config) as the
-    /// backing store for a globalized array — LLVM's heap-to-shared
-    /// optimization (§4.2.2 of the paper).
-    pub fn globalized_shared<T: DeviceScalar>(&self, slot: usize) -> GlobalizedArray<'a, T> {
-        GlobalizedArray::Shared(self.tc.shared::<T>(slot))
-    }
 }
 
-/// Build a generic-mode kernel from a region body.
+/// Build a generic-mode kernel from a region body. `team_size` is the
+/// modeled thread count of each team (`thread_limit`); it must be positive.
 ///
 /// The returned kernel must be launched with [`generic_launch_config`] (one
-/// simulated thread per team); use [`GenericRegionConfig::team_size`] when
-/// reporting geometry to the timing model.
+/// simulated thread per team); report `team_size` threads per team to the
+/// timing model.
 pub fn generic_kernel(
     name: impl Into<String>,
-    device: &Device,
-    cfg: GenericRegionConfig,
+    team_size: u32,
     region: impl Fn(&mut TeamCtx<'_, '_>) + Send + Sync + 'static,
 ) -> Kernel {
-    let device = device.clone();
-    let region = Arc::new(region);
+    assert!(team_size > 0, "team size must be positive");
     Kernel::new(name, move |tc: &mut ThreadCtx<'_>| {
-        let mut team = TeamCtx { tc, device: &device, team_size: cfg.team_size as usize };
-        region(&mut team);
+        region(&mut TeamCtx { tc, team_size: team_size as usize });
     })
 }
 
 /// The launch configuration for a generic-mode kernel: one simulated master
-/// per team. `shared_slots` carries any heap-to-shared declarations.
+/// per team. Heap-to-shared scratch is declared on it by the caller.
 pub fn generic_launch_config(num_teams: usize) -> LaunchConfig {
     LaunchConfig::new(Dim3::x(num_teams.max(1) as u32), Dim3::x(1))
 }
@@ -201,7 +127,7 @@ pub fn generic_launch_config(num_teams: usize) -> LaunchConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ompx_sim::device::DeviceProfile;
+    use ompx_sim::device::{Device, DeviceProfile};
 
     fn dev() -> Device {
         Device::new(DeviceProfile::test_small())
@@ -211,8 +137,7 @@ mod tests {
     fn parallel_for_executes_all_iterations() {
         let d = dev();
         let out = d.alloc::<u32>(64);
-        let cfg = GenericRegionConfig::new(32);
-        let k = generic_kernel("gk", &d, cfg, {
+        let k = generic_kernel("gk", 32, {
             let out = out.clone();
             move |team| {
                 let base = team.team_num() * 16;
@@ -231,8 +156,7 @@ mod tests {
     #[test]
     fn regions_charge_state_machine_costs() {
         let d = dev();
-        let cfg = GenericRegionConfig::new(64);
-        let k = generic_kernel("costs", &d, cfg, move |team| {
+        let k = generic_kernel("costs", 64, move |team| {
             team.parallel_for(1, |_tc, _i| {});
             team.parallel_for(1, |_tc, _i| {});
         });
@@ -244,37 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn seq_sections_serialize_their_work() {
-        let d = dev();
-        let data = d.alloc_from(&[1.0f64; 8]);
-        let cfg = GenericRegionConfig::new(32);
-        let k = generic_kernel("seq", &d, cfg, {
-            let data = data.clone();
-            move |team| {
-                team.seq(|tc| {
-                    let mut s = 0.0;
-                    for i in 0..8 {
-                        s += tc.read(&data, i);
-                        tc.flops(1);
-                    }
-                    assert_eq!(s, 8.0);
-                });
-            }
-        });
-        let stats = d.launch(&k, generic_launch_config(1)).unwrap();
-        // 8 flops + 8 loads (64 bytes / 8) = 16 serialized ops.
-        assert_eq!(stats.serial_ops, 16);
-        assert_eq!(stats.flops, 8); // still counted as regular work too
-    }
-
-    #[test]
     fn parallel_reduce_matches_sequential() {
         let d = dev();
         let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let buf = d.alloc_from(&data);
-        let cfg = GenericRegionConfig::new(16);
         let result = d.alloc::<f64>(1);
-        let k = generic_kernel("reduce", &d, cfg, {
+        let k = generic_kernel("reduce", 16, {
             let (buf, result) = (buf.clone(), result.clone());
             move |team| {
                 let s =
@@ -288,72 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn globalized_heap_vs_shared_traffic() {
-        let d = dev();
-        let mut launch = generic_launch_config(1);
-        let slot = launch.shared_array::<f64>(8);
-        let cfg = GenericRegionConfig::new(8);
-
-        let k = generic_kernel("glob", &d, cfg, move |team| {
-            let heap = team.globalized_heap::<f64>(8);
-            let shared = team.globalized_shared::<f64>(slot);
-            let tc = team.thread();
-            for i in 0..8 {
-                heap.set(tc, i, i as f64);
-                shared.set(tc, i, i as f64);
-            }
-            for i in 0..8 {
-                assert_eq!(heap.get(tc, i), i as f64);
-                assert_eq!(shared.get(tc, i), i as f64);
-            }
-        });
-        let stats = d.launch(&k, launch).unwrap();
-        assert_eq!(stats.global_store_bytes, 8 * 8);
-        assert_eq!(stats.global_load_bytes, 8 * 8);
-        assert_eq!(stats.shared_accesses, 16);
-    }
-
-    #[test]
-    fn raw_parallel_region_runs_once_per_modeled_thread() {
-        let d = dev();
-        let counts = d.alloc::<u32>(2);
-        let cfg = GenericRegionConfig::new(24);
-        let k = generic_kernel("rawpar", &d, cfg, {
-            let counts = counts.clone();
-            move |team| {
-                let tn = team.team_num();
-                team.parallel(|tc, thread_num| {
-                    assert!(thread_num < 24);
-                    tc.atomic_add(&counts, tn, 1);
-                });
-            }
-        });
-        d.launch(&k, generic_launch_config(2)).unwrap();
-        assert_eq!(counts.to_vec(), vec![24, 24]);
-    }
-
-    #[test]
     #[should_panic(expected = "team size must be positive")]
     fn zero_team_size_rejected() {
-        let _ = GenericRegionConfig::new(0);
-    }
-
-    #[test]
-    fn team_identity_queries() {
-        let d = dev();
-        let out = d.alloc::<u32>(3);
-        let cfg = GenericRegionConfig::new(128);
-        let k = generic_kernel("ident", &d, cfg, {
-            let out = out.clone();
-            move |team| {
-                assert_eq!(team.num_teams(), 3);
-                assert_eq!(team.team_size(), 128);
-                let tn = team.team_num();
-                let tc = team.thread();
-                tc.write(&out, tn, tn as u32 + 1);
-            }
-        });
-        d.launch(&k, generic_launch_config(3)).unwrap();
-        assert_eq!(out.to_vec(), vec![1, 2, 3]);
+        let _ = generic_kernel("empty", 0, |_team| {});
     }
 }

@@ -27,18 +27,29 @@
 //!
 //! * Generic-mode regions run the master's work for real (functionally
 //!   correct results) and charge the state-machine events — fork/join
-//!   barrier participations, descriptor ops, serialized sequential cycles —
+//!   barrier participations, descriptor ops, serialized region dispatch —
 //!   to the same counters every other kernel uses.
-//! * Globalized storage really lives in a [`ompx_sim::mem::DBuf`] (global
-//!   memory traffic) or a shared-memory slot (heap-to-shared), so the
-//!   traffic difference is measured, not configured.
+//! * Globalized scratch ([`globalization::Scratch`]) really lives in a
+//!   [`ompx_sim::mem::DBuf`] (global memory traffic) or a shared-memory slot
+//!   (heap-to-shared), so the traffic difference is measured, not
+//!   configured.
+//!
+//! Apart from [`ExecMode`], which other crates read off launch plans, the
+//! crate's one caller is `ompx-hostrt`'s target-region lowering, and its
+//! API is what that lowering calls:
+//!
+//! * [`mode`] — [`ExecMode`] and its launch-time overheads;
+//! * [`spmd`] — [`spmd::spmd_kernel`] over [`spmd::SpmdCtx`]'s
+//!   `distribute_parallel_for[_reduce]`;
+//! * [`generic`] — [`generic::generic_kernel`] and
+//!   [`generic::generic_launch_config`] over [`generic::TeamCtx`]'s
+//!   `parallel_for[_reduce]`;
+//! * [`globalization`] — [`globalization::Scratch`], the per-thread scratch
+//!   a region body reads and writes.
 
 pub mod generic;
 pub mod globalization;
 pub mod mode;
 pub mod spmd;
 
-pub use generic::{generic_kernel, GenericRegionConfig, TeamCtx};
-pub use globalization::{GlobalizedArray, GlobalizedPlacement};
 pub use mode::ExecMode;
-pub use spmd::{spmd_kernel, SpmdCtx};

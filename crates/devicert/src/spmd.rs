@@ -14,11 +14,10 @@
 
 use ompx_sim::exec::Kernel;
 use ompx_sim::thread::ThreadCtx;
-use std::sync::Arc;
 
 /// ALU cost per thread of computing its workshare bounds for one
 /// distributed loop.
-pub const WORKSHARE_SETUP_OPS: u64 = 12;
+const WORKSHARE_SETUP_OPS: u64 = 12;
 
 /// One SPMD thread's view of the combined `teams distribute parallel for`.
 pub struct SpmdCtx<'a, 'b> {
@@ -29,21 +28,6 @@ impl<'a, 'b> SpmdCtx<'a, 'b> {
     /// `omp_get_team_num()`.
     pub fn team_num(&self) -> usize {
         self.tc.block_rank()
-    }
-
-    /// `omp_get_num_teams()`.
-    pub fn num_teams(&self) -> usize {
-        self.tc.grid_dim_x() * self.tc.grid_dim_y() * self.tc.grid_dim_z()
-    }
-
-    /// `omp_get_thread_num()` within the team.
-    pub fn thread_num(&self) -> usize {
-        self.tc.thread_rank()
-    }
-
-    /// `omp_get_team_size()`.
-    pub fn team_size(&self) -> usize {
-        self.tc.block_dim_x() * self.tc.block_dim_y() * self.tc.block_dim_z()
     }
 
     /// Raw thread context (memory access, annotations).
@@ -65,31 +49,6 @@ impl<'a, 'b> SpmdCtx<'a, 'b> {
         while i < n {
             body(self.tc, i);
             i += stride;
-        }
-    }
-
-    /// `distribute parallel for schedule(static, chunk)`: this thread
-    /// executes whole chunks round-robin — the schedule HeCBench sources
-    /// request when they need cache-friendly blocking. Every iteration of
-    /// `0..n` is executed exactly once across the launch.
-    pub fn distribute_parallel_for_chunked(
-        &mut self,
-        n: usize,
-        chunk: usize,
-        mut body: impl FnMut(&mut ThreadCtx<'a>, usize),
-    ) {
-        assert!(chunk > 0, "schedule(static, 0) is not a valid OpenMP schedule");
-        self.tc.counters.int_ops += WORKSHARE_SETUP_OPS;
-        let stride = self.tc.global_size();
-        let mut c = self.tc.global_rank();
-        let chunks = n.div_ceil(chunk);
-        while c < chunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            for i in lo..hi {
-                body(self.tc, i);
-            }
-            c += stride;
         }
     }
 
@@ -123,11 +82,7 @@ pub fn spmd_kernel(
     name: impl Into<String>,
     region: impl Fn(&mut SpmdCtx<'_, '_>) + Send + Sync + 'static,
 ) -> Kernel {
-    let region = Arc::new(region);
-    Kernel::new(name, move |tc: &mut ThreadCtx<'_>| {
-        let mut ctx = SpmdCtx { tc };
-        region(&mut ctx);
-    })
+    Kernel::new(name, move |tc: &mut ThreadCtx<'_>| region(&mut SpmdCtx { tc }))
 }
 
 #[cfg(test)]
@@ -185,50 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_schedule_covers_every_iteration_once() {
-        let d = dev();
-        for (n, chunk) in [(1000usize, 7usize), (64, 64), (100, 1), (5, 16)] {
-            let hits = d.alloc::<u32>(n);
-            let k = spmd_kernel("chunky", {
-                let hits = hits.clone();
-                move |ctx| {
-                    ctx.distribute_parallel_for_chunked(n, chunk, |tc, i| {
-                        tc.atomic_add(&hits, i, 1);
-                    });
-                }
-            });
-            d.launch(&k, LaunchConfig::new(3u32, 16u32)).unwrap();
-            assert!(
-                hits.to_vec().iter().all(|&v| v == 1),
-                "n={n} chunk={chunk} missed or duplicated iterations"
-            );
-        }
-    }
-
-    #[test]
-    fn chunked_assigns_contiguous_runs_to_one_thread() {
-        // With chunk = 4, iterations 0..4 must be executed by the same
-        // thread (recorded via global rank).
-        let d = dev();
-        let n = 64;
-        let owner = d.alloc::<u32>(n);
-        let k = spmd_kernel("chunk_owner", {
-            let owner = owner.clone();
-            move |ctx| {
-                ctx.distribute_parallel_for_chunked(n, 4, |tc, i| {
-                    tc.write(&owner, i, tc.global_rank() as u32);
-                });
-            }
-        });
-        d.launch(&k, LaunchConfig::new(2u32, 4u32)).unwrap();
-        let o = owner.to_vec();
-        for c in 0..n / 4 {
-            let first = o[c * 4];
-            assert!(o[c * 4..(c + 1) * 4].iter().all(|&v| v == first), "chunk {c} split");
-        }
-    }
-
-    #[test]
     fn reduction_sums_partials() {
         let d = dev();
         let n = 256;
@@ -249,24 +160,6 @@ mod tests {
         });
         d.launch(&k, LaunchConfig::new(2u32, 32u32)).unwrap();
         assert_eq!(acc.get(0), (0..n).map(|i| i as f64).sum::<f64>());
-    }
-
-    #[test]
-    fn identity_queries_match_geometry() {
-        let d = dev();
-        let out = d.alloc::<u32>(4);
-        let k = spmd_kernel("ident", {
-            let out = out.clone();
-            move |ctx| {
-                assert_eq!(ctx.num_teams(), 2);
-                assert_eq!(ctx.team_size(), 2);
-                let idx = ctx.team_num() * 2 + ctx.thread_num();
-                let tc = ctx.thread();
-                tc.write(&out, idx, idx as u32 + 1);
-            }
-        });
-        d.launch(&k, LaunchConfig::new(2u32, 2u32)).unwrap();
-        assert_eq!(out.to_vec(), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -348,7 +348,7 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     std::sync::Arc::new(
                         move |tc: &mut ThreadCtx<'_>,
                               q: usize,
-                              _s: &ompx_hostrt::target::Scratch| {
+                              _s: &ompx_devicert::globalization::Scratch| {
                             let qx = tc.read(&data.qx, q);
                             let qy = tc.read(&data.qy, q);
                             let mut wsum = 0.0f32;

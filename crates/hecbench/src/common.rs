@@ -542,7 +542,7 @@ pub fn kernel_only(per_kernel: &ModeledTime) -> f64 {
 ///   [`ompx_sim::thread::LocalArray`];
 /// * `omp` version: globalized storage, heap (global traffic) or shared
 ///   memory when LLVM's heap-to-shared optimization fires, via
-///   [`ompx_hostrt::target::Scratch`].
+///   [`ompx_devicert::globalization::Scratch`].
 pub trait F64Scratch {
     fn put(&mut self, tc: &mut ompx_sim::thread::ThreadCtx<'_>, j: usize, v: f64);
     fn at(&mut self, tc: &mut ompx_sim::thread::ThreadCtx<'_>, j: usize) -> f64;
@@ -563,7 +563,7 @@ impl F64Scratch for LocalScratch {
 }
 
 /// Globalized scratch (`omp` program version).
-pub struct OmpScratch<'a>(pub &'a ompx_hostrt::target::Scratch);
+pub struct OmpScratch<'a>(pub &'a ompx_devicert::globalization::Scratch);
 
 impl F64Scratch for OmpScratch<'_> {
     #[inline]

@@ -391,7 +391,7 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     std::sync::Arc::new(
                         move |tc: &mut ThreadCtx<'_>,
                               i: usize,
-                              s: &ompx_hostrt::target::Scratch| {
+                              s: &ompx_devicert::globalization::Scratch| {
                             let mut scratch = OmpScratch(s);
                             let v = lookup_one(tc, i, &data, &mut scratch);
                             tc.write(&out, i, v);

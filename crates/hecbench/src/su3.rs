@@ -259,7 +259,7 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     std::sync::Arc::new(
                         move |tc: &mut ThreadCtx<'_>,
                               i: usize,
-                              _s: &ompx_hostrt::target::Scratch| {
+                              _s: &ompx_devicert::globalization::Scratch| {
                             site_mm(tc, i, &a, &b, &c);
                         },
                     )

@@ -375,7 +375,7 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     std::sync::Arc::new(
                         move |tc: &mut ThreadCtx<'_>,
                               i: usize,
-                              _s: &ompx_hostrt::target::Scratch| {
+                              _s: &ompx_devicert::globalization::Scratch| {
                             let v = lookup_one(tc, i, &data);
                             tc.write(&out, i, v);
                         },

@@ -21,7 +21,8 @@
 use crate::quirks::QuirkSet;
 use crate::runtime::OpenMp;
 use crate::task::{DepKey, TaskHandle};
-use ompx_devicert::generic::{generic_kernel, generic_launch_config, GenericRegionConfig, TeamCtx};
+use ompx_devicert::generic::{generic_kernel, generic_launch_config, TeamCtx};
+use ompx_devicert::globalization::Scratch;
 use ompx_devicert::mode::ExecMode;
 use ompx_devicert::spmd::{spmd_kernel, SpmdCtx};
 use ompx_sim::counters::StatsSnapshot;
@@ -30,7 +31,6 @@ use ompx_sim::dim::LaunchConfig;
 use ompx_sim::error::SimResult;
 use ompx_sim::exec::Kernel;
 use ompx_sim::fault::Recovery;
-use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::{host_model_seconds, model_kernel, CodegenInfo, ModeledTime};
 use parking_lot::Mutex;
@@ -58,6 +58,15 @@ impl LaunchPlan {
             invalid_result,
         }
     }
+
+    /// The simulated launch geometry: one master per team in generic mode,
+    /// the real `teams × threads` otherwise.
+    fn launch_config(&self) -> LaunchConfig {
+        match self.mode {
+            ExecMode::Generic => generic_launch_config(self.teams as usize),
+            _ => LaunchConfig::new(self.teams, self.threads),
+        }
+    }
 }
 
 /// Per-thread scratch storage the region needs (the storage class that is
@@ -66,72 +75,6 @@ impl LaunchPlan {
 pub struct ScratchSpec {
     /// `f64` elements of scratch per thread.
     pub f64_per_thread: usize,
-}
-
-/// Globalized per-thread scratch as seen inside the region body.
-pub enum Scratch {
-    /// No scratch requested.
-    None,
-    /// Globalized to the device heap: global-memory traffic.
-    Heap { buf: DBuf<f64>, per_thread: usize },
-    /// Heap-to-shared fired: shared-memory traffic.
-    Shared { slot: usize, per_thread: usize },
-}
-
-impl Scratch {
-    /// Scratch elements available per thread.
-    pub fn per_thread(&self) -> usize {
-        match self {
-            Scratch::None => 0,
-            Scratch::Heap { per_thread, .. } | Scratch::Shared { per_thread, .. } => *per_thread,
-        }
-    }
-
-    #[inline]
-    fn index(&self, tc: &ThreadCtx<'_>, j: usize) -> usize {
-        match self {
-            Scratch::None => unreachable!(),
-            // Heap storage is per *global* thread; shared is per team thread.
-            Scratch::Heap { per_thread, .. } => tc.global_rank() * per_thread + j,
-            Scratch::Shared { per_thread, .. } => tc.thread_rank() * per_thread + j,
-        }
-    }
-
-    /// Counted scratch load.
-    #[inline]
-    pub fn get(&self, tc: &mut ThreadCtx<'_>, j: usize) -> f64 {
-        debug_assert!(j < self.per_thread(), "scratch index {j} out of range");
-        match self {
-            Scratch::None => panic!("scratch access without a ScratchSpec"),
-            Scratch::Heap { buf, .. } => {
-                let i = self.index(tc, j) % buf.len();
-                tc.read(buf, i)
-            }
-            Scratch::Shared { slot, .. } => {
-                let view = tc.shared::<f64>(*slot);
-                let i = self.index(tc, j) % view.len();
-                tc.sread(&view, i)
-            }
-        }
-    }
-
-    /// Counted scratch store.
-    #[inline]
-    pub fn set(&self, tc: &mut ThreadCtx<'_>, j: usize, v: f64) {
-        debug_assert!(j < self.per_thread(), "scratch index {j} out of range");
-        match self {
-            Scratch::None => panic!("scratch access without a ScratchSpec"),
-            Scratch::Heap { buf, .. } => {
-                let i = self.index(tc, j) % buf.len();
-                tc.write(buf, i, v)
-            }
-            Scratch::Shared { slot, .. } => {
-                let view = tc.shared::<f64>(*slot);
-                let i = self.index(tc, j) % view.len();
-                tc.swrite(&view, i, v)
-            }
-        }
-    }
 }
 
 /// Result of executing a target region.
@@ -314,40 +257,30 @@ impl TargetRegion {
             });
             return Ok((acc.get(), result));
         }
-        let partials = self.omp.device().alloc::<f64>(plan.teams.max(1) as usize);
-        let body = Arc::new(body);
-
-        let (kernel, cfg) = match plan.mode {
-            ExecMode::Generic => {
-                let teams = plan.teams as usize;
-                let chunk = n.div_ceil(teams.max(1));
-                let partials2 = partials.clone();
-                let body = Arc::clone(&body);
-                let k = generic_kernel(
-                    self.kernel_name.clone(),
-                    self.omp.device(),
-                    GenericRegionConfig::new(plan.threads),
-                    move |team: &mut TeamCtx<'_, '_>| {
-                        let lo = (team.team_num() * chunk).min(n);
-                        let hi = (lo + chunk).min(n);
-                        let body = &body;
-                        let partial = team.parallel_for_reduce(
-                            hi - lo,
-                            0.0f64,
-                            |tc, i| body(tc, lo + i),
-                            |a, b| a + b,
-                        );
-                        let slot = team.team_num();
-                        team.thread().atomic_add(&partials2, slot, partial);
-                    },
-                );
-                (k, generic_launch_config(teams))
-            }
-            _ => {
-                let partials2 = partials.clone();
-                let body = Arc::clone(&body);
-                let k = spmd_kernel(self.kernel_name.clone(), move |ctx: &mut SpmdCtx<'_, '_>| {
-                    let body = &body;
+        let partials = self.omp.device().alloc::<f64>(plan.teams as usize);
+        let kernel = {
+            let partials = partials.clone();
+            match plan.mode {
+                ExecMode::Generic => {
+                    let chunk = n.div_ceil(plan.teams as usize);
+                    generic_kernel(
+                        self.kernel_name.clone(),
+                        plan.threads,
+                        move |team: &mut TeamCtx<'_, '_>| {
+                            let lo = (team.team_num() * chunk).min(n);
+                            let hi = (lo + chunk).min(n);
+                            let partial = team.parallel_for_reduce(
+                                hi - lo,
+                                0.0f64,
+                                |tc, i| body(tc, lo + i),
+                                |a, b| a + b,
+                            );
+                            let slot = team.team_num();
+                            team.thread().atomic_add(&partials, slot, partial);
+                        },
+                    )
+                }
+                _ => spmd_kernel(self.kernel_name.clone(), move |ctx: &mut SpmdCtx<'_, '_>| {
                     let partial = ctx.distribute_parallel_for_reduce(
                         n,
                         0.0f64,
@@ -355,13 +288,12 @@ impl TargetRegion {
                         |a, b| a + b,
                     );
                     let slot = ctx.team_num();
-                    ctx.thread().atomic_add(&partials2, slot, partial);
-                });
-                (k, LaunchConfig::new(plan.teams, plan.threads))
+                    ctx.thread().atomic_add(&partials, slot, partial);
+                }),
             }
         };
 
-        let prepared = PreparedTarget { omp: self.omp, kernel, cfg, plan, scratch_shared_bytes: 0 };
+        let prepared = PreparedTarget { omp: self.omp, kernel, cfg: plan.launch_config(), plan };
         let result = prepared.execute()?;
         Ok((partials.to_vec().iter().sum(), result))
     }
@@ -411,78 +343,45 @@ impl TargetRegion {
     /// Lower the loop but do not run it: used by the `nowait`/stream paths.
     pub fn prepare_dpf(self, n: usize, body: DpfBody) -> PreparedTarget {
         let plan = self.plan();
-        let mut cfg;
-        let scratch_shared_bytes;
-        let scratch: Arc<ScratchFactory>;
-
-        if plan.heap_to_shared && self.scratch.f64_per_thread > 0 {
-            // One shared slot per block holding every team thread's scratch.
-            let per = self.scratch.f64_per_thread;
-            let elems = per * plan.threads as usize;
-            scratch_shared_bytes = elems * 8;
-            match plan.mode {
-                ExecMode::Generic => {
-                    cfg = generic_launch_config(plan.teams as usize);
-                }
-                _ => {
-                    cfg = LaunchConfig::new(plan.teams, plan.threads);
-                }
-            }
-            let slot = cfg.shared_array::<f64>(elems);
-            scratch = Arc::new(move || Scratch::Shared { slot, per_thread: per });
-        } else {
-            match plan.mode {
-                ExecMode::Generic => cfg = generic_launch_config(plan.teams as usize),
-                _ => cfg = LaunchConfig::new(plan.teams, plan.threads),
-            }
-            scratch_shared_bytes = 0;
-            if self.scratch.f64_per_thread > 0 {
-                // Globalized to the device heap: one slice per thread of the
-                // modeled launch.
-                let per = self.scratch.f64_per_thread;
-                let total = per * (plan.teams as usize) * (plan.threads as usize);
-                let buf = self.omp.device().alloc::<f64>(total.max(per));
-                scratch = Arc::new(move || Scratch::Heap { buf: buf.clone(), per_thread: per });
-            } else {
-                scratch = Arc::new(|| Scratch::None);
-            }
-        }
-
+        let mut cfg = plan.launch_config();
+        let scratch = self.globalize(&plan, &mut cfg);
         let kernel = match plan.mode {
             ExecMode::Generic => {
-                let body = Arc::clone(&body);
-                let scratch = Arc::clone(&scratch);
-                let teams = plan.teams as usize;
-                let chunk = n.div_ceil(teams.max(1));
+                let chunk = n.div_ceil(plan.teams as usize);
                 generic_kernel(
                     self.kernel_name.clone(),
-                    self.omp.device(),
-                    GenericRegionConfig::new(plan.threads),
+                    plan.threads,
                     move |team: &mut TeamCtx<'_, '_>| {
-                        let s = scratch();
                         let lo = (team.team_num() * chunk).min(n);
                         let hi = (lo + chunk).min(n);
-                        let body = &body;
-                        team.parallel_for(hi - lo, |tc, i| body(tc, lo + i, &s));
+                        team.parallel_for(hi - lo, |tc, i| body(tc, lo + i, &scratch));
                     },
                 )
             }
-            _ => {
-                let body = Arc::clone(&body);
-                let scratch = Arc::clone(&scratch);
-                spmd_kernel(self.kernel_name.clone(), move |ctx: &mut SpmdCtx<'_, '_>| {
-                    let s = scratch();
-                    let body = &body;
-                    ctx.distribute_parallel_for(n, |tc, i| body(tc, i, &s));
-                })
-            }
+            _ => spmd_kernel(self.kernel_name.clone(), move |ctx: &mut SpmdCtx<'_, '_>| {
+                ctx.distribute_parallel_for(n, |tc, i| body(tc, i, &scratch));
+            }),
         };
+        PreparedTarget { omp: self.omp, kernel, cfg, plan }
+    }
 
-        PreparedTarget { omp: self.omp, kernel, cfg, plan, scratch_shared_bytes }
+    /// Globalize the region's per-thread scratch, once per launch. When
+    /// heap-to-shared fires, one shared slot per block (declared on `cfg`)
+    /// holds every team thread's scratch; otherwise the device heap holds
+    /// one slice per thread of the modeled launch.
+    fn globalize(&self, plan: &LaunchPlan, cfg: &mut LaunchConfig) -> Scratch {
+        let per_thread = self.scratch.f64_per_thread;
+        if per_thread == 0 {
+            Scratch::None
+        } else if plan.heap_to_shared {
+            let slot = cfg.shared_array::<f64>(per_thread * plan.threads as usize);
+            Scratch::Shared { slot, per_thread }
+        } else {
+            let total = per_thread * plan.teams as usize * plan.threads as usize;
+            Scratch::Heap { buf: self.omp.device().alloc::<f64>(total), per_thread }
+        }
     }
 }
-
-type ScratchFactory = dyn Fn() -> Scratch + Send + Sync;
 
 /// A fully lowered target region, ready to execute (possibly repeatedly or
 /// asynchronously).
@@ -492,7 +391,6 @@ pub struct PreparedTarget {
     kernel: Kernel,
     cfg: LaunchConfig,
     plan: LaunchPlan,
-    scratch_shared_bytes: usize,
 }
 
 impl PreparedTarget {
@@ -507,7 +405,7 @@ impl PreparedTarget {
             heap_to_shared: false,
             invalid_result: false,
         };
-        PreparedTarget { omp, kernel, cfg, plan, scratch_shared_bytes: 0 }
+        PreparedTarget { omp, kernel, cfg, plan }
     }
 
     /// Execute synchronously and model the result. A synchronous target
@@ -551,14 +449,13 @@ impl PreparedTarget {
             self.omp.toolchain(),
             CodegenInfo::default(),
         );
-        let smem = self.cfg.shared_bytes_per_block().max(self.scratch_shared_bytes);
         // The modeled geometry is the plan's (generic mode simulates one
         // master per team, but the hardware runs `threads` per team).
         let modeled = model_kernel(
             self.omp.device().profile(),
             self.plan.threads,
             stats.blocks_executed.max(self.plan.teams as u64),
-            smem,
+            self.cfg.shared_bytes_per_block(),
             stats,
             &cg,
             &self.plan.mode.overheads(),

@@ -192,11 +192,6 @@ impl Report {
         self.diagnostics.is_empty()
     }
 
-    /// Findings belonging to one tool.
-    pub fn for_tool(&self, tool: Tool) -> Vec<&Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.kind.tool() == tool.name()).collect()
-    }
-
     /// CI convention: 0 on a clean run, 1 when any tool reported a finding
     /// (`compute-sanitizer --error-exitcode`).
     pub fn exit_code(&self) -> i32 {

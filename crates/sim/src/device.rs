@@ -875,11 +875,6 @@ impl Device {
         self.inner.write_sets.lock().get(kernel).cloned()
     }
 
-    /// True while a watchdog checkpoint for `kernel` is pending restore.
-    pub fn has_checkpoint(&self, kernel: &str) -> bool {
-        self.inner.checkpoints.lock().contains_key(kernel)
-    }
-
     /// Restore the pre-launch checkpoint taken when a watchdog injection
     /// fired on `kernel`, erasing its partially committed block prefix.
     /// Consumes the checkpoint. Returns `false` (and restores nothing)

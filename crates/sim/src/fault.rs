@@ -252,11 +252,6 @@ impl FaultPlan {
         }
         plan
     }
-
-    /// True when the plan can never fire (the fault-free baseline).
-    pub fn is_quiet(&self) -> bool {
-        self.rate <= 0.0 && self.lose_device_at.is_none() && self.injections.is_empty()
-    }
 }
 
 /// Bounded-retry policy with deterministic modeled-time backoff.
@@ -524,11 +519,6 @@ impl FaultState {
     /// True once the plan's device loss has fired.
     pub fn device_lost(&self) -> bool {
         self.lost.load(Ordering::Acquire)
-    }
-
-    /// Mark the device lost (also done implicitly by `lose_device_at`).
-    pub fn mark_lost(&self) {
-        self.lost.store(true, Ordering::Release);
     }
 
     /// Everything observed so far.

@@ -384,11 +384,6 @@ impl<T: DeviceScalar> DBuf<T> {
         self.inner.freed.store(true, Ordering::Relaxed);
     }
 
-    /// True when the buffer tracks per-element initialization (initcheck).
-    pub fn init_tracked(&self) -> bool {
-        self.inner.init.is_some()
-    }
-
     /// True when element `i` of an init-tracked buffer has never been
     /// written. Always `false` for untracked buffers.
     #[inline]

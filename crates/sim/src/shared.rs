@@ -127,11 +127,6 @@ impl BlockShared {
         BlockShared { slots }
     }
 
-    /// Number of declared slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Borrow a typed view of slot `idx`. Panics (simulated compiler/type
     /// error) when the index or the element type is wrong.
     pub fn view<T: DeviceScalar>(&self, idx: usize) -> SharedView<'_, T> {

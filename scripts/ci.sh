@@ -38,6 +38,12 @@ echo "==> sanitize smoke run (all tools, stencil omp, test scale)"
 cargo run --release -q -p ompx-bench --bin sanitize -- \
     --tool all --app stencil --version omp --test-scale
 
+echo "==> sanitize smoke run (all tools, heap-to-shared scratch cell rsbench omp, test scale)"
+# The one Figure 8 cell whose globalized scratch lives in shared memory:
+# its accesses must reach every tool and be clean.
+cargo run --release -q -p ompx-bench --bin sanitize -- \
+    --tool all --app rsbench --version omp --test-scale
+
 echo "==> sanitize smoke run (all tools, phased barrier cell stencil ompx, test scale)"
 # sanitize exits non-zero on any finding: the phased cell must be clean.
 cargo run --release -q -p ompx-bench --bin sanitize -- \

@@ -20,6 +20,7 @@
 
 use ompx::bare::BareTarget;
 use ompx::interop_depend::{launch_nowait_interopobj, taskwait_interopobj};
+use ompx_devicert::globalization::Scratch;
 use ompx_devicert::mode::ExecMode;
 use ompx_hecbench::with_span_log;
 use ompx_hostrt::target::TargetResult;
@@ -105,7 +106,7 @@ fn grid_body(buf: &DBuf<u32>) -> impl Fn(&mut ThreadCtx<'_>) + Send + Sync + 'st
 
 fn loop_body(
     buf: &DBuf<u32>,
-) -> impl Fn(&mut ThreadCtx<'_>, usize, &ompx_hostrt::target::Scratch) + Send + Sync + 'static {
+) -> impl Fn(&mut ThreadCtx<'_>, usize, &Scratch) + Send + Sync + 'static {
     let buf = buf.clone();
     move |tc, i, _s| rmw(tc, &buf, i)
 }
