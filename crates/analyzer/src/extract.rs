@@ -1123,9 +1123,11 @@ fn fit_all(fit: &Fit<'_>, traces: &[Trace], l: u32, max_b: u32) -> (KernelSummar
 /// length `L` (1 up to one past the deepest observed barrier count, capped)
 /// and keeping the one whose draft produces the fewest check and replay
 /// errors, breaking ties toward fewer opaque accesses, then toward the
-/// smallest `L`. The returned summary's valuations are the fit valuations
-/// followed by the validation valuations, so downstream `analyze --replay`
-/// re-validates on grids the fitter never saw.
+/// smallest `L`; the search stops at the first `L` whose draft has no
+/// errors and no opaque accesses. The returned summary's valuations are
+/// the fit valuations followed by the validation valuations, so
+/// downstream `analyze --replay` re-validates on grids the fitter never
+/// saw.
 pub fn extract(spec: &ExtractSpec, traces: &[Trace]) -> Result<Extraction, String> {
     if traces.len() != spec.fit.len() {
         return Err(format!("got {} traces for {} fit valuations", traces.len(), spec.fit.len()));
@@ -1160,8 +1162,14 @@ pub fn extract(spec: &ExtractSpec, traces: &[Trace]) -> Result<Extraction, Strin
                 .count();
         }
         let score = (errors, notes.len(), l);
+        let clean = errors == 0 && notes.is_empty();
         if best.as_ref().is_none_or(|(e, n, bl, _, _)| score < (*e, *n, *bl)) {
             best = Some((errors, notes.len(), l, summary, notes));
+        }
+        // Candidates are tried in increasing `L` and each fit starts from
+        // scratch, so no later candidate can beat a clean draft.
+        if clean {
+            break;
         }
     }
     let (_, _, l, mut summary, notes) = best.unwrap();

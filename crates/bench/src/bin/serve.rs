@@ -115,6 +115,7 @@ fn parse() -> Opts {
     let mut rate = 0.02;
     let mut lose_at = Some(40);
     let mut faults = true;
+    let (mut sweep_factors, mut multipliers) = (None, None);
     let mut o = Opts {
         cfg: cfg.clone(),
         spec,
@@ -173,9 +174,9 @@ fn parse() -> Opts {
             "--metrics-out" => o.metrics_out = Some(args.value()),
             "--metrics-json" => o.metrics_json = Some(args.value()),
             "--sweep" => o.sweep = true,
-            "--sweep-factors" => o.sweep_factors = factors(&args.value()),
+            "--sweep-factors" => sweep_factors = Some(factors(&args.value())),
             "--escalate" => o.escalate = true,
-            "--multipliers" => o.multipliers = factors(&args.value()),
+            "--multipliers" => multipliers = Some(factors(&args.value())),
             "--csv-out" => o.csv_out = Some(args.value()),
             _ => usage(),
         }
@@ -198,6 +199,15 @@ fn parse() -> Opts {
     if (campaign && single_run_only) || (!campaign && o.csv_out.is_some()) {
         usage();
     }
+    // One mode per run, and a ladder only for the campaign that climbs it.
+    if (o.sweep && o.escalate)
+        || (sweep_factors.is_some() && !o.sweep)
+        || (multipliers.is_some() && !o.escalate)
+    {
+        usage();
+    }
+    o.sweep_factors = sweep_factors.unwrap_or(o.sweep_factors);
+    o.multipliers = multipliers.unwrap_or(o.multipliers);
     o.cfg = cfg;
     o.spec = spec;
     o

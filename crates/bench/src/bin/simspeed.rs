@@ -17,10 +17,11 @@
 //! * **trace identity** — the memory trace of a barrier-heavy cell and the
 //!   sanitizer report of a racy fixture must serialize to the same bytes
 //!   under one worker and under the full budget;
-//! * **speed** — on a multi-core host the parallel matrix must complete at
-//!   least `MIN_SPEEDUP` times faster than serial mode. On a single-core
-//!   host (or `OMPX_SIM_WORKERS=1`) the speedup is reported but not
-//!   enforced — identity always is.
+//! * **speed** — at default scale on a multi-core host the parallel matrix
+//!   must complete at least `MIN_SPEEDUP` times faster than serial mode.
+//!   At `--test-scale`, on a single-core host or with
+//!   `OMPX_SIM_WORKERS=1` the speedup is reported but not enforced —
+//!   identity always is.
 //!
 //! `--baseline` compares per-cell checksums against a committed
 //! `BENCH_simspeed.json` and exits non-zero on any mismatch; wall-clock
@@ -34,8 +35,8 @@ use ompx_sim::exec;
 use ompx_telemetry::json;
 use std::time::Instant;
 
-/// Speedup the parallel executor must reach over serial mode on hosts
-/// where it actually has more than one worker.
+/// Speedup the parallel executor must reach over serial mode at default
+/// scale on hosts where it actually has more than one worker.
 const MIN_SPEEDUP: f64 = 1.5;
 
 fn usage() -> ! {
@@ -260,8 +261,10 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(1);
     let workers = exec::default_workers();
     // The >=1.5x requirement only means something when the parallel
-    // executor actually has parallelism to spend.
-    let enforced = workers >= 2 && host_cores >= 2;
+    // executor actually has parallelism to spend, and on the workload the
+    // bound was set on: test-scale cells are too short to amortise the
+    // per-launch worker hand-off, so there the speed-up is only reported.
+    let enforced = workers >= 2 && host_cores >= 2 && o.scale == WorkScale::Default;
 
     let mut cells: Vec<Cell> = Vec::new();
     let mut identity_failures: Vec<String> = Vec::new();
@@ -348,7 +351,13 @@ fn main() {
     let speedup = if total_parallel > 0.0 { total_serial / total_parallel } else { 1.0 };
     eprintln!(
         "simspeed: matrix {total_serial:.3}s serial -> {total_parallel:.3}s parallel ({speedup:.2}x, gate {})",
-        if enforced { "enforced" } else { "not enforced: single-core host or single worker" }
+        if enforced {
+            "enforced"
+        } else if o.scale == WorkScale::Test {
+            "not enforced: test scale"
+        } else {
+            "not enforced: single-core host or single worker"
+        }
     );
 
     let json = bench_json(

@@ -73,3 +73,17 @@ fn serve_rejects_output_flags_its_mode_does_not_write() {
         assert!(!std::path::Path::new(&path).exists(), "serve {args:?} wrote {path}");
     }
 }
+
+#[test]
+fn serve_rejects_mode_flags_it_would_ignore() {
+    let (_, exe, _, _) = BINS[7];
+    for args in [
+        &["--sweep", "--escalate"][..],
+        &["--sweep-factors", "0.5"],
+        &["--escalate", "--sweep-factors", "0.5"],
+        &["--multipliers", "1,2"],
+        &["--sweep", "--multipliers", "1,2"],
+    ] {
+        assert_usage("serve", &run(exe, args));
+    }
+}

@@ -150,28 +150,16 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.n;
-    let factor = params.elem_factor();
+    // One launch's average, extrapolated to the paper's parameter count.
+    let per_step = params.elem_factor() / params.steps as f64;
 
-    let finish = |label: &str,
-                  checksum: u64,
-                  per_kernel: ompx_sim::timing::ModeledTime,
-                  stats: ompx_sim::counters::StatsSnapshot,
-                  pipelined: bool,
-                  note: Option<String>| {
-        let total = if pipelined {
-            pipelined_total_at(&per_kernel, params.paper_steps, launch_issue_s(sys, version))
-        } else {
-            sync_total(&per_kernel, params.paper_steps)
-        };
-        RunOutcome {
-            label: label.to_string(),
-            checksum,
-            reported_seconds: total,
-            kernel_model: per_kernel,
-            stats,
-            excluded: false,
-            note,
-        }
+    let reporting = Reporting {
+        sys,
+        version,
+        time: ReportedTime::Launches {
+            launches: params.paper_steps,
+            pipelined: version != ProgVersion::Omp,
+        },
     };
 
     match version {
@@ -193,16 +181,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 let r = ctx.launch_cfg(&kernel, LaunchConfig::linear(n, BLOCK)).expect("launch");
                 agg = agg.merged(&r.stats);
             }
-            let per_launch = agg.scaled(factor / params.steps as f64);
+            let per_launch = extrapolate(&agg, per_step, per_step);
             let modeled = ctx.model(KERNEL, BLOCK, 0, &per_launch);
-            finish(
-                version.label(sys),
-                checksum_f32_items(&state.p.to_vec()),
-                modeled,
-                per_launch,
-                true,
-                None,
-            )
+            RunOutcome::new(reporting, checksum_f32_items(&state.p.to_vec()), modeled, per_launch)
         }
         ProgVersion::Ompx => {
             let omp = ompx_runtime(sys);
@@ -228,16 +209,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 agg = agg.merged(&r.stats);
                 last = Some(prepared);
             }
-            let per_launch = agg.scaled(factor / params.steps as f64);
+            let per_launch = extrapolate(&agg, per_step, per_step);
             let modeled = last.expect("at least one step").model(&per_launch).modeled;
-            finish(
-                version.label(sys),
-                checksum_f32_items(&state.p.to_vec()),
-                modeled,
-                per_launch,
-                true,
-                None,
-            )
+            RunOutcome::new(reporting, checksum_f32_items(&state.p.to_vec()), modeled, per_launch)
         }
         ProgVersion::Omp => {
             let omp = omp_runtime(sys);
@@ -264,7 +238,7 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 agg = agg.merged(&r.stats);
                 last = Some(prepared);
             }
-            let per_launch = agg.scaled(factor / params.steps as f64);
+            let per_launch = extrapolate(&agg, per_step, per_step);
             let modeled = last.expect("steps > 0").model(&per_launch).modeled;
             let plan = plan.expect("steps > 0");
             let note = (plan.threads < BLOCK).then(|| {
@@ -273,14 +247,8 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     plan.threads
                 )
             });
-            finish(
-                version.label(sys),
-                checksum_f32_items(&state.p.to_vec()),
-                modeled,
-                per_launch,
-                false,
-                note,
-            )
+            RunOutcome::new(reporting, checksum_f32_items(&state.p.to_vec()), modeled, per_launch)
+                .with_note(note)
         }
     }
 }

@@ -259,30 +259,12 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let nq = params.n_queries;
     let np = params.n_points;
-    let factor = params.pair_factor();
-    // Traffic, flops and barriers grow with points x queries (the `factor`),
-    // but the launch *geometry* grows only linearly with the query count —
-    // correct the extrapolated block/thread counts accordingly.
-    let linear = params.paper_points as f64 / params.n_queries as f64;
-    let fix_geometry = move |mut s: ompx_sim::counters::StatsSnapshot,
-                             raw: &ompx_sim::counters::StatsSnapshot| {
-        s.blocks_executed = (raw.blocks_executed as f64 * linear).round() as u64;
-        s.threads_executed = (raw.threads_executed as f64 * linear).round() as u64;
-        s
-    };
+    // Traffic, flops and barriers grow with points x queries, but the
+    // launch *geometry* grows only linearly with the query count.
+    let work = params.pair_factor();
+    let geometry = params.paper_points as f64 / params.n_queries as f64;
 
-    let finish = |label: &str,
-                  checksum: u64,
-                  modeled: ompx_sim::timing::ModeledTime,
-                  stats: ompx_sim::counters::StatsSnapshot| RunOutcome {
-        label: label.to_string(),
-        checksum,
-        reported_seconds: kernel_only(&modeled),
-        kernel_model: modeled,
-        stats,
-        excluded: false,
-        note: None,
-    };
+    let reporting = Reporting { sys, version, time: ReportedTime::KernelOnly };
 
     match version {
         ProgVersion::Native | ProgVersion::NativeVendor => {
@@ -300,9 +282,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
             let kernel = tiled_kernel(KERNEL, &data, &out, slots, np, nq);
             let smem = cfg.shared_bytes_per_block();
             let r = ctx.launch_cfg(&kernel, cfg).expect("launch");
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats);
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = ctx.model(KERNEL, BLOCK as u32, smem, &scaled);
-            finish(version.label(sys), checksum_f32_items(&out.to_vec()), modeled, scaled)
+            RunOutcome::new(reporting, checksum_f32_items(&out.to_vec()), modeled, scaled)
         }
         ProgVersion::Ompx => {
             let omp = ompx_runtime(sys);
@@ -328,9 +310,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 }
             });
             let r = prepared.execute().expect("bare launch");
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats);
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = prepared.model(&scaled).modeled;
-            finish(version.label(sys), checksum_f32_items(&out.to_vec()), modeled, scaled)
+            RunOutcome::new(reporting, checksum_f32_items(&out.to_vec()), modeled, scaled)
         }
         ProgVersion::Omp => {
             // Traditional OpenMP cannot express the tile barrier, so the
@@ -369,9 +351,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     )
                 });
             let r = prepared.execute().expect("omp launch");
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats);
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = prepared.model(&scaled).modeled;
-            finish(version.label(sys), checksum_f32_items(&out.to_vec()), modeled, scaled)
+            RunOutcome::new(reporting, checksum_f32_items(&out.to_vec()), modeled, scaled)
         }
     }
 }

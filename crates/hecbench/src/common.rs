@@ -4,9 +4,14 @@ use ompx_hostrt::OpenMp;
 use ompx_klang::cuda::{cuda_context_clang, cuda_context_nvcc};
 use ompx_klang::hip::{hip_context_clang, hip_context_hipcc};
 use ompx_klang::runtime::NativeCtx;
+use ompx_sim::counters::StatsSnapshot;
+use ompx_sim::fault::FaultState;
 use ompx_sim::memtrace::{BarrierEvent, MemEvent, MemTrace};
 use ompx_sim::san::{Diagnostic, SanState, ToolMask};
+use ompx_sim::span::{Span, SpanCategory, SpanLog};
 use ompx_sim::timing::ModeledTime;
+use ompx_sim::Device;
+use ompx_telemetry::MetricRegistry;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -99,11 +104,47 @@ pub struct RunOutcome {
     pub kernel_model: ModeledTime,
     /// Counted events of the representative kernel, extrapolated to the
     /// paper workload.
-    pub stats: ompx_sim::counters::StatsSnapshot,
+    pub stats: StatsSnapshot,
     /// The paper excluded this series (XSBench `omp`'s invalid checksum).
     pub excluded: bool,
     /// Free-form note shown by the harness.
     pub note: Option<String>,
+}
+
+/// The cell an app runs and how its bar reports time: everything a
+/// [`RunOutcome`] needs besides what the run measured.
+#[derive(Debug, Clone, Copy)]
+pub struct Reporting {
+    pub sys: System,
+    pub version: ProgVersion,
+    pub time: ReportedTime,
+}
+
+impl RunOutcome {
+    /// The outcome of the cell whose representative kernel was modeled as
+    /// `kernel_model` from the extrapolated `stats`.
+    pub fn new(
+        reporting: Reporting,
+        checksum: u64,
+        kernel_model: ModeledTime,
+        stats: StatsSnapshot,
+    ) -> RunOutcome {
+        let Reporting { sys, version, time } = reporting;
+        RunOutcome {
+            label: version.label(sys).to_string(),
+            checksum,
+            reported_seconds: time.seconds(&kernel_model, launch_issue_s(sys, version)),
+            kernel_model,
+            stats,
+            excluded: false,
+            note: None,
+        }
+    }
+
+    /// The same outcome with the harness note `note`.
+    pub fn with_note(self, note: Option<String>) -> RunOutcome {
+        RunOutcome { note, ..self }
+    }
 }
 
 // ---- contexts -------------------------------------------------------------
@@ -117,16 +158,7 @@ pub fn native_ctx(sys: System, vendor_cc: bool) -> NativeCtx {
         (System::Amd, false) => hip_context_clang(),
         (System::Amd, true) => hip_context_hipcc(),
     };
-    if let Some(state) = active_sanitizer() {
-        ctx.sanitizer_attach(state);
-    }
-    if let Some(trace) = active_mem_trace() {
-        ctx.device().attach_mem_trace(trace);
-    }
-    if let Some(faults) = active_faults() {
-        ctx.device().attach_faults(faults);
-        install_write_set_hints(ctx.device());
-    }
+    attach_observers(ctx.device());
     ctx
 }
 
@@ -137,16 +169,7 @@ pub fn omp_runtime(sys: System) -> OpenMp {
         System::Nvidia => OpenMp::nvidia_system(),
         System::Amd => OpenMp::amd_system(),
     };
-    if let Some(state) = active_sanitizer() {
-        ompx_hostrt::ompx_sanitizer_attach(&omp, &state);
-    }
-    if let Some(trace) = active_mem_trace() {
-        omp.device().attach_mem_trace(trace);
-    }
-    if let Some(faults) = active_faults() {
-        omp.device().attach_faults(faults);
-        install_write_set_hints(omp.device());
-    }
+    attach_observers(omp.device());
     omp
 }
 
@@ -156,41 +179,116 @@ pub fn ompx_runtime(sys: System) -> OpenMp {
         System::Nvidia => ompx::runtime_nvidia(),
         System::Amd => ompx::runtime_amd(),
     };
-    if let Some(state) = active_sanitizer() {
-        ompx_hostrt::ompx_sanitizer_attach(&omp, &state);
-    }
-    if let Some(trace) = active_mem_trace() {
-        omp.device().attach_mem_trace(trace);
-    }
-    if let Some(faults) = active_faults() {
-        omp.device().attach_faults(faults);
-        install_write_set_hints(omp.device());
-    }
+    attach_observers(omp.device());
     omp
 }
 
-// ---- sanitizer integration ------------------------------------------------
+// ---- observers: one record, one scope ---------------------------------------
 
-/// The sanitizer session installed by [`run_app_sanitized`], if one is
-/// active. Apps build their contexts *inside* `run`, so the session rides
-/// along ambiently: the constructors above attach it to every device they
-/// hand out.
-static ACTIVE_SANITIZER: Mutex<Option<Arc<SanState>>> = Mutex::new(None);
-
-/// Serialises sanitized runs so parallel tests cannot leak findings into
-/// each other's reports through the ambient session.
-static SANITIZED_RUN_GATE: Mutex<()> = Mutex::new(());
-
-fn active_sanitizer() -> Option<Arc<SanState>> {
-    ACTIVE_SANITIZER.lock().unwrap_or_else(|e| e.into_inner()).clone()
+/// What a scoped run attaches to every device the constructors above hand
+/// out. Apps build their contexts *inside* `run`, so the record rides along
+/// ambiently: [`RunScope`] installs it, [`attach_observers`] applies it.
+#[derive(Default)]
+struct Observers {
+    /// The session of [`run_app_sanitized`].
+    sanitizer: Option<Arc<SanState>>,
+    /// The trace of [`with_mem_trace_full`]: the analyzer's replay data
+    /// plane.
+    trace: Option<Arc<MemTrace>>,
+    /// The fault state of one chaos cell ([`ChaosSession::run_cell`]).
+    faults: Option<Arc<FaultState>>,
+    /// `(kernel name, written global-buffer labels)` from the chaos cell's
+    /// analyzer summary, attached with the faults so a watchdog checkpoint
+    /// snapshots only the buffers the killed kernel could have dirtied.
+    /// Kernels without a hint (e.g. `adam`'s native convergence kernel,
+    /// which the 24-cell registry does not summarize) fall back to a
+    /// whole-buffer snapshot inside the simulator.
+    write_set: Option<(String, Vec<String>)>,
 }
 
-/// Clears the ambient session even if the benchmark panics.
-struct SanitizerInstall(#[allow(dead_code)] MutexGuard<'static, ()>);
+static OBSERVERS: Mutex<Observers> =
+    Mutex::new(Observers { sanitizer: None, trace: None, faults: None, write_set: None });
 
-impl Drop for SanitizerInstall {
+/// Serialises scoped runs so parallel tests cannot leak findings, events
+/// or faults into each other's reports through the ambient record.
+static SANITIZED_RUN_GATE: Mutex<()> = Mutex::new(());
+
+fn installed_observers() -> MutexGuard<'static, Observers> {
+    OBSERVERS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Apply the installed [`Observers`] to a freshly built device.
+fn attach_observers(device: &Device) {
+    let observers = installed_observers();
+    if let Some(state) = &observers.sanitizer {
+        device.attach_sanitizer(Arc::clone(state));
+    }
+    if let Some(trace) = &observers.trace {
+        device.attach_mem_trace(Arc::clone(trace));
+    }
+    if let Some(faults) = &observers.faults {
+        device.attach_faults(Arc::clone(faults));
+        if let Some((kernel, labels)) = &observers.write_set {
+            device.set_kernel_write_set(kernel, labels);
+        }
+    }
+}
+
+/// A held run scope: the run gate, the installed [`Observers`], and the
+/// ambient span log and metric registry when the scope installed them.
+/// Dropping it, also while a benchmark unwinds, uninstalls all of it
+/// before the gate is released. The gate is **not** reentrant: entering a
+/// second scope on the same thread deadlocks.
+struct RunScope {
+    _gate: MutexGuard<'static, ()>,
+    log: Option<Arc<SpanLog>>,
+    metrics: Option<Arc<MetricRegistry>>,
+}
+
+impl RunScope {
+    fn enter(observers: Observers) -> RunScope {
+        let gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        *installed_observers() = observers;
+        RunScope { _gate: gate, log: None, metrics: None }
+    }
+
+    /// Also install a fresh ambient span log for the scope.
+    fn with_span_log(mut self) -> RunScope {
+        let log = SpanLog::new();
+        SpanLog::install(Arc::clone(&log));
+        self.log = Some(log);
+        self
+    }
+
+    /// Also install a fresh ambient metric registry, with the base
+    /// families pre-declared.
+    fn with_metrics(mut self) -> RunScope {
+        let metrics = MetricRegistry::new();
+        ompx_telemetry::describe_base_families(&metrics);
+        ompx_telemetry::install(Arc::clone(&metrics));
+        self.metrics = Some(metrics);
+        self
+    }
+
+    /// Replace the installed observers; a chaos session does so per cell.
+    fn set(&self, observers: Observers) {
+        *installed_observers() = observers;
+    }
+
+    fn spans(&self) -> Vec<Span> {
+        self.log.as_ref().map(|log| log.spans()).unwrap_or_default()
+    }
+}
+
+impl Drop for RunScope {
     fn drop(&mut self) {
-        *ACTIVE_SANITIZER.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        *installed_observers() = Observers::default();
+        if self.metrics.is_some() {
+            ompx_telemetry::uninstall();
+        }
+        if self.log.is_some() {
+            SpanLog::uninstall();
+        }
     }
 }
 
@@ -204,38 +302,16 @@ pub fn run_app_sanitized(
     scale: WorkScale,
     mask: ToolMask,
 ) -> (RunOutcome, Vec<Diagnostic>) {
-    let gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let state = SanState::new(mask);
-    *ACTIVE_SANITIZER.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&state));
-    let _uninstall = SanitizerInstall(gate);
+    let _scope =
+        RunScope::enter(Observers { sanitizer: Some(Arc::clone(&state)), ..Default::default() });
     let outcome = crate::run_app(app, sys, version, scale);
     (outcome, state.diagnostics())
 }
 
-// ---- memory-trace integration (analyzer replay) ----------------------------
-
-/// The memory trace installed by [`with_mem_trace`], if one is active.
-/// Rides along ambiently exactly like the sanitizer session: the context
-/// constructors attach it to every device they hand out.
-static ACTIVE_MEM_TRACE: Mutex<Option<Arc<MemTrace>>> = Mutex::new(None);
-
-fn active_mem_trace() -> Option<Arc<MemTrace>> {
-    ACTIVE_MEM_TRACE.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Clears the ambient trace even if the benchmark panics.
-struct TraceInstall(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for TraceInstall {
-    fn drop(&mut self) {
-        *ACTIVE_MEM_TRACE.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
 /// Run a benchmark closure with a fresh ambient memory trace installed,
-/// returning its result plus every recorded access event. Shares the
-/// sanitized-run gate so traced and sanitized runs cannot cross-pollute
-/// through the ambient statics. This is the analyzer's replay data plane.
+/// returning its result plus every recorded access event. This is the
+/// analyzer's replay data plane.
 pub fn with_mem_trace<R>(f: impl FnOnce() -> R) -> (R, Vec<MemEvent>) {
     let (result, events, _) = with_mem_trace_full(f);
     (result, events)
@@ -245,72 +321,25 @@ pub fn with_mem_trace<R>(f: impl FnOnce() -> R) -> (R, Vec<MemEvent>) {
 /// Summary extraction needs both streams: accesses to fit index
 /// expressions, barriers to delimit and order phases.
 pub fn with_mem_trace_full<R>(f: impl FnOnce() -> R) -> (R, Vec<MemEvent>, Vec<BarrierEvent>) {
-    let gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let trace = MemTrace::new();
-    *ACTIVE_MEM_TRACE.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&trace));
-    let _uninstall = TraceInstall(gate);
+    let _scope =
+        RunScope::enter(Observers { trace: Some(Arc::clone(&trace)), ..Default::default() });
     let result = f();
     // The trace is this call's alone: move the streams out, don't copy them.
     let (events, barriers) = trace.take_events();
     (result, events, barriers)
 }
 
-// ---- span-log integration (profiler timelines) -----------------------------
-
 /// Run a benchmark closure with a fresh ambient profiler [`SpanLog`]
-/// installed, returning its result plus every recorded timeline span.
-/// Shares the sanitized-run gate so profiled, traced and sanitized runs
-/// cannot cross-pollute through the process-wide statics. This is
-/// `ompx-prof`'s timeline data plane.
-///
-/// [`SpanLog`]: ompx_sim::span::SpanLog
-pub fn with_span_log<R>(f: impl FnOnce() -> R) -> (R, Vec<ompx_sim::span::Span>) {
-    let _gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let log = ompx_sim::span::SpanLog::new();
-    ompx_sim::span::SpanLog::install(Arc::clone(&log));
-    /// Uninstalls the ambient log even if the benchmark panics.
-    struct SpanInstall;
-    impl Drop for SpanInstall {
-        fn drop(&mut self) {
-            ompx_sim::span::SpanLog::uninstall();
-        }
-    }
-    let _uninstall = SpanInstall;
+/// installed, returning its result plus every recorded timeline span. This
+/// is `ompx-prof`'s timeline data plane.
+pub fn with_span_log<R>(f: impl FnOnce() -> R) -> (R, Vec<Span>) {
+    let scope = RunScope::enter(Observers::default()).with_span_log();
     let result = f();
-    (result, log.spans())
+    (result, scope.spans())
 }
 
 // ---- fault-injection integration (chaos harness) ----------------------------
-
-/// The fault state installed by [`run_app_chaos`], if one is active. Rides
-/// along ambiently exactly like the sanitizer session: the context
-/// constructors attach it to every device they hand out.
-static ACTIVE_FAULTS: Mutex<Option<Arc<ompx_sim::fault::FaultState>>> = Mutex::new(None);
-
-fn active_faults() -> Option<Arc<ompx_sim::fault::FaultState>> {
-    ACTIVE_FAULTS.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Kernel write-set hints installed by [`run_app_chaos`]: `(kernel name,
-/// written global-buffer labels)` pairs from the cell's analyzer summary.
-/// The constructors above copy them onto every device they hand out, so a
-/// watchdog checkpoint snapshots only the buffers the killed kernel could
-/// have dirtied. Kernels without a hint (e.g. `adam`'s native convergence
-/// kernel, which the 24-cell registry does not summarize) fall back to a
-/// whole-buffer snapshot inside the simulator.
-static ACTIVE_WRITE_SETS: Mutex<Option<Arc<WriteSets>>> = Mutex::new(None);
-
-/// `(kernel name, written global-buffer labels)` hint pairs.
-type WriteSets = Vec<(String, Vec<String>)>;
-
-fn install_write_set_hints(device: &ompx_sim::device::Device) {
-    let hints = ACTIVE_WRITE_SETS.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    if let Some(hints) = hints {
-        for (kernel, labels) in hints.iter() {
-            device.set_kernel_write_set(kernel, labels);
-        }
-    }
-}
 
 /// What fault injection did to one chaos run, alongside the outcome.
 #[derive(Debug, Clone)]
@@ -324,24 +353,19 @@ pub struct FaultReport {
     pub fallback_spans: usize,
 }
 
-/// A held chaos-run scope: the sanitized-run gate acquired once, one
-/// ambient [`SpanLog`] installed for the whole scope, and per-cell swapping
-/// of the ambient fault state + write-set hints.
+/// A held chaos-run scope: the run gate acquired once, one ambient span
+/// log and metric registry installed for the whole session, and per-cell
+/// swapping of the fault state and write-set hints.
 ///
 /// [`run_app_chaos`] uses one session per cell; `ompx-serve` holds a single
 /// session across thousands of requests so each pool member's persistent
 /// [`FaultState`] (with its sticky device-loss flag) can be attached for
 /// exactly the requests routed to it, while every request's spans land on
-/// one timeline. The gate is **not** reentrant: constructing a second
-/// session on the same thread (or inside `run_app_sanitized` /
-/// `with_mem_trace` / `with_span_log`) deadlocks.
-///
-/// [`SpanLog`]: ompx_sim::span::SpanLog
-/// [`FaultState`]: ompx_sim::fault::FaultState
+/// one timeline. Constructing a second session on the same thread (or
+/// calling `run_app_sanitized` / `with_mem_trace` / `with_span_log` inside
+/// one) deadlocks.
 pub struct ChaosSession {
-    _gate: MutexGuard<'static, ()>,
-    log: Arc<ompx_sim::span::SpanLog>,
-    metrics: Arc<ompx_telemetry::MetricRegistry>,
+    scope: RunScope,
 }
 
 impl ChaosSession {
@@ -349,29 +373,23 @@ impl ChaosSession {
     /// registry (with the base families pre-declared), so every chaos and
     /// serve run is metered without further wiring.
     pub fn begin() -> ChaosSession {
-        let gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
-        let log = ompx_sim::span::SpanLog::new();
-        ompx_sim::span::SpanLog::install(Arc::clone(&log));
-        let metrics = ompx_telemetry::MetricRegistry::new();
-        ompx_telemetry::describe_base_families(&metrics);
-        ompx_telemetry::install(Arc::clone(&metrics));
-        ChaosSession { _gate: gate, log, metrics }
+        ChaosSession { scope: RunScope::enter(Observers::default()).with_span_log().with_metrics() }
     }
 
     /// The session's metric registry (shared with the ambient install).
-    pub fn metrics(&self) -> Arc<ompx_telemetry::MetricRegistry> {
-        Arc::clone(&self.metrics)
+    pub fn metrics(&self) -> Arc<MetricRegistry> {
+        Arc::clone(self.scope.metrics.as_ref().expect("begin installs a registry"))
     }
 
     /// The session's span log (shared with the ambient install), e.g. for
     /// recording per-device pool timeline spans alongside the run spans.
-    pub fn span_log(&self) -> Arc<ompx_sim::span::SpanLog> {
-        Arc::clone(&self.log)
+    pub fn span_log(&self) -> Arc<SpanLog> {
+        Arc::clone(self.scope.log.as_ref().expect("begin installs a span log"))
     }
 
     /// Everything recorded on the session timeline so far.
-    pub fn spans(&self) -> Vec<ompx_sim::span::Span> {
-        self.log.spans()
+    pub fn spans(&self) -> Vec<Span> {
+        self.scope.spans()
     }
 
     /// Run one (app, system, version) cell with `faults` attached
@@ -387,26 +405,19 @@ impl ChaosSession {
         sys: System,
         version: ProgVersion,
         scale: WorkScale,
-        faults: Option<&Arc<ompx_sim::fault::FaultState>>,
+        faults: Option<&Arc<FaultState>>,
     ) -> Result<RunOutcome, String> {
-        *ACTIVE_FAULTS.lock().unwrap_or_else(|e| e.into_inner()) = faults.map(Arc::clone);
-        let write_sets: Vec<_> = crate::summaries::write_set(app, version).into_iter().collect();
-        *ACTIVE_WRITE_SETS.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(write_sets));
-        /// Clears the per-cell ambient state even if the cell panics in a
-        /// way `catch_unwind` cannot contain (e.g. panic-in-drop aborts
-        /// excluded, a resumed unwind still runs this).
-        struct CellInstall;
-        impl Drop for CellInstall {
-            fn drop(&mut self) {
-                *ACTIVE_FAULTS.lock().unwrap_or_else(|e| e.into_inner()) = None;
-                *ACTIVE_WRITE_SETS.lock().unwrap_or_else(|e| e.into_inner()) = None;
-            }
-        }
-        let _uninstall = CellInstall;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let write_set = crate::summaries::write_set(app, version);
+        self.scope.set(Observers {
+            faults: faults.map(Arc::clone),
+            write_set,
+            ..Default::default()
+        });
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             crate::run_app(app, sys, version, scale)
-        }))
-        .map_err(|payload| {
+        }));
+        self.scope.set(Observers::default());
+        result.map_err(|payload| {
             if let Some(s) = payload.downcast_ref::<&str>() {
                 (*s).to_string()
             } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -418,20 +429,11 @@ impl ChaosSession {
     }
 }
 
-impl Drop for ChaosSession {
-    fn drop(&mut self) {
-        ompx_telemetry::uninstall();
-        ompx_sim::span::SpanLog::uninstall();
-    }
-}
-
 /// Run one (app, system, version) cell under a seeded [`FaultPlan`],
 /// catching panics so the chaos harness can assert the trichotomy —
 /// success, clean typed error, or validated fallback — and returning what
 /// the injection did plus the full span timeline (where retries and
-/// fallbacks are visible). Shares the sanitized-run gate so chaos runs
-/// cannot cross-pollute sanitized/traced/profiled runs through the ambient
-/// statics. One-shot wrapper over [`ChaosSession`].
+/// fallbacks are visible). One-shot wrapper over [`ChaosSession`].
 ///
 /// [`FaultPlan`]: ompx_sim::fault::FaultPlan
 pub fn run_app_chaos(
@@ -440,18 +442,15 @@ pub fn run_app_chaos(
     version: ProgVersion,
     scale: WorkScale,
     plan: ompx_sim::fault::FaultPlan,
-) -> (Result<RunOutcome, String>, FaultReport, Vec<ompx_sim::span::Span>) {
+) -> (Result<RunOutcome, String>, FaultReport, Vec<Span>) {
     let session = ChaosSession::begin();
-    let faults = ompx_sim::fault::FaultState::new(plan);
+    let faults = FaultState::new(plan);
     let result = session.run_cell(app, sys, version, scale, Some(&faults));
     let spans = session.spans();
     let report = FaultReport {
         snapshot: faults.snapshot(),
-        retry_spans: spans.iter().filter(|s| s.cat == ompx_sim::span::SpanCategory::Retry).count(),
-        fallback_spans: spans
-            .iter()
-            .filter(|s| s.cat == ompx_sim::span::SpanCategory::Fallback)
-            .count(),
+        retry_spans: spans.iter().filter(|s| s.cat == SpanCategory::Retry).count(),
+        fallback_spans: spans.iter().filter(|s| s.cat == SpanCategory::Fallback).count(),
     };
     (result, report, spans)
 }
@@ -512,23 +511,51 @@ pub fn launch_issue_s(sys: System, version: ProgVersion) -> f64 {
     }
 }
 
-/// Total wall seconds of `launches` identical kernels issued
-/// asynchronously back-to-back (native/ompx style): launch latencies
-/// pipeline behind execution, so only one is exposed — but the host cannot
-/// issue faster than `issue_s` per launch.
-pub fn pipelined_total_at(per_kernel: &ModeledTime, launches: u64, issue_s: f64) -> f64 {
-    (per_kernel.seconds - per_kernel.t_launch).max(issue_s) * launches as f64 + per_kernel.t_launch
+/// How an app turns its one modeled kernel into the seconds its bar
+/// reports (Figure 6's "reported metric").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReportedTime {
+    /// The kernel's modeled seconds, launch latency included.
+    ModelSeconds,
+    /// Kernel-only seconds, what event-based timers report: no launch
+    /// latency.
+    KernelOnly,
+    /// Total wall seconds of the paper's `launches` identical kernels.
+    /// `pipelined` (native/ompx): issued asynchronously back-to-back, so
+    /// launch latencies hide behind execution and only one is exposed, but
+    /// the host cannot issue faster than one launch per issue cost.
+    /// Otherwise synchronous (traditional `target` semantics: the host
+    /// blocks after each region).
+    Launches { launches: u64, pipelined: bool },
 }
 
-/// Total wall seconds of `launches` synchronous kernels (traditional
-/// `target` semantics: the host blocks after each region).
-pub fn sync_total(per_kernel: &ModeledTime, launches: u64) -> f64 {
-    per_kernel.seconds * launches as f64
+impl ReportedTime {
+    /// The reported seconds of a kernel modeled as `m`, when issuing one
+    /// launch costs the host `issue_s`.
+    pub fn seconds(self, m: &ModeledTime, issue_s: f64) -> f64 {
+        let body = m.seconds - m.t_launch;
+        match self {
+            ReportedTime::ModelSeconds => m.seconds,
+            ReportedTime::KernelOnly => body,
+            ReportedTime::Launches { launches, pipelined: true } => {
+                body.max(issue_s) * launches as f64 + m.t_launch
+            }
+            ReportedTime::Launches { launches, pipelined: false } => m.seconds * launches as f64,
+        }
+    }
 }
 
-/// Kernel-only seconds (what event-based timers report): no launch latency.
-pub fn kernel_only(per_kernel: &ModeledTime) -> f64 {
-    per_kernel.seconds - per_kernel.t_launch
+/// Extrapolate a simulated kernel's counters to the paper's workload:
+/// every event count scales by `work`, the launch geometry (blocks and
+/// threads) only by `geometry`. Rounds like [`StatsSnapshot::scaled`], so
+/// `extrapolate(raw, f, f) == raw.scaled(f)`.
+pub fn extrapolate(raw: &StatsSnapshot, work: f64, geometry: f64) -> StatsSnapshot {
+    let geometry_scaled = |v: u64| (v as f64 * geometry).round() as u64;
+    StatsSnapshot {
+        blocks_executed: geometry_scaled(raw.blocks_executed),
+        threads_executed: geometry_scaled(raw.threads_executed),
+        ..raw.scaled(work)
+    }
 }
 
 // ---- per-thread scratch, version-dependent placement -----------------------
@@ -611,20 +638,37 @@ mod tests {
 
     #[test]
     fn launch_accounting_conventions() {
+        let pipelined = ReportedTime::Launches { launches: 100, pipelined: true };
+        let synchronous = ReportedTime::Launches { launches: 100, pipelined: false };
         let m = ModeledTime { seconds: 10e-6, t_launch: 2e-6, ..Default::default() };
-        assert!((pipelined_total_at(&m, 100, LAUNCH_ISSUE_S) - (8e-4 + 2e-6)).abs() < 1e-12);
+        assert!((pipelined.seconds(&m, LAUNCH_ISSUE_S) - (8e-4 + 2e-6)).abs() < 1e-12);
         // Issue-bound: a 0.1 us body cannot launch faster than the issue
         // rate.
         let tiny = ModeledTime { seconds: 2.1e-6, t_launch: 2.0e-6, ..Default::default() };
         assert!(
-            (pipelined_total_at(&tiny, 100, LAUNCH_ISSUE_S) - (100.0 * LAUNCH_ISSUE_S + 2e-6))
-                .abs()
+            (pipelined.seconds(&tiny, LAUNCH_ISSUE_S) - (100.0 * LAUNCH_ISSUE_S + 2e-6)).abs()
                 < 1e-12
         );
         assert!(launch_issue_s(System::Amd, ProgVersion::Ompx) < LAUNCH_ISSUE_S);
         assert_eq!(launch_issue_s(System::Nvidia, ProgVersion::Ompx), LAUNCH_ISSUE_S);
-        assert!((sync_total(&m, 100) - 1e-3).abs() < 1e-12);
-        assert!((kernel_only(&m) - 8e-6).abs() < 1e-15);
+        assert!((synchronous.seconds(&m, LAUNCH_ISSUE_S) - 1e-3).abs() < 1e-12);
+        assert!((ReportedTime::KernelOnly.seconds(&m, LAUNCH_ISSUE_S) - 8e-6).abs() < 1e-15);
+        assert_eq!(ReportedTime::ModelSeconds.seconds(&m, LAUNCH_ISSUE_S), m.seconds);
+    }
+
+    #[test]
+    fn extrapolation_scales_the_geometry_apart_from_the_work() {
+        let raw = StatsSnapshot {
+            flops: 7,
+            global_load_bytes: 33,
+            threads_executed: 5,
+            blocks_executed: 3,
+            ..Default::default()
+        };
+        assert_eq!(extrapolate(&raw, 2.5, 2.5), raw.scaled(2.5));
+        let s = extrapolate(&raw, 10.0, 0.5);
+        assert_eq!((s.flops, s.global_load_bytes), (70, 330));
+        assert_eq!((s.threads_executed, s.blocks_executed), (3, 2));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! proposed OpenMP kernel language and compares four program versions per
 //! system (Figure 8):
 //!
-//! | label | program version | this crate |
+//! | label | program version | arm of each app's `run` |
 //! |---|---|---|
-//! | `ompx` | OpenMP kernel language, prototype compiler | `run_ompx` paths via [`ompx::BareTarget`] |
-//! | `omp` | traditional OpenMP target offloading, LLVM/Clang | `run_omp` paths via `ompx_hostrt` (with the paper's LLVM quirks) |
-//! | `cuda` / `hip` | native kernel language, LLVM/Clang | `run_native` via `ompx_klang` |
-//! | `cuda-nvcc` / `hip-hipcc` | native, vendor compiler | `run_native` with the vendor toolchain |
+//! | `ompx` | OpenMP kernel language, prototype compiler | `ProgVersion::Ompx`: [`common::ompx_runtime`] + [`ompx::BareTarget`] |
+//! | `omp` | traditional OpenMP target offloading, LLVM/Clang | `ProgVersion::Omp`: [`common::omp_runtime`] (with the paper's LLVM quirks) + `target(..).prepare_dpf` |
+//! | `cuda` / `hip` | native kernel language, LLVM/Clang | `ProgVersion::Native`: [`common::native_ctx`]`(sys, false)` via `ompx_klang` |
+//! | `cuda-nvcc` / `hip-hipcc` | native, vendor compiler | `ProgVersion::NativeVendor`: `native_ctx(sys, true)` |
 //!
 //! Every version of an app executes the *same* per-item arithmetic (shared
 //! inner functions), so their checksums must agree bit-for-bit — the
@@ -19,6 +19,13 @@
 //! silicon) and extrapolates the counted events to the paper's command-line
 //! workload before running the timing model; the scaling factors are
 //! documented per app and in DESIGN.md.
+//!
+//! Everything around the ports lives once, in [`common`]: the three
+//! constructors attach whatever observers the enclosing scoped run
+//! installed (sanitizer, memory trace, fault state and write-set hints),
+//! [`common::extrapolate`] scales counters to the paper workload, and
+//! [`RunOutcome::new`] turns the modeled kernel into the app's reported
+//! time ([`common::ReportedTime`]).
 
 pub mod adam;
 pub mod aidw;

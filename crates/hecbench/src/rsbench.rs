@@ -82,18 +82,6 @@ impl Params {
     }
 }
 
-/// Correct the extrapolated launch geometry: traffic/flops scale with the
-/// full work factor, but blocks/threads scale only with the lookup count.
-fn fix_geometry(
-    mut scaled: ompx_sim::counters::StatsSnapshot,
-    raw: &ompx_sim::counters::StatsSnapshot,
-    geometry_factor: f64,
-) -> ompx_sim::counters::StatsSnapshot {
-    scaled.blocks_executed = (raw.blocks_executed as f64 * geometry_factor).round() as u64;
-    scaled.threads_executed = (raw.threads_executed as f64 * geometry_factor).round() as u64;
-    scaled
-}
-
 /// Device-resident multipole data.
 #[derive(Clone)]
 pub struct RsData {
@@ -294,24 +282,6 @@ fn register_profiles(db: &CodegenDb) {
     );
 }
 
-fn outcome(
-    label: &str,
-    checksum: u64,
-    modeled: ompx_sim::timing::ModeledTime,
-    stats: ompx_sim::counters::StatsSnapshot,
-    note: Option<String>,
-) -> RunOutcome {
-    RunOutcome {
-        label: label.to_string(),
-        checksum,
-        reported_seconds: modeled.seconds,
-        kernel_model: modeled,
-        stats,
-        excluded: false,
-        note,
-    }
-}
-
 /// Run one program version on one system.
 pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
     run_with_params(sys, version, Params::for_scale(scale))
@@ -320,7 +290,9 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 /// Run with explicit workload parameters (the analyzer's replay entry).
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.lookups;
-    let factor = params.scale_factor();
+    let (work, geometry) = (params.scale_factor(), params.geometry_factor());
+
+    let reporting = Reporting { sys, version, time: ReportedTime::ModelSeconds };
 
     match version {
         ProgVersion::Native | ProgVersion::NativeVendor => {
@@ -341,9 +313,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 }
             });
             let r = ctx.launch_cfg(&kernel, LaunchConfig::linear(n, BLOCK)).expect("launch");
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats, params.geometry_factor());
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = ctx.model(KERNEL, BLOCK, 0, &scaled);
-            outcome(version.label(sys), checksum_f64_items(&out.to_vec()), modeled, scaled, None)
+            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
         }
         ProgVersion::Ompx => {
             let omp = ompx_runtime(sys);
@@ -366,9 +338,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     }
                 });
             let r = prepared.execute().expect("bare launch");
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats, params.geometry_factor());
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = prepared.model(&scaled).modeled;
-            outcome(version.label(sys), checksum_f64_items(&out.to_vec()), modeled, scaled, None)
+            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
         }
         ProgVersion::Omp => {
             let omp = omp_runtime(sys);
@@ -399,12 +371,13 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     )
                 });
             let r = prepared.execute().expect("omp launch");
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats, params.geometry_factor());
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = prepared.model(&scaled).modeled;
             let note = r.plan.heap_to_shared.then(|| {
                 "heap-to-shared optimization active (sigTfactors in shared memory)".to_string()
             });
-            outcome(version.label(sys), checksum_f64_items(&out.to_vec()), modeled, scaled, note)
+            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
+                .with_note(note)
         }
     }
 }

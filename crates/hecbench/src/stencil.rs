@@ -202,22 +202,10 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.length;
     let iters = params.iterations;
-    let factor = params.elem_factor();
+    // One launch's average, extrapolated to the paper's 2²⁷ elements.
+    let per_iter = params.elem_factor() / iters as f64;
 
-    let finish = |label: &str,
-                  checksum: u64,
-                  per_kernel: ompx_sim::timing::ModeledTime,
-                  stats: ompx_sim::counters::StatsSnapshot,
-                  note: Option<String>| RunOutcome {
-        label: label.to_string(),
-        checksum,
-        // Average *kernel* time, like the benchmark's event-based timer.
-        reported_seconds: kernel_only(&per_kernel),
-        kernel_model: per_kernel,
-        stats,
-        excluded: false,
-        note,
-    };
+    let reporting = Reporting { sys, version, time: ReportedTime::KernelOnly };
 
     match version {
         ProgVersion::Native | ProgVersion::NativeVendor => {
@@ -235,16 +223,10 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 let r = ctx.launch_cfg(&kernel, cfg).expect("launch");
                 agg = agg.merged(&r.stats);
             }
-            let per_launch = agg.scaled(factor / iters as f64);
+            let per_launch = extrapolate(&agg, per_iter, per_iter);
             let modeled = ctx.model(KERNEL, BLOCK as u32, smem, &per_launch);
             let final_buf = if iters.is_multiple_of(2) { &a } else { &b };
-            finish(
-                version.label(sys),
-                checksum_f32_items(&final_buf.to_vec()),
-                modeled,
-                per_launch,
-                None,
-            )
+            RunOutcome::new(reporting, checksum_f32_items(&final_buf.to_vec()), modeled, per_launch)
         }
         ProgVersion::Ompx => {
             let omp = ompx_runtime(sys);
@@ -268,16 +250,10 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 agg = agg.merged(&r.stats);
                 last = Some(prepared);
             }
-            let per_launch = agg.scaled(factor / iters as f64);
+            let per_launch = extrapolate(&agg, per_iter, per_iter);
             let modeled = last.expect("iters > 0").model(&per_launch).modeled;
             let final_buf = if iters.is_multiple_of(2) { &a } else { &b };
-            finish(
-                version.label(sys),
-                checksum_f32_items(&final_buf.to_vec()),
-                modeled,
-                per_launch,
-                None,
-            )
+            RunOutcome::new(reporting, checksum_f32_items(&final_buf.to_vec()), modeled, per_launch)
         }
         ProgVersion::Omp => {
             let omp = omp_runtime(sys);
@@ -310,7 +286,7 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 agg = agg.merged(&r.stats);
                 last = Some(prepared);
             }
-            let per_launch = agg.scaled(factor / iters as f64);
+            let per_launch = extrapolate(&agg, per_iter, per_iter);
             let modeled = last.expect("iters > 0").model(&per_launch).modeled;
             let final_buf = if iters.is_multiple_of(2) { &a } else { &b };
             let note =
@@ -318,13 +294,8 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     "generic-mode fallback: the state machine could not be rewritten (§4.2.6)"
                         .to_string()
                 });
-            finish(
-                version.label(sys),
-                checksum_f32_items(&final_buf.to_vec()),
-                modeled,
-                per_launch,
-                note,
-            )
+            RunOutcome::new(reporting, checksum_f32_items(&final_buf.to_vec()), modeled, per_launch)
+                .with_note(note)
         }
     }
 }

@@ -178,27 +178,16 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.sites;
     let iters = params.iterations;
-    let factor = params.site_factor();
+    // One launch's average, extrapolated to the paper's site count.
+    let per_iter = params.site_factor() / iters as f64;
 
-    let finish = |label: &str,
-                  checksum: u64,
-                  per_kernel: ompx_sim::timing::ModeledTime,
-                  stats: ompx_sim::counters::StatsSnapshot,
-                  pipelined: bool| {
-        let total = if pipelined {
-            pipelined_total_at(&per_kernel, params.paper_iterations, launch_issue_s(sys, version))
-        } else {
-            sync_total(&per_kernel, params.paper_iterations)
-        };
-        RunOutcome {
-            label: label.to_string(),
-            checksum,
-            reported_seconds: total,
-            kernel_model: per_kernel,
-            stats,
-            excluded: false,
-            note: None,
-        }
+    let reporting = Reporting {
+        sys,
+        version,
+        time: ReportedTime::Launches {
+            launches: params.paper_iterations,
+            pipelined: version != ProgVersion::Omp,
+        },
     };
 
     match version {
@@ -220,10 +209,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 let r = ctx.launch_cfg(&kernel, LaunchConfig::linear(n, BLOCK)).expect("launch");
                 agg = agg.merged(&r.stats);
             }
-            // Average one launch, extrapolate sites.
-            let per_launch = agg.scaled(factor / iters as f64);
+            let per_launch = extrapolate(&agg, per_iter, per_iter);
             let modeled = ctx.model(KERNEL, BLOCK, 0, &per_launch);
-            finish(version.label(sys), checksum_f32_items(&c.to_vec()), modeled, per_launch, true)
+            RunOutcome::new(reporting, checksum_f32_items(&c.to_vec()), modeled, per_launch)
         }
         ProgVersion::Ompx => {
             let omp = ompx_runtime(sys);
@@ -244,9 +232,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
             for _ in 0..iters {
                 agg = agg.merged(&prepared.execute().expect("bare launch").stats);
             }
-            let per_launch = agg.scaled(factor / iters as f64);
+            let per_launch = extrapolate(&agg, per_iter, per_iter);
             let modeled = prepared.model(&per_launch).modeled;
-            finish(version.label(sys), checksum_f32_items(&c.to_vec()), modeled, per_launch, true)
+            RunOutcome::new(reporting, checksum_f32_items(&c.to_vec()), modeled, per_launch)
         }
         ProgVersion::Omp => {
             let omp = omp_runtime(sys);
@@ -268,9 +256,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
             for _ in 0..iters {
                 agg = agg.merged(&prepared.execute().expect("omp launch").stats);
             }
-            let per_launch = agg.scaled(factor / iters as f64);
+            let per_launch = extrapolate(&agg, per_iter, per_iter);
             let modeled = prepared.model(&per_launch).modeled;
-            finish(version.label(sys), checksum_f32_items(&c.to_vec()), modeled, per_launch, false)
+            RunOutcome::new(reporting, checksum_f32_items(&c.to_vec()), modeled, per_launch)
         }
     }
 }

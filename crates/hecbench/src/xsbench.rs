@@ -82,18 +82,6 @@ impl Params {
     }
 }
 
-/// Correct the extrapolated launch geometry: traffic/flops scale with the
-/// full work factor, but blocks/threads scale only with the lookup count.
-fn fix_geometry(
-    mut scaled: ompx_sim::counters::StatsSnapshot,
-    raw: &ompx_sim::counters::StatsSnapshot,
-    geometry_factor: f64,
-) -> ompx_sim::counters::StatsSnapshot {
-    scaled.blocks_executed = (raw.blocks_executed as f64 * geometry_factor).round() as u64;
-    scaled.threads_executed = (raw.threads_executed as f64 * geometry_factor).round() as u64;
-    scaled
-}
-
 /// Device-resident problem data, shared by every program version.
 #[derive(Clone)]
 pub struct XsData {
@@ -297,7 +285,9 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 /// Run with explicit workload parameters (the analyzer's replay entry).
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.lookups;
-    let factor = params.scale_factor();
+    let (work, geometry) = (params.scale_factor(), params.geometry_factor());
+
+    let reporting = Reporting { sys, version, time: ReportedTime::ModelSeconds };
 
     match version {
         ProgVersion::Native | ProgVersion::NativeVendor => {
@@ -317,19 +307,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                 }
             });
             let r = ctx.launch_cfg(&kernel, LaunchConfig::linear(n, BLOCK)).expect("launch");
-            // Extrapolate to the paper's 17M lookups; the grid also grows
-            // with the lookup count in event mode.
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats, params.geometry_factor());
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = ctx.model(KERNEL, BLOCK, 0, &scaled);
-            RunOutcome {
-                label: version.label(sys).to_string(),
-                checksum: checksum_f64_items(&out.to_vec()),
-                reported_seconds: modeled.seconds,
-                kernel_model: modeled,
-                stats: scaled,
-                excluded: false,
-                note: None,
-            }
+            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
         }
         ProgVersion::Ompx => {
             let omp = ompx_runtime(sys);
@@ -350,17 +330,9 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     }
                 });
             let r = prepared.execute().expect("bare launch");
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats, params.geometry_factor());
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = prepared.model(&scaled).modeled;
-            RunOutcome {
-                label: version.label(sys).to_string(),
-                checksum: checksum_f64_items(&out.to_vec()),
-                reported_seconds: modeled.seconds,
-                kernel_model: modeled,
-                stats: scaled,
-                excluded: false,
-                note: None,
-            }
+            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
         }
         ProgVersion::Omp => {
             let omp = omp_runtime(sys);
@@ -382,20 +354,17 @@ pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params)
                     )
                 });
             let r = prepared.execute().expect("omp launch");
-            let scaled = fix_geometry(r.stats.scaled(factor), &r.stats, params.geometry_factor());
+            let scaled = extrapolate(&r.stats, work, geometry);
             let modeled = prepared.model(&scaled).modeled;
-            RunOutcome {
-                label: version.label(sys).to_string(),
-                checksum: checksum_f64_items(&out.to_vec()),
-                reported_seconds: modeled.seconds,
-                kernel_model: modeled,
-                stats: scaled,
-                excluded: r.plan.invalid_result,
-                note: r.plan.invalid_result.then(|| {
-                    "excluded in the paper: LLVM OpenMP version reported an invalid checksum"
-                        .to_string()
-                }),
-            }
+            let note = r.plan.invalid_result.then(|| {
+                "excluded in the paper: LLVM OpenMP version reported an invalid checksum"
+                    .to_string()
+            });
+            let mut outcome =
+                RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
+                    .with_note(note);
+            outcome.excluded = r.plan.invalid_result;
+            outcome
         }
     }
 }

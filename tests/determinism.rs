@@ -7,17 +7,20 @@
 //! happens in canonical block-linear order. These tests pin the contract
 //! with workloads chosen to expose ordering bugs — non-associative float
 //! sums over catastrophic-cancellation inputs, and a barrier-heavy
-//! benchmark cell traced end to end.
+//! benchmark cell traced end to end, and a phased 2-D kernel on a
+//! geometry no benchmark port uses.
 //!
 //! Every test forces the same fixed worker count (the tests in this
 //! binary may run concurrently and the override is process-global), and
 //! serial references use the per-device knob, which takes precedence.
 
+use ompx::BareTarget;
+use ompx_hecbench::common::{checksum_f32_items, item_uniform, ompx_runtime};
 use ompx_hecbench::{run_app, with_mem_trace_full, ProgVersion, System, WorkScale};
 use ompx_klang::blaslib::{sdot, BlasVendor};
 use ompx_klang::cuda::cuda_context_clang;
 use ompx_sanitizer::fixtures;
-use ompx_sim::exec;
+use ompx_sim::exec::{self, Step};
 use ompx_sim::memtrace::{BarrierEvent, MemEvent, MemSpace};
 use std::sync::Mutex;
 
@@ -134,6 +137,87 @@ fn sanitizer_finding_order_is_bit_identical() {
     for run in 1..RUNS {
         let report = run_fixture().to_json();
         assert_eq!(report, reference, "finding-order drift on run {run}");
+    }
+    exec::set_global_workers(None);
+}
+
+/// Launch a phased tile kernel on `grid` x `block` with the ompx runtime of
+/// `sys`, traced, on `workers` workers (the per-device knob). Returns the
+/// output bits, their checksum and the canonical trace bytes.
+///
+/// Each thread linearises its own 2-D coordinates, stages one input in
+/// the team tile, and after the barrier combines two neighbours' values.
+/// The last 17 threads of the grid exit after the barrier without
+/// writing. Launched on the same sizes flattened to one dimension, the
+/// kernel must compute the same output.
+fn tile_kernel(
+    sys: System,
+    grid: &[u32],
+    block: &[u32],
+    workers: usize,
+) -> (Vec<u32>, u64, String) {
+    let threads = block.iter().product::<u32>() as usize;
+    let total = grid.iter().product::<u32>() as usize * threads;
+    let n = total - 17;
+    let (out, events, barriers) = with_mem_trace_full(|| {
+        let omp = ompx_runtime(sys);
+        omp.device().set_sim_workers(Some(workers));
+        assert_ne!(threads % omp.device().profile().warp_size as usize, 0, "want a partial warp");
+        let init: Vec<f32> = (0..total).map(|i| item_uniform(0x2d, i as u64) as f32).collect();
+        let input = omp.device().alloc_from(&init);
+        let out = omp.device().alloc::<f32>(n);
+        // Default labels carry the process-global allocation id.
+        input.set_label("in");
+        out.set_label("out");
+        let mut target = BareTarget::new(&omp, "tile_2d").num_teams(grid).thread_limit(block);
+        let slot = target.shared_array::<f32>(threads);
+        target
+            .launch_phased({
+                let (input, out) = (input.clone(), out.clone());
+                move |tc, phase, v: &mut f32| {
+                    let t = tc.thread_id_y() * tc.block_dim_x() + tc.thread_id_x();
+                    let b = tc.block_id_y() * tc.grid_dim_x() + tc.block_id_x();
+                    let g = b * threads + t;
+                    let tile = tc.shared::<f32>(slot);
+                    if phase == 0 {
+                        *v = tc.read(&input, g);
+                        tc.swrite(&tile, t, *v);
+                        return Step::Barrier;
+                    }
+                    if g < n {
+                        let right = tc.sread(&tile, (t + 1) % threads);
+                        let left = tc.sread(&tile, (t + threads - 5) % threads);
+                        tc.flops(4);
+                        tc.write(&out, g, *v * 0.5 + right * 0.25 - left * 0.125);
+                    }
+                    Step::Exit
+                }
+            })
+            .expect("tile launch");
+        out.to_vec()
+    });
+    assert!(!barriers.is_empty(), "expected a barrier per team");
+    let bits = out.iter().map(|v| v.to_bits()).collect();
+    (bits, checksum_f32_items(&out), canonical_trace(events, barriers))
+}
+
+#[test]
+fn multidim_phased_kernel_is_bit_identical_and_matches_its_flat_launch() {
+    let _gate = WORKER_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    exec::set_global_workers(Some(WORKERS));
+    // 84 threads per team: two full warps and 20 lanes on the A100, one
+    // full warp and 20 lanes on the MI250.
+    let (grid, block) = ([3u32, 2], [12u32, 7]);
+    for sys in [System::Nvidia, System::Amd] {
+        let (out, checksum, trace) = tile_kernel(sys, &grid, &block, 1);
+        for run in 0..RUNS {
+            let (o, c, t) = tile_kernel(sys, &grid, &block, WORKERS);
+            assert_eq!(c, checksum, "{sys:?} run {run}: checksum drift at {WORKERS} workers");
+            assert_eq!(o, out, "{sys:?} run {run}: output drift at {WORKERS} workers");
+            assert_eq!(t, trace, "{sys:?} run {run}: memtrace byte drift at {WORKERS} workers");
+        }
+        let (flat, _, _) = tile_kernel(sys, &[grid[0] * grid[1]], &[block[0] * block[1]], WORKERS);
+        assert_eq!(flat, out, "{sys:?}: the 2-D launch differs from its flattened 1-D launch");
     }
     exec::set_global_workers(None);
 }
