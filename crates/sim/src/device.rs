@@ -15,8 +15,9 @@ use crate::fault::{
     run_with_retry, FaultKind, FaultSite, FaultState, Injected, Recovery, RetryPolicy,
 };
 use crate::mem::{BufImage, CheckpointTarget, DBuf, DeviceScalar};
-use crate::memtrace::{LaunchMemTrace, MemTrace};
-use crate::san::{LaunchSan, SanState};
+use crate::memtrace::MemTrace;
+use crate::observe::Observer;
+use crate::san::SanState;
 use crate::span::SpanCategory;
 use crate::stream::Stream;
 use crate::timing::{host_model_seconds, ModeledTime};
@@ -843,15 +844,12 @@ impl Device {
         self.checkpoint_write_set(kernel.name());
         let committed = (inj.salt as usize) % cfg.num_blocks();
         if committed > 0 {
-            let san = self.sanitizer().map(|state| Arc::new(LaunchSan::new(state, kernel.name())));
-            let mem =
-                self.mem_trace().map(|trace| Arc::new(LaunchMemTrace::new(trace, kernel.name())));
+            let obs = self.observer(kernel);
             let _ = exec::run_prefix(
                 kernel,
                 cfg,
                 self.inner.profile.warp_size,
-                san.as_ref(),
-                mem.as_ref(),
+                obs.as_ref(),
                 self.sim_workers(),
                 committed,
             );
@@ -927,17 +925,15 @@ impl Device {
         if let Some(reg) = ompx_telemetry::active() {
             reg.counter_add("sim_launches_total", &[], 1);
         }
-        let san = self.sanitizer().map(|state| Arc::new(LaunchSan::new(state, kernel.name())));
-        let mem = self.mem_trace().map(|trace| Arc::new(LaunchMemTrace::new(trace, kernel.name())));
-        let stats = exec::run(
-            kernel,
-            &cfg,
-            self.inner.profile.warp_size,
-            san.as_ref(),
-            mem.as_ref(),
-            self.sim_workers(),
-        );
-        Ok(stats)
+        let obs = self.observer(kernel);
+        let warp_size = self.inner.profile.warp_size;
+        Ok(exec::run(kernel, &cfg, warp_size, obs.as_ref(), self.sim_workers()))
+    }
+
+    /// The observer of one launch of `kernel`: the attached sanitizer
+    /// session and memory trace, or `None` when neither is attached.
+    fn observer(&self, kernel: &Kernel) -> Option<Arc<Observer>> {
+        Observer::new(self.sanitizer(), self.mem_trace(), kernel.name()).map(Arc::new)
     }
 
     /// Utilization snapshots of every live stream created on this device,

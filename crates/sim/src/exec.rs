@@ -28,8 +28,8 @@
 use crate::barrier::{RetireBarrier, SenseBarrier};
 use crate::counters::StatsSnapshot;
 use crate::dim::LaunchConfig;
-use crate::memtrace::LaunchMemTrace;
-use crate::san::{AccessSite, DiagLog, LaunchSan, RaceFold, ToolMask};
+use crate::observe::Observer;
+use crate::san::{AccessSite, DiagLog, RaceFold, ToolMask};
 use crate::shared::BlockShared;
 use crate::thread::ThreadCtx;
 use crate::warp::WarpGroup;
@@ -214,75 +214,66 @@ impl std::fmt::Debug for Kernel {
 }
 
 /// Execute `kernel` over the whole grid and return aggregated statistics.
-/// `san` is the launch's sanitizer context when a session is attached to
-/// the device. `workers` is the host worker-thread budget (see
-/// [`default_workers`]); `1` is the reference serial mode.
-pub fn run(
+/// `obs` is the launch's observer when a sanitizer session or a memory
+/// trace is attached to the device. `workers` is the host worker-thread
+/// budget (see [`default_workers`]); `1` is the reference serial mode.
+pub(crate) fn run(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    san: Option<&Arc<LaunchSan>>,
-    mem: Option<&Arc<LaunchMemTrace>>,
+    obs: Option<&Arc<Observer>>,
     workers: usize,
 ) -> StatsSnapshot {
-    run_bounded(kernel, cfg, warp_size, san, mem, workers, cfg.num_blocks())
+    run_bounded(kernel, cfg, warp_size, obs, workers, cfg.num_blocks())
 }
 
 /// Execute only the first `limit` blocks (in grid-linearization order) —
 /// the committed prefix of a watchdog-killed launch. Semantics within the
-/// prefix are identical to [`run`]: sanitizer and memtrace hooks observe
-/// exactly the blocks that committed.
-#[allow(clippy::too_many_arguments)]
+/// prefix are identical to [`run`]: the observer sees exactly the blocks
+/// that committed.
 pub(crate) fn run_prefix(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    san: Option<&Arc<LaunchSan>>,
-    mem: Option<&Arc<LaunchMemTrace>>,
+    obs: Option<&Arc<Observer>>,
     workers: usize,
     limit: usize,
 ) -> StatsSnapshot {
-    run_bounded(kernel, cfg, warp_size, san, mem, workers, limit.min(cfg.num_blocks()))
+    run_bounded(kernel, cfg, warp_size, obs, workers, limit.min(cfg.num_blocks()))
 }
 
 fn run_bounded(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    san: Option<&Arc<LaunchSan>>,
-    mem: Option<&Arc<LaunchMemTrace>>,
+    obs: Option<&Arc<Observer>>,
     workers: usize,
     num_blocks: usize,
 ) -> StatsSnapshot {
-    if let Some(san) = san {
+    if let Some(san) = obs.and_then(|obs| obs.san.as_ref()) {
         san.check_rank_width(cfg);
     }
     let total = Arc::new(Mutex::new(StatsSnapshot::default()));
     let payload = if kernel.runs_on_team_path(cfg.threads_per_block()) {
         TEAM_LAUNCHES.fetch_add(1, Ordering::Relaxed);
-        let (san, mem) = (san.map(|s| &**s), mem.map(|m| &**m));
-        run_team(kernel, cfg, warp_size, &total, san, mem, workers, num_blocks)
+        run_team(kernel, cfg, warp_size, &total, obs.map(|o| &**o), workers, num_blocks)
     } else {
         let block_loop = BlockLoop {
             kernel: kernel.clone(),
             cfg: cfg.clone(),
             warp_size,
             total: Arc::clone(&total),
-            san: san.cloned(),
-            mem: mem.cloned(),
+            obs: obs.cloned(),
             num_blocks,
             next_block: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
         };
         run_serial(Arc::new(block_loop), workers)
     };
-    // Deterministic merges happen even when the launch panicked, so a
+    // The deterministic merge happens even when the launch panicked, so a
     // failing kernel still leaves canonically ordered partial evidence.
-    if let Some(san) = san {
-        san.finish(cfg);
-    }
-    if let Some(mem) = mem {
-        mem.finish();
+    if let Some(obs) = obs {
+        obs.finish(cfg);
     }
     if let Some(p) = payload {
         std::panic::resume_unwind(p);
@@ -305,10 +296,14 @@ pub fn team_launches() -> u64 {
 /// Shared-memory tooling configuration for a launch: an attached sanitizer
 /// session with racecheck turns the per-cell race fold on, one with
 /// initcheck turns the init bitmap on.
-fn block_shared(cfg: &LaunchConfig, san: Option<&LaunchSan>) -> BlockShared {
-    let session_race = san.is_some_and(|s| s.state().tool_on(ToolMask::RACECHECK));
-    let session_init = san.is_some_and(|s| s.state().tool_on(ToolMask::INITCHECK));
-    BlockShared::with_tools(&cfg.shared_slots, session_race, session_init)
+fn block_shared(cfg: &LaunchConfig, obs: Option<&Observer>) -> BlockShared {
+    let san = obs.and_then(|obs| obs.san.as_ref());
+    let tool_on = |tool| san.is_some_and(|s| s.state().tool_on(tool));
+    BlockShared::with_tools(
+        &cfg.shared_slots,
+        tool_on(ToolMask::RACECHECK),
+        tool_on(ToolMask::INITCHECK),
+    )
 }
 
 /// Process-global worker override set by [`set_global_workers`] (0 = unset).
@@ -350,8 +345,7 @@ struct BlockLoop {
     /// The launch total: each worker merges the sum of the blocks it
     /// committed once, when it stops.
     total: Arc<Mutex<StatsSnapshot>>,
-    san: Option<Arc<LaunchSan>>,
-    mem: Option<Arc<LaunchMemTrace>>,
+    obs: Option<Arc<Observer>>,
     num_blocks: usize,
     next_block: AtomicUsize,
     /// Sticky poison: once any worker sees a lane panic, no worker claims
@@ -375,8 +369,8 @@ impl BlockLoop {
             if b >= self.num_blocks {
                 break;
             }
-            let (san, mem) = (self.san.as_deref(), self.mem.as_deref());
-            match run_block(&self.kernel, &self.cfg, self.warp_size, san, mem, &mut races, b) {
+            let obs = self.obs.as_deref();
+            match run_block(&self.kernel, &self.cfg, self.warp_size, obs, &mut races, b) {
                 Ok(sum) => committed.merge(&StatsSnapshot {
                     threads_executed: tpb,
                     blocks_executed: 1,
@@ -391,8 +385,8 @@ impl BlockLoop {
             }
         }
         self.total.lock().merge(&committed);
-        if let Some(san) = &self.san {
-            san.merge_races(races);
+        if let Some(obs) = &self.obs {
+            obs.merge_races(races);
         }
         payload
     }
@@ -455,36 +449,22 @@ fn run_serial(block_loop: Arc<BlockLoop>, workers: usize) -> Option<PanicPayload
 /// logs and block-end scans, and fold its lanes' race logs into the
 /// worker's `races`. Returns the block's summed counters, or the first lane
 /// panic (the lanes still stage what they recorded).
-#[allow(clippy::too_many_arguments)]
 fn run_block(
     kernel: &Kernel,
     cfg: &LaunchConfig,
     warp_size: u32,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
+    obs: Option<&Observer>,
     races: &mut RaceFold,
     b: usize,
 ) -> Result<StatsSnapshot, PanicPayload> {
     let tpb = cfg.threads_per_block();
-    let shared = block_shared(cfg, san);
+    let shared = block_shared(cfg, obs);
     let block = cfg.grid.delinear(b);
-    let lane_ctx = |t: usize| ThreadCtx {
-        block,
-        thread: cfg.block.delinear(t),
-        grid_dim: cfg.grid,
-        block_dim: cfg.block,
-        warp_size,
-        counters: StatsSnapshot::default(),
-        shared: &shared,
-        block_barrier: None,
-        warp: None,
-        phased: kernel.is_phased(),
-        collective_count: 0,
-        san,
-        mem,
-        trace_log: Default::default(),
-        diag_log: Default::default(),
-        race_log: Default::default(),
+    let lane_ctx = |t: usize| {
+        let thread = cfg.block.delinear(t);
+        let mut ctx = ThreadCtx::new(cfg.grid, cfg.block, block, thread, warp_size, &shared, obs);
+        ctx.phased = kernel.is_phased();
+        ctx
     };
     let mut sum = StatsSnapshot::default();
     let mut outcome = Ok(());
@@ -495,7 +475,7 @@ fn run_block(
                 let mut ctx = lane_ctx(t);
                 outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
                 sum.merge(&ctx.counters);
-                ctx.stage_logs(races);
+                ctx.stage_log(races);
                 if outcome.is_err() {
                     break;
                 }
@@ -510,38 +490,47 @@ fn run_block(
             for ctx in &mut lanes {
                 sum.merge(&ctx.counters);
                 counts.push(ctx.counters.barriers);
-                ctx.stage_logs(races);
+                ctx.stage_log(races);
             }
             barrier_counts = Some(counts);
         }
     }
-    stage_block_scan(san, cfg, block, b, &shared, barrier_counts.as_deref());
+    stage_block_scan(obs, cfg, block, b, &shared, barrier_counts.as_deref());
     outcome.map(|()| sum)
 }
 
 /// Block-end deterministic scans, staged as the block's final diagnostic
 /// group: the shared-memory race folds in (slot, cell, epoch) order, then
 /// synccheck's barrier-divergence scan over each lane's final barrier count
-/// (phased and team blocks).
+/// (phased and team blocks). A lane that executed some barriers but fewer
+/// than the block's maximum abandoned its siblings at a barrier it never
+/// reached. Lanes with a zero count never entered the barrier protocol —
+/// the blessed guarded-early-return pattern (exited threads count as
+/// arrived) — and are not flagged.
 fn stage_block_scan(
-    san: Option<&LaunchSan>,
+    obs: Option<&Observer>,
     cfg: &LaunchConfig,
     block: (u32, u32, u32),
     block_rank: usize,
     shared: &BlockShared,
     barrier_counts: Option<&[u64]>,
 ) {
-    let Some(san) = san else { return };
+    let Some(obs) = obs else { return };
+    let Some(san) = &obs.san else { return };
+    let site =
+        |t| AccessSite { kernel: san.kernel(), block, thread: cfg.block.delinear(t), block_rank };
     let mut log = DiagLog::default();
     for (slot, race) in shared.collect_races() {
-        let (tx, ty, tz) = cfg.block.delinear(race.this_lane);
-        let site = AccessSite { kernel: san.kernel(), block, thread: (tx, ty, tz), block_rank };
-        san.state().shared_race(site, slot, race, &mut log);
+        san.state().shared_race(site(race.this_lane), slot, race, &mut log);
     }
-    if let Some(counts) = barrier_counts {
-        scan_barrier_divergence(san, cfg, block, block_rank, counts, &mut log);
+    let counts = barrier_counts.unwrap_or_default();
+    let max = counts.iter().copied().max().unwrap_or(0);
+    for (lane, &c) in counts.iter().enumerate() {
+        if c > 0 && c < max {
+            san.state().barrier_divergence(site(lane), c, max, &mut log);
+        }
     }
-    san.stage_block_scan(block_rank, log);
+    obs.stage_block_scan(block_rank, log);
 }
 
 /// Shared state of one executing block on the team path.
@@ -578,8 +567,7 @@ fn run_team(
     cfg: &LaunchConfig,
     warp_size: u32,
     total: &Mutex<StatsSnapshot>,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
+    obs: Option<&Observer>,
     workers: usize,
     num_blocks: usize,
 ) -> Option<PanicPayload> {
@@ -616,8 +604,7 @@ fn run_team(
                         &next_block,
                         &launch_poisoned,
                         total,
-                        san,
-                        mem,
+                        obs,
                         num_blocks,
                     )
                 }));
@@ -654,8 +641,7 @@ fn lane_loop(
     next_block: &AtomicUsize,
     launch_poisoned: &AtomicBool,
     total: &Mutex<StatsSnapshot>,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
+    obs: Option<&Observer>,
     num_blocks: usize,
 ) {
     // Executor invariant: `runs_on_team_path` admits closure bodies only.
@@ -676,7 +662,7 @@ fn lane_loop(
             team.current_block.store(b, Ordering::Release);
             if b < num_blocks {
                 *team.exec.lock() = Some(Arc::new(BlockExec {
-                    shared: block_shared(cfg, san),
+                    shared: block_shared(cfg, obs),
                     warps: build_warps(tpb, warp_size),
                     barrier: RetireBarrier::new(tpb),
                     lane_counters: (0..tpb).map(|_| Mutex::default()).collect(),
@@ -699,27 +685,13 @@ fn lane_loop(
         // panic is caught, the lane retires from its barriers, the block
         // protocol completes, and the panic is resumed afterwards so the
         // launch still fails loudly.
-        let (bx, by, bz) = cfg.grid.delinear(b);
-        let (tx, ty, tz) = cfg.block.delinear(lane);
+        let block = cfg.grid.delinear(b);
+        let thread = cfg.block.delinear(lane);
         let warp = &exec.warps[lane / warp_size as usize];
-        let mut ctx = ThreadCtx {
-            block: (bx, by, bz),
-            thread: (tx, ty, tz),
-            grid_dim: cfg.grid,
-            block_dim: cfg.block,
-            warp_size,
-            counters: StatsSnapshot::default(),
-            shared: &exec.shared,
-            block_barrier: Some(&exec.barrier),
-            warp: Some(warp),
-            phased: false,
-            collective_count: 0,
-            san,
-            mem,
-            trace_log: Default::default(),
-            diag_log: Default::default(),
-            race_log: Default::default(),
-        };
+        let mut ctx =
+            ThreadCtx::new(cfg.grid, cfg.block, block, thread, warp_size, &exec.shared, obs);
+        ctx.block_barrier = Some(&exec.barrier);
+        ctx.warp = Some(warp);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
         if outcome.is_err() {
             team.poisoned.store(true, Ordering::Release);
@@ -729,10 +701,10 @@ fn lane_loop(
         exec.barrier.retire();
         warp.retire_lane();
         *exec.lane_counters[lane].lock() = ctx.counters;
-        let mut races = RaceFold::new(tpb);
-        ctx.stage_logs(&mut races);
-        if let Some(san) = san {
-            san.merge_races(races);
+        if let Some(obs) = obs {
+            let mut races = RaceFold::new(tpb);
+            ctx.stage_log(&mut races);
+            obs.merge_races(races);
         }
 
         // Step 3: whole team finishes the block before reusing the slot.
@@ -745,7 +717,7 @@ fn lane_loop(
                 sum.merge(&lane);
                 counts.push(lane.barriers);
             }
-            stage_block_scan(san, cfg, (bx, by, bz), b, &exec.shared, Some(&counts));
+            stage_block_scan(obs, cfg, block, b, &exec.shared, Some(&counts));
             total.lock().merge(&StatsSnapshot {
                 threads_executed: tpb as u64,
                 blocks_executed: 1,
@@ -756,37 +728,6 @@ fn lane_loop(
             Err(payload) => std::panic::resume_unwind(payload),
             Ok(()) if team.poisoned.load(Ordering::Acquire) => break,
             Ok(()) => {}
-        }
-    }
-}
-
-/// Synccheck's deterministic barrier-divergence scan, run once per block
-/// after all lanes retired. A lane that executed some `sync_threads` calls
-/// but fewer than the block's maximum abandoned its siblings at a barrier
-/// it never reached. Lanes with a zero count never entered the barrier
-/// protocol — the blessed guarded-early-return pattern (exited threads
-/// count as arrived) — and are not flagged.
-fn scan_barrier_divergence(
-    san: &LaunchSan,
-    cfg: &LaunchConfig,
-    block: (u32, u32, u32),
-    block_rank: usize,
-    counts: &[u64],
-    log: &mut DiagLog,
-) {
-    if !san.state().tool_on(ToolMask::SYNCCHECK) {
-        return;
-    }
-    let Some(&maxc) = counts.iter().max() else { return };
-    for (lane, &c) in counts.iter().enumerate() {
-        if c > 0 && c < maxc {
-            let (tx, ty, tz) = cfg.block.delinear(lane);
-            san.state().barrier_divergence(
-                AccessSite { kernel: san.kernel(), block, thread: (tx, ty, tz), block_rank },
-                c,
-                maxc,
-                log,
-            );
         }
     }
 }

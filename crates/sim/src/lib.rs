@@ -66,6 +66,7 @@ pub mod exec;
 pub mod fault;
 pub mod mem;
 pub mod memtrace;
+mod observe;
 pub mod san;
 pub mod shared;
 pub mod span;

@@ -16,13 +16,18 @@
 //! *ordering* — which phase ran between which barriers — and let summary
 //! extraction reconstruct barrier-delimited phases from a raw trace.
 //!
-//! The hook mirrors the sanitizer attachment pattern ([`crate::san`]): the
-//! trace lives on the device, each launch wraps it in a [`LaunchMemTrace`]
-//! carrying the kernel name, and [`crate::thread::ThreadCtx`] records into
-//! it from the same accessor methods the sanitizer observes. Local-memory
+//! The trace lives on the device like a sanitizer session
+//! ([`crate::san`]), and both reach a launch through its one observer
+//! (`crate::observe`): [`crate::thread::ThreadCtx`] records into the
+//! lane's [`TraceLog`] from the same accessor methods the sanitizer
+//! observes, the observer stages each retired lane's log with its
+//! findings, and the trace part of the observer (`LaunchMemTrace`, which
+//! carries the kernel name and the launch's sequence number) appends the
+//! staged logs to the trace in canonical order at launch end. Local-memory
 //! accesses (`lread`/`lwrite`) are *not* traced: local arrays are private
 //! to one thread and cannot race or go out of bounds at the buffer level.
 
+use crate::observe::Staged;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -180,11 +185,11 @@ struct LaneAccess {
 }
 
 /// A lane-local trace buffer. [`crate::thread::ThreadCtx`] records into it
-/// in program order with no locking; the executor stages each lane's buffer
-/// when the lane finishes, and [`LaunchMemTrace::finish`] merges all staged
-/// buffers into the shared trace in canonical (block-rank, thread-rank)
-/// order — so the trace bytes are identical run to run no matter how the
-/// OS interleaves the lanes.
+/// in program order with no locking; the launch's observer stages each
+/// lane's buffer when the lane finishes, and [`LaunchMemTrace::finish`]
+/// appends all staged buffers to the shared trace in canonical
+/// (block-rank, thread-rank) order — so the trace bytes are identical run
+/// to run no matter how the OS interleaves the lanes.
 ///
 /// The buffer holds only what varies per access (and each barrier's
 /// ordinal); the merge stamps the lane's coordinates, the launch identity
@@ -220,69 +225,39 @@ impl TraceLog {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty() && self.barriers.is_empty() && !self.truncated
     }
 }
 
-/// One lane's trace buffer staged for the canonical launch-end merge.
-struct StagedLane {
-    block_rank: usize,
-    thread_rank: usize,
-    block: (u32, u32, u32),
-    thread: (u32, u32, u32),
-    log: TraceLog,
-}
-
-/// Per-launch trace context handed to the executor: the trace, the
-/// kernel's name, the launch's sequence number, and the staged per-lane
-/// buffers awaiting the canonical merge.
-pub struct LaunchMemTrace {
+/// Per-launch trace part of the launch's observer
+/// ([`crate::observe::Observer`]): the trace, the kernel's name and the
+/// launch's sequence number.
+pub(crate) struct LaunchMemTrace {
     trace: Arc<MemTrace>,
     kernel: Arc<str>,
     launch: u64,
-    staged: Mutex<Vec<StagedLane>>,
 }
 
 impl LaunchMemTrace {
     pub(crate) fn new(trace: Arc<MemTrace>, kernel: &str) -> LaunchMemTrace {
         let launch = trace.launches.fetch_add(1, Ordering::Relaxed);
-        LaunchMemTrace { trace, kernel: kernel.into(), launch, staged: Mutex::new(Vec::new()) }
+        LaunchMemTrace { trace, kernel: kernel.into(), launch }
     }
 
-    /// Stage the buffer of the finished lane `thread` (rank `thread_rank`)
-    /// of block `block` (rank `block_rank`) for the launch-end merge.
-    /// Called once per lane (including when the lane is unwound by a
-    /// panic, so partial traces survive).
-    pub(crate) fn stage_lane(
-        &self,
-        (block_rank, thread_rank): (usize, usize),
-        block: (u32, u32, u32),
-        thread: (u32, u32, u32),
-        log: &mut TraceLog,
-    ) {
-        if log.is_empty() {
-            return;
-        }
-        let log = std::mem::take(log);
-        self.staged.lock().push(StagedLane { block_rank, thread_rank, block, thread, log });
-    }
-
-    /// Merge every staged lane into the shared trace in canonical
-    /// (block-rank, thread-rank) order, stamping the lane coordinates, the
-    /// launch identity and the allocation labels. Called exactly once by
-    /// the executor after all workers have stopped.
-    pub(crate) fn finish(&self) {
-        let mut staged = std::mem::take(&mut *self.staged.lock());
-        staged.sort_by_key(|s| (s.block_rank, s.thread_rank));
+    /// Append the staged lane logs, already in canonical (block-rank,
+    /// thread-rank) order, to the shared trace, stamping the lane
+    /// coordinates, the launch identity and the allocation labels. Called
+    /// exactly once after all workers have stopped.
+    pub(crate) fn finish(&self, staged: &mut [Staged]) {
         let mut events = self.trace.events.lock();
         let mut barriers = self.trace.barriers.lock();
         // Reserve the launch's events up front: growing the shared trace
         // one push at a time leaves each outgrown buffer behind as free heap.
-        let more: usize = staged.iter().map(|s| s.log.events.len()).sum();
+        let more: usize = staged.iter().map(|s| s.trace.events.len()).sum();
         let room = MAX_EVENTS.saturating_sub(events.len());
         events.reserve(more.min(room));
-        let more: usize = staged.iter().map(|s| s.log.barriers.len()).sum();
+        let more: usize = staged.iter().map(|s| s.trace.barriers.len()).sum();
         let room = MAX_EVENTS.saturating_sub(barriers.len());
         barriers.reserve(more.min(room));
         // One label per allocation the launch touched; a launch touches few.
@@ -298,10 +273,11 @@ impl LaunchMemTrace {
         let mut truncated = false;
         for lane in staged {
             let (block, thread) = (lane.block, lane.thread);
-            truncated |= lane.log.truncated;
+            let log = std::mem::take(&mut lane.trace);
+            truncated |= log.truncated;
             truncated |= append_capped(
                 &mut events,
-                lane.log.events.into_iter().map(|a| MemEvent {
+                log.events.into_iter().map(|a| MemEvent {
                     kernel: Arc::clone(&self.kernel),
                     launch: self.launch,
                     block,
@@ -319,7 +295,7 @@ impl LaunchMemTrace {
             );
             truncated |= append_capped(
                 &mut barriers,
-                lane.log.barriers.into_iter().map(|ordinal| BarrierEvent {
+                log.barriers.into_iter().map(|ordinal| BarrierEvent {
                     kernel: Arc::clone(&self.kernel),
                     launch: self.launch,
                     block,
@@ -340,6 +316,8 @@ mod tests {
     use crate::device::{Device, DeviceProfile};
     use crate::dim::LaunchConfig;
     use crate::exec::Kernel;
+    use crate::observe::{LaneLog, Observer};
+    use crate::san::RaceFold;
     use crate::thread::ThreadCtx;
 
     #[test]
@@ -496,12 +474,12 @@ mod tests {
     #[test]
     fn take_events_moves_both_streams() {
         let trace = MemTrace::new();
-        let launch = LaunchMemTrace::new(Arc::clone(&trace), "k");
-        let mut log = TraceLog::default();
-        log.push_access(LaneSpace::Shared(0), 0, MemAccessKind::Write, 0);
-        log.push_barrier(0);
-        launch.stage_lane((0, 0), (0, 0, 0), (0, 0, 0), &mut log);
-        launch.finish();
+        let obs = Observer::new(None, Some(Arc::clone(&trace)), "k").expect("a trace is attached");
+        let mut log = LaneLog::default();
+        log.trace.push_access(LaneSpace::Shared(0), 0, MemAccessKind::Write, 0);
+        log.trace.push_barrier(0);
+        obs.stage_lane((0, 0), (0, 0, 0), (0, 0, 0), &mut log, &mut RaceFold::new(1));
+        obs.finish(&LaunchConfig::new(1u32, 1u32));
         let (events, barriers) = trace.take_events();
         assert_eq!((events.len(), barriers.len()), (1, 1));
         assert!(events.iter().all(|e| &*e.kernel == "k"));

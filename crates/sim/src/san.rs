@@ -9,23 +9,29 @@
 //! avoids a dependency cycle — the simulator cannot depend on its own
 //! tooling.
 //!
+//! Device-side hooks never write the session directly: a lane pushes its
+//! findings into its own lane log, and the launch's one observer
+//! (`crate::observe`) merges every lane log into the session in canonical
+//! (block rank, thread rank) order when the launch ends.
+//!
 //! Tool semantics implemented by these hooks:
 //!
 //! * **memcheck** — out-of-bounds element indices and use-after-free on
 //!   [`crate::mem::DBuf`] global memory (the access is suppressed and
 //!   recorded instead of panicking, so one launch can report many findings),
 //!   plus misaligned typed accesses through the byte-offset accessor.
-//! * **racecheck** — the shared-memory per-cell fold detector (migrated
-//!   from the legacy `LaunchConfig::racecheck` panic into recorded
-//!   diagnostics) and cross-block conflicts on global memory: two blocks
-//!   touching the same element in one launch, at least one write, no
-//!   atomics. Blocks have no ordering within a launch, so this is exact,
-//!   not timing-based — and because both detectors fold accesses into
-//!   commutative summaries scanned at block/launch end, the findings are
-//!   identical run to run regardless of host scheduling. The global fold
-//!   costs a lane one log append per access: each block-loop worker folds
-//!   its lanes' logs into its own `RaceFold` of packed integer ranks and
-//!   merges it into the launch's once (see [`LaunchSan`]).
+//! * **racecheck** — shared-memory races within one barrier epoch of a
+//!   block (two lanes, at least one write) and cross-block conflicts on
+//!   global memory: two blocks touching the same element in one launch, at
+//!   least one write, no atomics. Blocks have no ordering within a launch,
+//!   so this is exact, not timing-based. Racecheck exists only as a session
+//!   tool; without a session a racy kernel runs silently, as on hardware.
+//!   Both detectors fold accesses into one commutative summary,
+//!   `CellRanks`, scanned at block end (shared) or launch end (global),
+//!   so the findings are identical run to run regardless of host
+//!   scheduling. The global fold costs a lane one log append per access:
+//!   each block-loop worker folds its lanes' logs into its own `RaceFold`
+//!   of packed integer ranks and merges it into the launch's once.
 //! * **synccheck** — barrier divergence (a lane that participated in block
 //!   barriers abandons lanes still waiting at one) and invalid `shfl_sync`
 //!   member masks.
@@ -37,6 +43,8 @@
 //!   like the hardware tool, implicit process-exit teardown is not a leak.
 
 use crate::dim::LaunchConfig;
+use crate::memtrace::MemAccessKind;
+use crate::observe::Staged;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -198,56 +206,62 @@ pub struct AllocRecord {
 /// (see [`LaunchSan::check_rank_width`]).
 const NONE: u64 = u64::MAX;
 
-/// Order-independent access summary of one (allocation, element) for the
-/// cross-block race detector, as three packed ranks: the minimum-ranked
-/// write, the minimum-ranked access, and the minimum-ranked access from a
-/// different block than that one ([`NONE`] where there is none).
+/// Order-independent access summary of one cell for a race detector, as
+/// three packed ranks: the minimum-ranked write, the minimum-ranked access,
+/// and the minimum-ranked access from a different group than that one
+/// ([`NONE`] where there is none). A cell races when it has a write and
+/// accesses from two groups.
 ///
-/// An access by thread `t` of block `b` packs to
-/// `(b * threads_per_block + t) << 1 | !write`, so integer order is the
-/// canonical `(block rank, thread rank, !write)` order: block-linear
-/// first, thread-linear second, and on one thread a write outranks a read.
-/// Every fold step is commutative, so accesses may arrive in any real-time
-/// order and the launch-end scan still reports the same canonical pair.
+/// An access by member `m` of a group `g` of `width` members packs to
+/// `(g * width + m) << 1 | !write`, so integer order is the canonical
+/// `(group, member, !write)` order, and on one member a write outranks a
+/// read. The global-memory fold groups threads by block (`width` = threads
+/// per block); the shared-memory fold groups by lane (`width` = 1). Every
+/// fold step is commutative, so accesses may arrive in any real-time order
+/// and the scan still reports the same canonical pair.
 #[derive(Debug, Clone, Copy)]
-struct CellRanks {
+pub(crate) struct CellRanks {
     wmin: u64,
     amin: u64,
     amin2: u64,
 }
 
 impl CellRanks {
-    const EMPTY: CellRanks = CellRanks { wmin: NONE, amin: NONE, amin2: NONE };
+    pub(crate) const EMPTY: CellRanks = CellRanks { wmin: NONE, amin: NONE, amin2: NONE };
 
-    /// Fold in the access with packed rank `p` (blocks of `tpb` threads).
-    fn offer(&mut self, p: u64, tpb: u64) {
-        let block = |r: u64| (r >> 1) / tpb;
+    /// Fold in the access with packed rank `p` (groups of `width`).
+    pub(crate) fn offer(&mut self, p: u64, width: u64) {
+        let group = |r: u64| (r >> 1) / width;
         if p & 1 == 0 && p < self.wmin {
             self.wmin = p;
         }
         if p < self.amin {
+            // The displaced minimum becomes a runner-up candidate; the old
+            // runner-up stays one unless it shares the new minimum's group.
             let a = std::mem::replace(&mut self.amin, p);
-            let pb = block(p);
+            let pg = group(p);
             let mut runner =
-                if self.amin2 != NONE && block(self.amin2) != pb { self.amin2 } else { NONE };
-            if a != NONE && block(a) != pb && a < runner {
+                if self.amin2 != NONE && group(self.amin2) != pg { self.amin2 } else { NONE };
+            if a != NONE && group(a) != pg && a < runner {
                 runner = a;
             }
             self.amin2 = runner;
-        } else if p < self.amin2 && block(p) != block(self.amin) {
+        } else if p < self.amin2 && group(p) != group(self.amin) {
             self.amin2 = p;
         }
     }
 
     /// The canonical conflicting pair `(lower, higher)`, if this summary is
-    /// a cross-block race: at least one write and accesses from at least
-    /// two blocks.
-    fn conflict(&self, tpb: u64) -> Option<(u64, u64)> {
+    /// a race: at least one write and accesses from at least two groups.
+    pub(crate) fn conflict(&self, width: u64) -> Option<(u64, u64)> {
         if self.wmin == NONE || self.amin2 == NONE {
             return None;
         }
-        let other =
-            if (self.amin >> 1) / tpb != (self.wmin >> 1) / tpb { self.amin } else { self.amin2 };
+        let other = if (self.amin >> 1) / width != (self.wmin >> 1) / width {
+            self.amin
+        } else {
+            self.amin2
+        };
         Some((self.wmin.min(other), self.wmin.max(other)))
     }
 }
@@ -298,14 +312,6 @@ impl RaceFold {
             }
         }
     }
-}
-
-/// How a counted global access touches memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GlobalKind {
-    Read,
-    Write,
-    Atomic,
 }
 
 /// Identity fields a [`crate::thread::ThreadCtx`] passes with each hook
@@ -480,7 +486,7 @@ impl SanState {
         len: usize,
         freed: bool,
         index: usize,
-        kind: GlobalKind,
+        kind: MemAccessKind,
         init_tracked_unwritten: bool,
         log: &mut DiagLog,
     ) -> bool {
@@ -529,7 +535,10 @@ impl SanState {
             // contract; freed buffers retain their storage (refcounted).
             return false;
         }
-        if kind == GlobalKind::Read && init_tracked_unwritten && self.tool_on(ToolMask::INITCHECK) {
+        if kind == MemAccessKind::Read
+            && init_tracked_unwritten
+            && self.tool_on(ToolMask::INITCHECK)
+        {
             let alloc_label = alloc_label();
             log.push(
                 Diagnostic {
@@ -748,32 +757,21 @@ impl SanState {
     }
 }
 
-/// A lane's (or block scan's) diagnostic buffer staged for the canonical
-/// launch-end merge.
-struct StagedDiagLog {
-    block_rank: usize,
-    /// Thread-linear rank for lane logs; `u64::MAX` for the block-end scan
-    /// so it sorts after every lane of its block.
-    order: u64,
-    diags: Vec<(Diagnostic, DedupKey)>,
-}
-
-/// Per-launch sanitizer context handed to the executor: the session, the
-/// kernel's name for diagnostics, the staged per-lane diagnostic buffers,
-/// and the cross-block global-race fold. Nothing reaches the shared
-/// [`SanState`] until [`LaunchSan::finish`] merges everything in canonical
-/// order, so the session's findings are bit-identical run to run no matter
-/// how the OS schedules the blocks.
+/// Per-launch sanitizer part of the launch's observer
+/// ([`crate::observe::Observer`]): the session, the kernel's name for
+/// diagnostics, and the cross-block global-race fold. Nothing reaches the
+/// shared [`SanState`] until [`LaunchSan::finish`] merges the staged lane
+/// logs and the fold in canonical order, so the session's findings are
+/// bit-identical run to run no matter how the OS schedules the blocks.
 ///
 /// The race fold is integer-only: lanes log `(allocation, element, write)`,
 /// each block-loop worker folds its lanes' logs into a `RaceFold` of its
 /// own and merges it here once when it stops (a team-path lane merges its
 /// own log when it retires). Labels and block/thread coordinates are worked
 /// out in `finish`, for conflicting elements only.
-pub struct LaunchSan {
+pub(crate) struct LaunchSan {
     pub(crate) state: Arc<SanState>,
     pub(crate) kernel: String,
-    staged: Mutex<Vec<StagedDiagLog>>,
     /// Cross-block race fold of the lanes merged so far. Per-launch (blocks
     /// are unordered only within a launch).
     races: Mutex<Option<RaceFold>>,
@@ -781,21 +779,16 @@ pub struct LaunchSan {
 
 impl LaunchSan {
     pub(crate) fn new(state: Arc<SanState>, kernel: &str) -> LaunchSan {
-        LaunchSan {
-            state,
-            kernel: kernel.to_string(),
-            staged: Mutex::new(Vec::new()),
-            races: Mutex::new(None),
-        }
+        LaunchSan { state, kernel: kernel.to_string(), races: Mutex::new(None) }
     }
 
     /// The session this launch reports into.
-    pub fn state(&self) -> &SanState {
+    pub(crate) fn state(&self) -> &SanState {
         &self.state
     }
 
     /// Kernel name for diagnostics.
-    pub fn kernel(&self) -> &str {
+    pub(crate) fn kernel(&self) -> &str {
         &self.kernel
     }
 
@@ -827,40 +820,15 @@ impl LaunchSan {
         }
     }
 
-    /// Stage a lane's diagnostic buffer for the launch-end merge. Called
-    /// once per lane when it finishes (including by panic unwinding).
-    pub(crate) fn stage_lane(&self, block_rank: usize, thread_rank: usize, log: &mut DiagLog) {
-        if log.is_empty() {
-            return;
-        }
-        let log = std::mem::take(log);
-        self.staged.lock().push(StagedDiagLog {
-            block_rank,
-            order: thread_rank as u64,
-            diags: log.diags,
-        });
-    }
-
-    /// Stage a block-end scan's diagnostics (shared-race fold results,
-    /// barrier-divergence scan); they sort after every lane of the block.
-    pub(crate) fn stage_block_scan(&self, block_rank: usize, log: DiagLog) {
-        if log.is_empty() {
-            return;
-        }
-        self.staged.lock().push(StagedDiagLog { block_rank, order: u64::MAX, diags: log.diags });
-    }
-
-    /// Merge everything into the session in canonical order: staged lane
-    /// and block-scan buffers sorted by (block rank, thread rank), then the
-    /// cross-block races of launch `cfg` sorted by (allocation, element).
-    /// Called exactly once by the executor after all workers have stopped —
-    /// including when the launch panicked, so partial findings are
-    /// preserved.
-    pub(crate) fn finish(&self, cfg: &LaunchConfig) {
-        let mut staged = std::mem::take(&mut *self.staged.lock());
-        staged.sort_by_key(|a| (a.block_rank, a.order));
+    /// Merge everything into the session in canonical order: the staged
+    /// lane and block-scan logs (already sorted by block rank, then thread
+    /// rank, each block's scan last), then the cross-block races of launch
+    /// `cfg` sorted by (allocation, element). Called exactly once after all
+    /// workers have stopped — including when the launch panicked, so
+    /// partial findings are preserved.
+    pub(crate) fn finish(&self, staged: &mut [Staged], cfg: &LaunchConfig) {
         for entry in staged {
-            for (diag, key) in entry.diags {
+            for (diag, key) in entry.diags.diags.drain(..) {
                 self.state.record(diag, key);
             }
         }
@@ -912,6 +880,19 @@ impl LaunchSan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{LaneLog, Observer};
+
+    /// The observer of a launch of kernel `k` with session `s` attached.
+    fn observer(s: &Arc<SanState>) -> Observer {
+        Observer::new(Some(Arc::clone(s)), None, "k").expect("a session is attached")
+    }
+
+    /// Stage `diags` as the log of lane `thread_rank` of block 0.
+    fn stage(obs: &Observer, thread_rank: usize, diags: DiagLog) {
+        let mut log = LaneLog { diags, ..LaneLog::default() };
+        let thread = (thread_rank as u32, 0, 0);
+        obs.stage_lane((0, thread_rank), (0, 0, 0), thread, &mut log, &mut RaceFold::new(8));
+    }
 
     #[test]
     fn tool_mask_algebra() {
@@ -934,7 +915,7 @@ mod tests {
     #[test]
     fn dedup_and_cap() {
         let s = SanState::new(ToolMask::ALL);
-        let launch = LaunchSan::new(s.clone(), "k");
+        let obs = observer(&s);
         let site = AccessSite { kernel: "k", block: (0, 0, 0), thread: (0, 0, 0), block_rank: 0 };
         let mut log = DiagLog::default();
         for _ in 0..3 {
@@ -945,13 +926,13 @@ mod tests {
                 4,
                 false,
                 9,
-                GlobalKind::Read,
+                MemAccessKind::Read,
                 false,
                 &mut log
             ));
         }
-        launch.stage_lane(0, 0, &mut log);
-        launch.finish(&cfg());
+        stage(&obs, 0, log);
+        obs.finish(&cfg());
         assert_eq!(s.finding_count(), 1);
         assert_eq!(s.diagnostics()[0].kind, DiagKind::OutOfBounds);
     }
@@ -961,7 +942,7 @@ mod tests {
         // Two lanes independently hit the same OOB element: each lane log
         // records it, the session dedups at the canonical merge.
         let s = SanState::new(ToolMask::MEMCHECK);
-        let launch = LaunchSan::new(s.clone(), "k");
+        let obs = observer(&s);
         for lane in 0..2u32 {
             let site =
                 AccessSite { kernel: "k", block: (0, 0, 0), thread: (lane, 0, 0), block_rank: 0 };
@@ -973,13 +954,13 @@ mod tests {
                 4,
                 false,
                 9,
-                GlobalKind::Write,
+                MemAccessKind::Write,
                 false,
                 &mut log,
             );
-            launch.stage_lane(0, lane as usize, &mut log);
+            stage(&obs, lane as usize, log);
         }
-        launch.finish(&cfg());
+        obs.finish(&cfg());
         let d = s.diagnostics();
         assert_eq!(d.len(), 1);
         // Canonical merge: the lowest-ranked lane's report wins.
@@ -1009,13 +990,7 @@ mod tests {
 
     /// One plain access by thread `thread_rank` of block `block_rank`,
     /// folded the way a retiring team-path lane folds its log.
-    fn access(
-        launch: &LaunchSan,
-        block_rank: usize,
-        thread_rank: usize,
-        index: usize,
-        write: bool,
-    ) {
+    fn access(launch: &Observer, block_rank: usize, thread_rank: usize, index: usize, write: bool) {
         let mut fold = RaceFold::new(8);
         fold.absorb(block_rank, thread_rank, &mut vec![(ALLOC, index, write)]);
         launch.merge_races(fold);
@@ -1025,20 +1000,20 @@ mod tests {
     fn cross_block_race_requires_distinct_blocks_and_a_write() {
         let s = SanState::new(ToolMask::RACECHECK);
         // Read/read from two blocks: not a race.
-        let launch = LaunchSan::new(s.clone(), "k");
+        let launch = observer(&s);
         access(&launch, 0, 0, 3, false);
         access(&launch, 1, 0, 3, false);
         launch.finish(&cfg());
         assert_eq!(s.finding_count(), 0);
         // Add a write from one of the blocks: race.
-        let launch = LaunchSan::new(s.clone(), "k");
+        let launch = observer(&s);
         access(&launch, 0, 0, 3, false);
         access(&launch, 1, 0, 3, false);
         access(&launch, 0, 0, 3, true);
         launch.finish(&cfg());
         assert_eq!(s.finding_count(), 1);
         // Same-block write/write in a fresh launch: not a cross-block race.
-        let launch = LaunchSan::new(s.clone(), "k");
+        let launch = observer(&s);
         access(&launch, 0, 0, 5, true);
         access(&launch, 0, 1, 5, true);
         launch.finish(&cfg());
@@ -1051,7 +1026,7 @@ mod tests {
         let mut messages = Vec::new();
         for order in [false, true] {
             let s = SanState::new(ToolMask::RACECHECK);
-            let launch = LaunchSan::new(s.clone(), "k");
+            let launch = observer(&s);
             let mut seq = accesses.to_vec();
             if order {
                 seq.reverse();
@@ -1080,7 +1055,7 @@ mod tests {
             (0..32).map(|i| (i % 4, (i * 7 + 3) % 8, i % 3 == 0)).collect();
         let run = |split: usize| {
             let s = SanState::new(ToolMask::RACECHECK);
-            let launch = LaunchSan::new(s.clone(), "k");
+            let launch = observer(&s);
             for part in log.chunks(split) {
                 let mut fold = RaceFold::new(8);
                 for &(block, thread, write) in part {

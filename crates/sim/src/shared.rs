@@ -9,9 +9,17 @@
 //! Type safety: each slot records the element type name at declaration and
 //! validates it on access, turning the C "reinterpret the smem pointer" bug
 //! class into a loud simulator panic.
+//!
+//! Tooling: with a sanitizer session attached, a block's arena also carries
+//! racecheck's per-(cell, barrier epoch) race fold, the same commutative
+//! summary the cross-block global fold uses (`crate::san`), with each lane
+//! its own group; it is scanned once at block end. Initcheck adds one bit
+//! per cell. Without a session neither exists and a racy kernel runs
+//! silently, as on hardware.
 
 use crate::dim::SharedSlotDecl;
 use crate::mem::DeviceScalar;
+use crate::san::CellRanks;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,76 +37,12 @@ pub struct SharedSlot {
     /// at block end. A commutative fold — rather than a last-access shadow
     /// cell — makes the detector's output independent of the real-time
     /// order in which concurrently executing lanes touch the cell.
-    race: Option<Mutex<HashMap<(usize, u64), SharedCellFold>>>,
+    race: Option<Mutex<HashMap<(usize, u64), CellRanks>>>,
     /// Initcheck bitmap (one bit per word) when initcheck is on: shared
     /// memory is undefined at block start on real hardware, so reads before
     /// any write in the block are flagged.
     init: Option<Box<[AtomicU64]>>,
     decl: SharedSlotDecl,
-}
-
-/// One lane's access to a shared cell, as remembered by the race fold.
-#[derive(Debug, Clone, Copy)]
-struct LaneAccess {
-    lane: usize,
-    write: bool,
-}
-
-impl LaneAccess {
-    /// Canonical ordering key: lower lanes first; on the same lane, a
-    /// write outranks a read so the representative's kind is deterministic.
-    fn rank(self) -> (usize, bool) {
-        (self.lane, !self.write)
-    }
-}
-
-/// Order-independent per-(cell, epoch) access summary: the minimum-ranked
-/// write, the minimum-ranked access, and the minimum-ranked access from a
-/// different lane than that one. Enough to decide "≥ 2 distinct lanes, at
-/// least one write" and to name a canonical conflicting pair, while every
-/// fold step is commutative.
-#[derive(Debug, Default)]
-struct SharedCellFold {
-    wmin: Option<LaneAccess>,
-    amin: Option<LaneAccess>,
-    amin2: Option<LaneAccess>,
-}
-
-impl SharedCellFold {
-    fn offer(&mut self, p: LaneAccess) {
-        if p.write && self.wmin.is_none_or(|w| p.rank() < w.rank()) {
-            self.wmin = Some(p);
-        }
-        match self.amin {
-            None => self.amin = Some(p),
-            Some(a) if p.rank() < a.rank() => {
-                self.amin = Some(p);
-                // The displaced minimum becomes a runner-up candidate; the
-                // old runner-up stays one unless it shares the new
-                // minimum's lane.
-                let mut runner = self.amin2.filter(|r| r.lane != p.lane);
-                if a.lane != p.lane && runner.is_none_or(|r| a.rank() < r.rank()) {
-                    runner = Some(a);
-                }
-                self.amin2 = runner;
-            }
-            Some(a) => {
-                if p.lane != a.lane && self.amin2.is_none_or(|r| p.rank() < r.rank()) {
-                    self.amin2 = Some(p);
-                }
-            }
-        }
-    }
-
-    /// The canonical conflicting pair, if this summary is a race: at least
-    /// one write and at least two distinct lanes.
-    fn conflict(&self) -> Option<(LaneAccess, LaneAccess)> {
-        let w = self.wmin?;
-        let second = self.amin2?;
-        let a = self.amin?;
-        let other = if a.lane != w.lane { a } else { second };
-        Some(if w.rank() <= other.rank() { (w, other) } else { (other, w) })
-    }
 }
 
 impl BlockShared {
@@ -156,7 +100,7 @@ impl BlockShared {
     /// canonical (slot, cell, epoch) order. Called once per block at block
     /// end (after all lanes retire), so the result is independent of lane
     /// interleaving during the block's execution.
-    pub fn collect_races(&self) -> Vec<(usize, SharedRace)> {
+    pub(crate) fn collect_races(&self) -> Vec<(usize, SharedRace)> {
         let mut out = Vec::new();
         for (slot_idx, slot) in self.slots.iter().enumerate() {
             let Some(race) = &slot.race else { continue };
@@ -164,15 +108,15 @@ impl BlockShared {
             let mut keys: Vec<(usize, u64)> = map.keys().copied().collect();
             keys.sort_unstable();
             for (cell, epoch) in keys {
-                if let Some((prev, this)) = map[&(cell, epoch)].conflict() {
+                if let Some((prev, this)) = map[&(cell, epoch)].conflict(1) {
                     out.push((
                         slot_idx,
                         SharedRace {
                             cell,
-                            prev_lane: prev.lane,
-                            prev_write: prev.write,
-                            this_lane: this.lane,
-                            this_write: this.write,
+                            prev_lane: (prev >> 1) as usize,
+                            prev_write: prev & 1 == 0,
+                            this_lane: (this >> 1) as usize,
+                            this_write: this & 1 == 0,
                             epoch,
                         },
                     ));
@@ -187,17 +131,10 @@ impl BlockShared {
 /// of the block execution.
 pub struct SharedView<'a, T: DeviceScalar> {
     words: &'a [AtomicU64],
-    race: Option<&'a Mutex<HashMap<(usize, u64), SharedCellFold>>>,
+    race: Option<&'a Mutex<HashMap<(usize, u64), CellRanks>>>,
     init: Option<&'a [AtomicU64]>,
     slot: usize,
     _marker: std::marker::PhantomData<T>,
-}
-
-/// Access kind for the race detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    Read,
-    Write,
 }
 
 /// A shared-memory race detected by the block-end fold scan: the canonical
@@ -222,17 +159,16 @@ impl<'a, T: DeviceScalar> SharedView<'a, T> {
     /// least one write is a shared-memory data race — the bug class that
     /// hand-ported SIMT tiling code introduces.
     ///
-    /// The access is folded into an order-independent per-(cell, epoch)
-    /// summary; conflicts are materialized at block end by
+    /// The access of lane `lane` packs to `lane << 1 | !write` and is
+    /// folded into an order-independent per-(cell, epoch) summary with
+    /// groups of one lane; conflicts are materialized at block end by
     /// [`BlockShared::collect_races`], so detection and reporting are
     /// deterministic regardless of how the OS interleaves lanes.
     #[inline]
-    pub fn racecheck_access(&self, i: usize, lane: usize, epoch: u64, kind: AccessKind) {
+    pub(crate) fn racecheck_access(&self, i: usize, lane: usize, epoch: u64, write: bool) {
         let Some(race) = self.race else { return };
-        race.lock()
-            .entry((i, epoch))
-            .or_default()
-            .offer(LaneAccess { lane, write: kind == AccessKind::Write });
+        let rank = (lane as u64) << 1 | u64::from(!write);
+        race.lock().entry((i, epoch)).or_insert(CellRanks::EMPTY).offer(rank, 1);
     }
 
     /// Index of the declared slot this view borrows (for diagnostics).
@@ -343,44 +279,32 @@ mod tests {
         let _ = bs.view::<f32>(2);
     }
 
+    /// Fold lane accesses `(lane, write)` into one cell summary.
+    fn fold(accesses: impl IntoIterator<Item = (usize, bool)>) -> CellRanks {
+        let mut cell = CellRanks::EMPTY;
+        for (lane, write) in accesses {
+            cell.offer((lane as u64) << 1 | u64::from(!write), 1);
+        }
+        cell
+    }
+
     #[test]
     fn race_fold_is_order_independent() {
         // Offer the same access set in two different orders; the conflict
         // representative must be identical.
-        let accesses = [
-            LaneAccess { lane: 5, write: false },
-            LaneAccess { lane: 2, write: true },
-            LaneAccess { lane: 7, write: true },
-            LaneAccess { lane: 2, write: false },
-        ];
-        let mut fwd = SharedCellFold::default();
-        let mut rev = SharedCellFold::default();
-        for a in accesses {
-            fwd.offer(a);
-        }
-        for a in accesses.iter().rev() {
-            rev.offer(*a);
-        }
-        let (fp, ft) = fwd.conflict().expect("write + two lanes is a race");
-        let (rp, rt) = rev.conflict().expect("write + two lanes is a race");
-        assert_eq!((fp.lane, fp.write, ft.lane, ft.write), (rp.lane, rp.write, rt.lane, rt.write));
+        let accesses = [(5, false), (2, true), (7, true), (2, false)];
+        let fwd = fold(accesses).conflict(1).expect("write + two lanes is a race");
+        let rev = fold(accesses.into_iter().rev()).conflict(1).expect("a race");
+        assert_eq!(fwd, rev);
         // Lane 2's write is the minimum-ranked access; lane 5's read is the
         // lowest-ranked access on another lane.
-        assert_eq!((fp.lane, fp.write), (2, true));
-        assert_eq!((ft.lane, ft.write), (5, false));
+        assert_eq!(fwd, (2 << 1, 5 << 1 | 1));
     }
 
     #[test]
     fn race_fold_requires_write_and_two_lanes() {
-        let mut reads_only = SharedCellFold::default();
-        reads_only.offer(LaneAccess { lane: 0, write: false });
-        reads_only.offer(LaneAccess { lane: 1, write: false });
-        assert!(reads_only.conflict().is_none());
-
-        let mut one_lane = SharedCellFold::default();
-        one_lane.offer(LaneAccess { lane: 3, write: true });
-        one_lane.offer(LaneAccess { lane: 3, write: false });
-        assert!(one_lane.conflict().is_none());
+        assert!(fold([(0, false), (1, false)]).conflict(1).is_none());
+        assert!(fold([(3, true), (3, false)]).conflict(1).is_none());
     }
 
     #[test]
@@ -388,15 +312,15 @@ mod tests {
         let bs = BlockShared::with_tools(&decls(), true, false);
         let f = bs.view::<f32>(0);
         // Touch cells out of order and across epochs.
-        f.racecheck_access(4, 1, 0, AccessKind::Write);
-        f.racecheck_access(4, 0, 0, AccessKind::Read);
-        f.racecheck_access(2, 6, 3, AccessKind::Write);
-        f.racecheck_access(2, 2, 3, AccessKind::Write);
-        f.racecheck_access(2, 9, 1, AccessKind::Read);
-        f.racecheck_access(2, 8, 1, AccessKind::Write);
+        f.racecheck_access(4, 1, 0, true);
+        f.racecheck_access(4, 0, 0, false);
+        f.racecheck_access(2, 6, 3, true);
+        f.racecheck_access(2, 2, 3, true);
+        f.racecheck_access(2, 9, 1, false);
+        f.racecheck_access(2, 8, 1, true);
         // Same cell, different epochs: no conflict.
-        f.racecheck_access(7, 0, 0, AccessKind::Write);
-        f.racecheck_access(7, 1, 1, AccessKind::Write);
+        f.racecheck_access(7, 0, 0, true);
+        f.racecheck_access(7, 1, 1, true);
         let races = bs.collect_races();
         let keys: Vec<(usize, usize, u64)> =
             races.iter().map(|(slot, r)| (*slot, r.cell, r.epoch)).collect();

@@ -23,8 +23,9 @@ use crate::barrier::RetireBarrier;
 use crate::counters::StatsSnapshot;
 use crate::dim::Dim3;
 use crate::mem::{DBuf, DeviceScalar};
-use crate::memtrace::{LaneSpace, LaunchMemTrace, MemAccessKind, TraceLog};
-use crate::san::{AccessSite, DiagLog, GlobalKind, LaunchSan, RaceFold, RaceLog, ToolMask};
+use crate::memtrace::{LaneSpace, MemAccessKind};
+use crate::observe::{LaneLog, Observer};
+use crate::san::{AccessSite, LaunchSan, RaceFold, ToolMask};
 use crate::shared::{BlockShared, SharedView};
 use crate::warp::WarpGroup;
 
@@ -46,21 +47,44 @@ pub struct ThreadCtx<'a> {
     /// The lane runs a phased body, whose barriers are `Step::Barrier`.
     pub(crate) phased: bool,
     pub(crate) collective_count: u64,
-    /// Sanitizer session of the enclosing launch, when one is attached.
-    pub(crate) san: Option<&'a LaunchSan>,
-    /// Memory-access trace of the enclosing launch, when one is attached.
-    pub(crate) mem: Option<&'a LaunchMemTrace>,
-    /// Lane-local trace buffer, staged for the canonical launch-end merge
-    /// when the lane retires (see [`ThreadCtx::stage_logs`]).
-    pub(crate) trace_log: TraceLog,
-    /// Lane-local sanitizer findings, staged alongside the trace buffer.
-    pub(crate) diag_log: DiagLog,
-    /// Plain global accesses for racecheck's cross-block fold, folded when
-    /// the lane retires.
-    pub(crate) race_log: RaceLog,
+    /// Observer of the enclosing launch, when a tool is attached.
+    pub(crate) obs: Option<&'a Observer>,
+    /// Everything this lane observes, staged for the canonical launch-end
+    /// merge when the lane retires (see [`ThreadCtx::stage_log`]).
+    pub(crate) log: LaneLog,
 }
 
 impl<'a> ThreadCtx<'a> {
+    /// A serial-rules context for thread `thread` of block `block`: no
+    /// block barrier, no warp group, not phased. The executor gives team
+    /// lanes their barrier and warp, and phased lanes their flag.
+    #[inline]
+    pub(crate) fn new(
+        grid_dim: Dim3,
+        block_dim: Dim3,
+        block: (u32, u32, u32),
+        thread: (u32, u32, u32),
+        warp_size: u32,
+        shared: &'a BlockShared,
+        obs: Option<&'a Observer>,
+    ) -> Self {
+        ThreadCtx {
+            block,
+            thread,
+            grid_dim,
+            block_dim,
+            warp_size,
+            counters: StatsSnapshot::default(),
+            shared,
+            block_barrier: None,
+            warp: None,
+            phased: false,
+            collective_count: 0,
+            obs,
+            log: LaneLog::default(),
+        }
+    }
+
     /// Construct a detached context outside of a launch.
     ///
     /// Used by runtime layers that need to run kernel-style code on a
@@ -75,27 +99,16 @@ impl<'a> ThreadCtx<'a> {
         warp_size: u32,
         shared: &'a BlockShared,
     ) -> Self {
-        ThreadCtx {
-            block,
-            thread,
-            grid_dim,
-            block_dim,
-            warp_size,
-            counters: StatsSnapshot::default(),
-            shared,
-            block_barrier: None,
-            warp: None,
-            phased: false,
-            collective_count: 0,
-            san: None,
-            mem: None,
-            trace_log: TraceLog::default(),
-            diag_log: DiagLog::default(),
-            race_log: RaceLog::new(),
-        }
+        Self::new(grid_dim, block_dim, block, thread, warp_size, shared, None)
     }
 
-    // ---- sanitizer plumbing --------------------------------------------
+    // ---- observation plumbing --------------------------------------------
+
+    /// The launch's sanitizer part, when a session is attached.
+    #[inline]
+    fn san(&self) -> Option<&'a LaunchSan> {
+        self.obs.and_then(|obs| obs.san.as_ref())
+    }
 
     #[inline]
     fn site(&self, san: &'a LaunchSan) -> AccessSite<'a> {
@@ -107,12 +120,23 @@ impl<'a> ThreadCtx<'a> {
         }
     }
 
-    /// Run the memcheck/initcheck global-memory hook and log the access
-    /// for the cross-block race fold. Returns `true` when the access must
-    /// be suppressed (OOB / use-after-free under memcheck).
+    /// Observe a counted global access: record it in the lane's trace,
+    /// run the memcheck/initcheck hook and log it for the cross-block race
+    /// fold. Returns `true` when the access must be suppressed (OOB /
+    /// use-after-free under memcheck).
     #[inline]
-    fn san_global<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize, kind: GlobalKind) -> bool {
-        let Some(san) = self.san else { return false };
+    fn observe_global<T: DeviceScalar>(
+        &mut self,
+        buf: &DBuf<T>,
+        i: usize,
+        kind: MemAccessKind,
+    ) -> bool {
+        let Some(obs) = self.obs else { return false };
+        if obs.mem.is_some() {
+            let phase = self.counters.barriers as u32;
+            self.log.trace.push_access(LaneSpace::Global(buf.alloc_id()), i, kind, phase);
+        }
+        let Some(san) = &obs.san else { return false };
         let site = self.site(san);
         let suppress = san.state().global_access(
             site,
@@ -122,16 +146,16 @@ impl<'a> ThreadCtx<'a> {
             buf.is_freed(),
             i,
             kind,
-            kind == GlobalKind::Read && buf.is_unwritten(i),
-            &mut self.diag_log,
+            kind == MemAccessKind::Read && buf.is_unwritten(i),
+            &mut self.log.diags,
         );
         if !suppress
             && i < buf.len()
             && !buf.is_freed()
-            && kind != GlobalKind::Atomic
+            && kind != MemAccessKind::Atomic
             && san.state().tool_on(ToolMask::RACECHECK)
         {
-            self.race_log.push((buf.alloc_id(), i, kind == GlobalKind::Write));
+            self.log.races.push((buf.alloc_id(), i, kind == MemAccessKind::Write));
         }
         suppress
     }
@@ -145,9 +169,9 @@ impl<'a> ThreadCtx<'a> {
         if self.solo() {
             return;
         }
-        if let Some(san) = self.san {
+        if let Some(san) = self.san() {
             let site = self.site(san);
-            if san.state().flags_drift(site, what, missing, self.phased, &mut self.diag_log) {
+            if san.state().flags_drift(site, what, missing, self.phased, &mut self.log.diags) {
                 return;
             }
         }
@@ -160,37 +184,22 @@ impl<'a> ThreadCtx<'a> {
         panic!("{what} requires KernelFlags::{missing} (kernel launched on the serial path)");
     }
 
-    /// Stage this lane's trace and diagnostic buffers for the canonical
-    /// launch-end merge and fold its race log into `races`. Called by the
-    /// executor when the lane retires — including when it was unwound by a
-    /// panic, so partial evidence survives a failing kernel.
-    pub(crate) fn stage_logs(&mut self, races: &mut RaceFold) {
-        let block_rank = self.block_rank();
-        let thread_rank = self.thread_rank();
-        if let Some(mem) = self.mem {
-            mem.stage_lane((block_rank, thread_rank), self.block, self.thread, &mut self.trace_log);
-        }
-        if let Some(san) = self.san {
-            san.stage_lane(block_rank, thread_rank, &mut self.diag_log);
-        }
-        races.absorb(block_rank, thread_rank, &mut self.race_log);
-    }
-
-    // ---- memory-trace plumbing ------------------------------------------
-
-    #[inline]
-    fn trace_global<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize, kind: MemAccessKind) {
-        if self.mem.is_some() {
-            let phase = self.counters.barriers as u32;
-            self.trace_log.push_access(LaneSpace::Global(buf.alloc_id()), i, kind, phase);
+    /// Stage this lane's log for the canonical launch-end merge and fold
+    /// its race log into `races`. Called by the executor when the lane
+    /// retires — including when it was unwound by a panic, so partial
+    /// evidence survives a failing kernel.
+    pub(crate) fn stage_log(&mut self, races: &mut RaceFold) {
+        if let Some(obs) = self.obs {
+            let ranks = (self.block_rank(), self.thread_rank());
+            obs.stage_lane(ranks, self.block, self.thread, &mut self.log, races);
         }
     }
 
     #[inline]
     fn trace_shared(&mut self, slot: usize, i: usize, kind: MemAccessKind) {
-        if self.mem.is_some() {
+        if self.obs.is_some_and(|obs| obs.mem.is_some()) {
             let phase = self.counters.barriers as u32;
-            self.trace_log.push_access(LaneSpace::Shared(slot), i, kind, phase);
+            self.log.trace.push_access(LaneSpace::Shared(slot), i, kind, phase);
         }
     }
 
@@ -323,8 +332,7 @@ impl<'a> ThreadCtx<'a> {
     #[inline]
     pub fn read<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize) -> T {
         self.counters.global_load_bytes += std::mem::size_of::<T>() as u64;
-        self.trace_global(buf, i, MemAccessKind::Read);
-        if self.san_global(buf, i, GlobalKind::Read) {
+        if self.observe_global(buf, i, MemAccessKind::Read) {
             return T::default();
         }
         buf.get(i)
@@ -338,7 +346,7 @@ impl<'a> ThreadCtx<'a> {
     pub fn read_at_bytes<T: DeviceScalar>(&mut self, buf: &DBuf<T>, byte_offset: usize) -> T {
         let align = std::mem::align_of::<T>();
         if !byte_offset.is_multiple_of(align) {
-            if let Some(san) = self.san {
+            if let Some(san) = self.san() {
                 let site = self.site(san);
                 san.state().misaligned_access(
                     site,
@@ -347,7 +355,7 @@ impl<'a> ThreadCtx<'a> {
                     byte_offset,
                     align,
                     std::any::type_name::<T>(),
-                    &mut self.diag_log,
+                    &mut self.log.diags,
                 );
             }
         }
@@ -358,8 +366,7 @@ impl<'a> ThreadCtx<'a> {
     #[inline]
     pub fn write<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize, v: T) {
         self.counters.global_store_bytes += std::mem::size_of::<T>() as u64;
-        self.trace_global(buf, i, MemAccessKind::Write);
-        if self.san_global(buf, i, GlobalKind::Write) {
+        if self.observe_global(buf, i, MemAccessKind::Write) {
             return;
         }
         buf.set(i, v)
@@ -374,8 +381,7 @@ impl<'a> ThreadCtx<'a> {
     #[inline]
     pub fn read_uniform<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize) -> T {
         self.counters.uniform_load_bytes += std::mem::size_of::<T>() as u64;
-        self.trace_global(buf, i, MemAccessKind::Read);
-        if self.san_global(buf, i, GlobalKind::Read) {
+        if self.observe_global(buf, i, MemAccessKind::Read) {
             return T::default();
         }
         buf.get(i)
@@ -385,8 +391,7 @@ impl<'a> ThreadCtx<'a> {
     #[inline]
     pub fn atomic_add<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize, v: T) -> T {
         self.counters.atomic_ops += 1;
-        self.trace_global(buf, i, MemAccessKind::Atomic);
-        if self.san_global(buf, i, GlobalKind::Atomic) {
+        if self.observe_global(buf, i, MemAccessKind::Atomic) {
             return T::default();
         }
         buf.atomic_add(i, v)
@@ -396,8 +401,7 @@ impl<'a> ThreadCtx<'a> {
     #[inline]
     pub fn atomic_min<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize, v: T) -> T {
         self.counters.atomic_ops += 1;
-        self.trace_global(buf, i, MemAccessKind::Atomic);
-        if self.san_global(buf, i, GlobalKind::Atomic) {
+        if self.observe_global(buf, i, MemAccessKind::Atomic) {
             return T::default();
         }
         buf.atomic_min(i, v)
@@ -407,8 +411,7 @@ impl<'a> ThreadCtx<'a> {
     #[inline]
     pub fn atomic_max<T: DeviceScalar>(&mut self, buf: &DBuf<T>, i: usize, v: T) -> T {
         self.counters.atomic_ops += 1;
-        self.trace_global(buf, i, MemAccessKind::Atomic);
-        if self.san_global(buf, i, GlobalKind::Atomic) {
+        if self.observe_global(buf, i, MemAccessKind::Atomic) {
             return T::default();
         }
         buf.atomic_max(i, v)
@@ -424,8 +427,7 @@ impl<'a> ThreadCtx<'a> {
         new: T,
     ) -> Result<T, T> {
         self.counters.atomic_ops += 1;
-        self.trace_global(buf, i, MemAccessKind::Atomic);
-        if self.san_global(buf, i, GlobalKind::Atomic) {
+        if self.observe_global(buf, i, MemAccessKind::Atomic) {
             return Err(T::default());
         }
         buf.compare_exchange(i, current, new)
@@ -445,16 +447,11 @@ impl<'a> ThreadCtx<'a> {
     pub fn sread<T: DeviceScalar>(&mut self, view: &SharedView<'a, T>, i: usize) -> T {
         self.counters.shared_accesses += 1;
         self.trace_shared(view.slot_index(), i, MemAccessKind::Read);
-        view.racecheck_access(
-            i,
-            self.thread_rank(),
-            self.counters.barriers,
-            crate::shared::AccessKind::Read,
-        );
+        view.racecheck_access(i, self.thread_rank(), self.counters.barriers, false);
         if view.is_unwritten(i) {
-            if let Some(san) = self.san {
+            if let Some(san) = self.san() {
                 let site = self.site(san);
-                san.state().uninit_shared_read(site, view.slot_index(), i, &mut self.diag_log);
+                san.state().uninit_shared_read(site, view.slot_index(), i, &mut self.log.diags);
             }
         }
         view.get(i)
@@ -465,12 +462,7 @@ impl<'a> ThreadCtx<'a> {
     pub fn swrite<T: DeviceScalar>(&mut self, view: &SharedView<'a, T>, i: usize, v: T) {
         self.counters.shared_accesses += 1;
         self.trace_shared(view.slot_index(), i, MemAccessKind::Write);
-        view.racecheck_access(
-            i,
-            self.thread_rank(),
-            self.counters.barriers,
-            crate::shared::AccessKind::Write,
-        );
+        view.racecheck_access(i, self.thread_rank(), self.counters.barriers, true);
         view.set(i, v)
     }
 
@@ -521,8 +513,8 @@ impl<'a> ThreadCtx<'a> {
     /// event with this lane's ordinal, then count the barrier. A phased
     /// lane's `Step::Barrier` does exactly this and no more.
     pub(crate) fn arrive_barrier(&mut self) {
-        if self.mem.is_some() {
-            self.trace_log.push_barrier(self.counters.barriers as u32);
+        if self.obs.is_some_and(|obs| obs.mem.is_some()) {
+            self.log.trace.push_barrier(self.counters.barriers as u32);
         }
         self.counters.barriers += 1;
     }
@@ -581,7 +573,7 @@ impl<'a> ThreadCtx<'a> {
     /// undefined behaviour on real hardware. Functionally the shuffle then
     /// proceeds as [`ThreadCtx::shfl`].
     pub fn shfl_masked<T: DeviceScalar>(&mut self, mask: u64, val: T, src_lane: usize) -> T {
-        if let Some(san) = self.san {
+        if let Some(san) = self.san() {
             let lane = self.lane_id();
             let lanes = match self.warp {
                 Some(w) => w.lanes() as usize,
@@ -591,7 +583,7 @@ impl<'a> ThreadCtx<'a> {
             let src_in = src_lane < 64 && mask & (1u64 << src_lane) != 0 && src_lane < lanes;
             if !lane_in || !src_in {
                 let site = self.site(san);
-                san.state().invalid_shfl_mask(site, mask, lane, src_lane, &mut self.diag_log);
+                san.state().invalid_shfl_mask(site, mask, lane, src_lane, &mut self.log.diags);
             }
         }
         self.shfl(val, src_lane)

@@ -145,8 +145,11 @@ fn fold_access(rank: usize, j: usize, seed: u64, len: usize) -> (usize, bool) {
     ((h >> 2) as usize % len, h & 3 == 0)
 }
 
-/// Three plain accesses of one lane.
-fn touch(tc: &mut ThreadCtx<'_>, buf: &DBuf<u32>, seed: u64) {
+/// Three plain global accesses of one lane, then two plain accesses to
+/// cells of the shared slot `slot` of `slot_len` cells. Each lane is its
+/// own group in the shared fold, so only a lane that touches one cell
+/// twice can tell a fold that checks groups from one that does not.
+fn touch(tc: &mut ThreadCtx<'_>, buf: &DBuf<u32>, slot: usize, slot_len: usize, seed: u64) {
     let rank = tc.global_rank();
     for j in 0..3 {
         let (i, write) = fold_access(rank, j, seed, buf.len());
@@ -156,29 +159,101 @@ fn touch(tc: &mut ThreadCtx<'_>, buf: &DBuf<u32>, seed: u64) {
             let _ = tc.read(buf, i);
         }
     }
+    let tile = tc.shared::<u32>(slot);
+    for j in 3..5 {
+        let (i, write) = fold_access(rank, j, seed, slot_len);
+        if write {
+            tc.swrite(&tile, i, rank as u32);
+        } else {
+            let _ = tc.sread(&tile, i);
+        }
+    }
 }
 
 /// `touch` as a barrier-free closure (0), a closure that calls
 /// `sync_threads` first (1, the team path for multi-lane blocks), or a
 /// phased body that accesses after one `Step::Barrier` (2). All three carry
-/// the same name, so their reports must be byte-identical.
-fn fold_kernel(form: u8, buf: &DBuf<u32>, seed: u64) -> Kernel {
+/// the same name, so their global-race reports must be byte-identical.
+fn fold_kernel(form: u8, buf: &DBuf<u32>, slot: usize, slot_len: usize, seed: u64) -> Kernel {
     let buf = buf.clone();
     match form {
-        0 => Kernel::new("fold", move |tc: &mut ThreadCtx<'_>| touch(tc, &buf, seed)),
+        0 => {
+            Kernel::new("fold", move |tc: &mut ThreadCtx<'_>| touch(tc, &buf, slot, slot_len, seed))
+        }
         1 => Kernel::new("fold", move |tc: &mut ThreadCtx<'_>| {
             tc.sync_threads();
-            touch(tc, &buf, seed);
+            touch(tc, &buf, slot, slot_len, seed);
         })
         .with_block_sync(),
         _ => Kernel::phased("fold", move |tc, phase, _: &mut ()| {
             if phase == 0 {
                 return Step::Barrier;
             }
-            touch(tc, &buf, seed);
+            touch(tc, &buf, slot, slot_len, seed);
             Step::Exit
         }),
     }
+}
+
+/// Whether a traced access is a write; `None` for atomics, which never
+/// race.
+fn plain_write(e: &MemEvent) -> Option<bool> {
+    match e.kind {
+        MemAccessKind::Read => Some(false),
+        MemAccessKind::Write => Some(true),
+        MemAccessKind::Atomic => None,
+    }
+}
+
+/// The shared-memory race rule applied directly to a memtrace: a cell of a
+/// slot races within one barrier phase of one block when at least two
+/// lanes touch it and one of them writes. Ranking accesses by (lane, write
+/// first), the report pairs the lowest write with the lowest access from
+/// any other lane and names the higher-ranked of the two. Blocks report in
+/// rank order, each in (slot, cell, phase) order, and only the first report
+/// of a (slot, cell) survives the session's deduplication.
+fn reference_shared_races(events: &[MemEvent], cfg: &LaunchConfig) -> Vec<String> {
+    // (block rank, slot, cell, phase) to the block and each access's
+    // (lane, read).
+    type Accesses = ((u32, u32, u32), Vec<(usize, bool)>);
+    let mut cells: BTreeMap<(usize, usize, usize, u32), Accesses> = BTreeMap::new();
+    for e in events {
+        let MemSpace::Shared { slot } = e.space else { continue };
+        let Some(write) = plain_write(e) else { continue };
+        let block_rank = cfg.grid.linear(e.block.0, e.block.1, e.block.2);
+        let lane = cfg.block.linear(e.thread.0, e.thread.1, e.thread.2);
+        let cell = cells.entry((block_rank, slot, e.index, e.phase)).or_insert((e.block, vec![]));
+        cell.1.push((lane, !write));
+    }
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    for ((_, slot, index, phase), (block, accesses)) in cells {
+        let Some(w) = accesses.iter().filter(|a| !a.1).min() else { continue };
+        let Some(other) = accesses.iter().filter(|a| a.0 != w.0).min() else { continue };
+        if !seen.insert((slot, index)) {
+            continue;
+        }
+        let (prev, cur) = if w <= other { (w, other) } else { (other, w) };
+        let verb = |a: &(usize, bool)| if a.1 { "read" } else { "written" };
+        let diag = Diagnostic {
+            kind: DiagKind::SharedRace,
+            kernel: "fold".into(),
+            block,
+            thread: cfg.block.delinear(cur.0),
+            address: Some(index),
+            alloc: Some(format!("shared slot {slot}")),
+            message: format!(
+                "cell {index} {} by lane {} and {} by lane {} within barrier epoch {phase} — \
+                 missing sync_threads()?",
+                verb(prev),
+                prev.0,
+                verb(cur),
+                cur.0,
+            ),
+        };
+        out.push(diag.to_string());
+    }
+    out
 }
 
 /// The cross-block race rule applied directly to a memtrace: an element
@@ -191,11 +266,7 @@ fn reference_races(events: &[MemEvent], cfg: &LaunchConfig) -> Vec<String> {
     let mut cells: BTreeMap<(usize, usize), (String, Vec<Access>)> = BTreeMap::new();
     for e in events {
         let MemSpace::Global { alloc_id, label } = &e.space else { continue };
-        let write = match e.kind {
-            MemAccessKind::Read => false,
-            MemAccessKind::Write => true,
-            MemAccessKind::Atomic => continue,
-        };
+        let Some(write) = plain_write(e) else { continue };
         let block_rank = cfg.grid.linear(e.block.0, e.block.1, e.block.2);
         let thread_rank = cfg.block.linear(e.thread.0, e.thread.1, e.thread.2);
         let cell = cells.entry((*alloc_id, e.index)).or_insert_with(|| (label.to_string(), vec![]));
@@ -232,41 +303,58 @@ fn reference_races(events: &[MemEvent], cfg: &LaunchConfig) -> Vec<String> {
     out
 }
 
-/// Launch the property kernel under racecheck with a memtrace attached:
-/// the `GlobalRace` reports, and the reference computed from the trace.
+/// The reports of one launch: the `SharedRace` reports, the `GlobalRace`
+/// reports, and what the race rules say of the launch's memtrace.
+struct FoldReports {
+    shared: Vec<String>,
+    global: Vec<String>,
+    reference_shared: Vec<String>,
+    reference_global: Vec<String>,
+}
+
+/// Launch the property kernel under racecheck with a memtrace attached.
+/// The session's findings are every shared race, in block order, followed
+/// by every global race.
 fn fold_reports(
     form: u8,
     workers: usize,
     cfg: &LaunchConfig,
     len: usize,
     seed: u64,
-) -> [Vec<String>; 2] {
+) -> FoldReports {
     let d = dev();
     d.set_sim_workers(Some(workers));
     let buf = d.alloc::<u32>(len);
     buf.set_label("cells");
+    let mut cfg = cfg.clone();
+    let slot = cfg.shared_array::<u32>(len);
     let san = SanState::new(ToolMask::RACECHECK);
     let trace = MemTrace::new();
     d.attach_sanitizer(Arc::clone(&san));
     d.attach_mem_trace(Arc::clone(&trace));
-    d.launch(&fold_kernel(form, &buf, seed), cfg.clone()).unwrap();
+    d.launch(&fold_kernel(form, &buf, slot, len, seed), cfg.clone()).unwrap();
     d.detach_sanitizer();
     d.detach_mem_trace();
-    let races = san
-        .drain_diagnostics()
-        .iter()
-        .filter(|g| g.kind == DiagKind::GlobalRace)
-        .map(|g| g.to_string())
-        .collect();
-    [races, reference_races(&trace.events(), cfg)]
+    let diags = san.drain_diagnostics();
+    let shared = diags.iter().take_while(|g| g.kind == DiagKind::SharedRace);
+    let shared: Vec<String> = shared.map(|g| g.to_string()).collect();
+    let global = diags[shared.len()..].iter().map(|g| g.to_string()).collect();
+    let events = trace.events();
+    FoldReports {
+        shared,
+        global,
+        reference_shared: reference_shared_races(&events, &cfg),
+        reference_global: reference_races(&events, &cfg),
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The cross-block race fold reports exactly what the race rule says
-    /// of the launch's memtrace, for multi-dimensional grids, blocks of any
-    /// size, every executor form and any worker count.
+    /// The race fold reports exactly what the race rules say of the
+    /// launch's memtrace, for global memory (across blocks) and shared
+    /// memory (across the lanes of a block), for multi-dimensional grids,
+    /// blocks of any size, every executor form and any worker count.
     #[test]
     fn global_race_fold_matches_the_trace_reference(
         gx in 1u32..4, gy in 1u32..3, gz in 1u32..3,
@@ -276,13 +364,14 @@ proptest! {
         workers in 1usize..=4,
     ) {
         let cfg = LaunchConfig::new([gx, gy, gz], [bx, by, bz]);
-        let [first, reference] = fold_reports(0, 1, &cfg, len, seed);
-        prop_assert_eq!(&first, &reference);
+        let first = fold_reports(0, 1, &cfg, len, seed);
+        prop_assert_eq!(&first.global, &first.reference_global);
         for form in 0..3u8 {
             for w in [1, workers] {
-                let [races, reference] = fold_reports(form, w, &cfg, len, seed);
-                prop_assert_eq!(&races, &reference, "form {} workers {}", form, w);
-                prop_assert_eq!(&races, &first, "form {} workers {}", form, w);
+                let r = fold_reports(form, w, &cfg, len, seed);
+                prop_assert_eq!(&r.shared, &r.reference_shared, "shared: form {} workers {}", form, w);
+                prop_assert_eq!(&r.global, &r.reference_global, "form {} workers {}", form, w);
+                prop_assert_eq!(&r.global, &first.global, "form {} workers {}", form, w);
             }
         }
     }

@@ -124,7 +124,7 @@ echo "==> simspeed determinism + speed gate (24-cell matrix, serial vs parallel)
 cargo run --release -q -p ompx-bench --bin simspeed -- \
     --runs 1 --baseline results/BENCH_simspeed.json >/dev/null
 
-echo "==> cross-thread determinism gate (two identical runs at full worker width)"
+echo "==> cross-thread determinism gate (two identical runs at full worker width, racy fixtures also at 1 worker)"
 DET=$(mktemp -d)
 for r in a b; do
     # sanitize exits non-zero on findings by design — the racy fixture is
@@ -139,8 +139,16 @@ for r in a b; do
     OMPX_SIM_WORKERS="$(nproc)" cargo run --release -q -p ompx-bench --bin analyze -- \
         extract --app stencil --version ompx --json --out "$DET/$r-ext-phased.json" >/dev/null
 done
+# The racy fixtures at the reference serial width must report what they
+# report at full width, the way the extraction leg compares its reports.
+OMPX_SIM_WORKERS=1 cargo run --release -q -p ompx-bench --bin sanitize -- \
+    --tool all --fixture shared-race --json --out "$DET/one-san.json" >/dev/null || true
+OMPX_SIM_WORKERS=1 cargo run --release -q -p ompx-bench --bin sanitize -- \
+    --tool all --fixture global-race --json --out "$DET/one-san-global.json" >/dev/null || true
 diff "$DET/a-san.json" "$DET/b-san.json"
 diff "$DET/a-san-global.json" "$DET/b-san-global.json"
+diff "$DET/a-san.json" "$DET/one-san.json"
+diff "$DET/a-san-global.json" "$DET/one-san-global.json"
 diff "$DET/a-ext.json" "$DET/b-ext.json"
 diff "$DET/a-ext-phased.json" "$DET/b-ext-phased.json"
 rm -rf "$DET"

@@ -6,22 +6,25 @@
 //! combination (float reductions, trace merges, diagnostic ordering)
 //! happens in canonical block-linear order. These tests pin the contract
 //! with workloads chosen to expose ordering bugs — non-associative float
-//! sums over catastrophic-cancellation inputs, and a barrier-heavy
-//! benchmark cell traced end to end, and a phased 2-D kernel on a
-//! geometry no benchmark port uses.
+//! sums over catastrophic-cancellation inputs, a barrier-heavy benchmark
+//! cell traced end to end, and a phased kernel over a fixed-seed draw of
+//! 2-D and 3-D geometries no benchmark port uses, traced and sanitized.
 //!
 //! Every test forces the same fixed worker count (the tests in this
 //! binary may run concurrently and the override is process-global), and
-//! serial references use the per-device knob, which takes precedence.
+//! serial references use the per-device knob, which takes precedence —
+//! except where the knob is out of reach, and the reference run takes the
+//! override instead.
 
 use ompx::BareTarget;
-use ompx_hecbench::common::{checksum_f32_items, item_uniform, ompx_runtime};
+use ompx_hecbench::common::{checksum_f32_items, item_uniform, ompx_runtime, splitmix64};
 use ompx_hecbench::{run_app, with_mem_trace_full, ProgVersion, System, WorkScale};
 use ompx_klang::blaslib::{sdot, BlasVendor};
 use ompx_klang::cuda::cuda_context_clang;
-use ompx_sanitizer::fixtures;
+use ompx_sanitizer::{fixtures, Sanitizer};
 use ompx_sim::exec::{self, Step};
 use ompx_sim::memtrace::{BarrierEvent, MemEvent, MemSpace};
+use ompx_sim::san::ToolMask;
 use std::sync::Mutex;
 
 /// Bit-identity is claimed for *every* run, so probe more than once or
@@ -104,25 +107,26 @@ fn sdot_is_bit_identical_across_runs_and_worker_counts() {
 #[test]
 fn barrier_heavy_cell_trace_and_checksum_are_bit_identical() {
     let _gate = WORKER_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    exec::set_global_workers(Some(WORKERS));
-    let mut reference: Option<(u64, String)> = None;
-    for run in 0..RUNS {
-        // The native stencil is the barrier-heavy version: a shared-memory
-        // tile staged behind `sync_threads`, so the trace has all three
-        // event kinds (global, shared, barrier) crossing the merge.
+    // The native stencil is the barrier-heavy version: a shared-memory tile
+    // staged behind `sync_threads`, so the trace has all three event kinds
+    // (global, shared, barrier) crossing the merge.
+    let traced = || {
         let (outcome, events, barriers) = with_mem_trace_full(|| {
             run_app("stencil", System::Nvidia, ProgVersion::Native, WorkScale::Test)
         });
         assert!(!events.is_empty(), "trace hook recorded nothing");
         assert!(!barriers.is_empty(), "expected a barrier-heavy kernel");
-        let bytes = canonical_trace(events, barriers);
-        match &reference {
-            None => reference = Some((outcome.checksum, bytes)),
-            Some((checksum, trace)) => {
-                assert_eq!(outcome.checksum, *checksum, "checksum drift on run {run}");
-                assert_eq!(&bytes, trace, "memtrace byte drift on run {run}");
-            }
-        }
+        (outcome.checksum, canonical_trace(events, barriers))
+    };
+    // `run_app` builds its own devices, so the per-device knob is out of
+    // reach: the serial reference takes the process-global override.
+    exec::set_global_workers(Some(1));
+    let (checksum, trace) = traced();
+    exec::set_global_workers(Some(WORKERS));
+    for run in 0..RUNS {
+        let (c, t) = traced();
+        assert_eq!(c, checksum, "run {run}: checksum drift at {WORKERS} workers vs 1");
+        assert_eq!(t, trace, "run {run}: memtrace byte drift at {WORKERS} workers vs 1");
     }
     exec::set_global_workers(None);
 }
@@ -141,43 +145,54 @@ fn sanitizer_finding_order_is_bit_identical() {
     exec::set_global_workers(None);
 }
 
+/// What one launch of the tile kernel leaves behind.
+#[derive(Debug, PartialEq)]
+struct Tiled {
+    /// Output bits.
+    out: Vec<u32>,
+    checksum: u64,
+    /// Canonical trace bytes; empty without tools.
+    trace: String,
+    /// The sanitizer report as JSON; empty without tools.
+    findings: String,
+}
+
 /// Launch a phased tile kernel on `grid` x `block` with the ompx runtime of
-/// `sys`, traced, on `workers` workers (the per-device knob). Returns the
-/// output bits, their checksum and the canonical trace bytes.
+/// `sys` on `workers` workers (the per-device knob). With `tools`, a memory
+/// trace and a sanitizer session running every tool are attached.
 ///
-/// Each thread linearises its own 2-D coordinates, stages one input in
-/// the team tile, and after the barrier combines two neighbours' values.
-/// The last 17 threads of the grid exit after the barrier without
-/// writing. Launched on the same sizes flattened to one dimension, the
-/// kernel must compute the same output.
-fn tile_kernel(
-    sys: System,
-    grid: &[u32],
-    block: &[u32],
-    workers: usize,
-) -> (Vec<u32>, u64, String) {
+/// Each thread linearises its own coordinates, stages one input in the
+/// team tile, and after the barrier combines two neighbours' values. The
+/// last 17 threads of the grid exit after the barrier without writing.
+/// Launched on the same sizes flattened to one dimension, the kernel must
+/// compute the same output. Two deliberate defects leave the output alone
+/// but give the sanitizer findings to merge in every block: every seventh
+/// thread reads its output element before writing it (initcheck), and the
+/// last thread of each team stores its staged value in the tile again in
+/// the phase its left neighbour reads it (racecheck).
+fn tile_kernel(sys: System, grid: &[u32], block: &[u32], workers: usize, tools: bool) -> Tiled {
     let threads = block.iter().product::<u32>() as usize;
     let total = grid.iter().product::<u32>() as usize * threads;
     let n = total - 17;
-    let (out, events, barriers) = with_mem_trace_full(|| {
+    let run = || {
         let omp = ompx_runtime(sys);
         omp.device().set_sim_workers(Some(workers));
         assert_ne!(threads % omp.device().profile().warp_size as usize, 0, "want a partial warp");
+        let san = tools.then(|| Sanitizer::attach_mask(omp.device(), ToolMask::ALL));
         let init: Vec<f32> = (0..total).map(|i| item_uniform(0x2d, i as u64) as f32).collect();
         let input = omp.device().alloc_from(&init);
-        let out = omp.device().alloc::<f32>(n);
+        let out = omp.device().alloc_uninit::<f32>(n);
         // Default labels carry the process-global allocation id.
         input.set_label("in");
         out.set_label("out");
-        let mut target = BareTarget::new(&omp, "tile_2d").num_teams(grid).thread_limit(block);
+        let mut target = BareTarget::new(&omp, "tile").num_teams(grid).thread_limit(block);
         let slot = target.shared_array::<f32>(threads);
         target
             .launch_phased({
                 let (input, out) = (input.clone(), out.clone());
                 move |tc, phase, v: &mut f32| {
-                    let t = tc.thread_id_y() * tc.block_dim_x() + tc.thread_id_x();
-                    let b = tc.block_id_y() * tc.grid_dim_x() + tc.block_id_x();
-                    let g = b * threads + t;
+                    let t = tc.thread_rank();
+                    let g = tc.block_rank() * threads + t;
                     let tile = tc.shared::<f32>(slot);
                     if phase == 0 {
                         *v = tc.read(&input, g);
@@ -187,6 +202,12 @@ fn tile_kernel(
                     if g < n {
                         let right = tc.sread(&tile, (t + 1) % threads);
                         let left = tc.sread(&tile, (t + threads - 5) % threads);
+                        if t == threads - 1 {
+                            tc.swrite(&tile, t, *v);
+                        }
+                        if t % 7 == 3 {
+                            let _ = tc.read(&out, g);
+                        }
                         tc.flops(4);
                         tc.write(&out, g, *v * 0.5 + right * 0.25 - left * 0.125);
                     }
@@ -194,30 +215,79 @@ fn tile_kernel(
                 }
             })
             .expect("tile launch");
-        out.to_vec()
-    });
-    assert!(!barriers.is_empty(), "expected a barrier per team");
-    let bits = out.iter().map(|v| v.to_bits()).collect();
-    (bits, checksum_f32_items(&out), canonical_trace(events, barriers))
+        let findings = san.map(|san| san.finish().to_json()).unwrap_or_default();
+        (out.to_vec(), findings)
+    };
+    let ((out, findings), trace) = if tools {
+        let (result, events, barriers) = with_mem_trace_full(run);
+        assert!(!barriers.is_empty(), "expected a barrier per team");
+        (result, canonical_trace(events, barriers))
+    } else {
+        (run(), String::new())
+    };
+    Tiled {
+        out: out.iter().map(|v| v.to_bits()).collect(),
+        checksum: checksum_f32_items(&out),
+        trace,
+        findings,
+    }
+}
+
+/// A fixed-seed draw of ten tile-kernel geometries: the hand-picked
+/// 3x2 teams of 12x7 threads, then 2-D and 3-D team and thread counts in
+/// every pairing. No team is a power of two or a multiple of 32 threads,
+/// so the last warp is partial at warp 32 and at warp 64; each team has
+/// at least five threads and the grid at least 17 threads more than one
+/// team, so every team's first thread writes.
+fn drawn_geometries() -> Vec<(Vec<u32>, Vec<u32>)> {
+    let mut out = vec![(vec![3, 2], vec![12, 7])];
+    let mut draw = 0x7e57_u64;
+    let mut next = |below: u64| {
+        draw = splitmix64(draw);
+        1 + (draw % below) as u32
+    };
+    while out.len() < 10 {
+        let (grid_rank, block_rank) = (2 + out.len() % 2, 2 + out.len() / 2 % 2);
+        let grid: Vec<u32> = (0..grid_rank).map(|_| next(3)).collect();
+        let block: Vec<u32> = [16, 8, 4][..block_rank].iter().map(|&d| next(d)).collect();
+        let threads = block.iter().product::<u32>();
+        let total = grid.iter().product::<u32>() * threads;
+        if threads >= 5 && threads % 32 != 0 && !threads.is_power_of_two() && total >= threads + 17
+        {
+            out.push((grid, block));
+        }
+    }
+    out
 }
 
 #[test]
 fn multidim_phased_kernel_is_bit_identical_and_matches_its_flat_launch() {
     let _gate = WORKER_GATE.lock().unwrap_or_else(|e| e.into_inner());
     exec::set_global_workers(Some(WORKERS));
-    // 84 threads per team: two full warps and 20 lanes on the A100, one
-    // full warp and 20 lanes on the MI250.
-    let (grid, block) = ([3u32, 2], [12u32, 7]);
-    for sys in [System::Nvidia, System::Amd] {
-        let (out, checksum, trace) = tile_kernel(sys, &grid, &block, 1);
-        for run in 0..RUNS {
-            let (o, c, t) = tile_kernel(sys, &grid, &block, WORKERS);
-            assert_eq!(c, checksum, "{sys:?} run {run}: checksum drift at {WORKERS} workers");
-            assert_eq!(o, out, "{sys:?} run {run}: output drift at {WORKERS} workers");
-            assert_eq!(t, trace, "{sys:?} run {run}: memtrace byte drift at {WORKERS} workers");
+    let geometries = drawn_geometries();
+    let threads = |block: &[u32]| block.iter().product::<u32>();
+    assert!(geometries.iter().any(|(_, b)| threads(b) > 64), "want a partial warp past 64");
+    assert!(geometries.iter().any(|(g, _)| g.len() == 3), "want a 3-D grid");
+    assert!(geometries.iter().any(|(_, b)| b.len() == 3), "want 3-D teams");
+    for (grid, block) in &geometries {
+        for sys in [System::Nvidia, System::Amd] {
+            let at = format!("{sys:?} {grid:?}x{block:?}");
+            let reference = tile_kernel(sys, grid, block, 1, true);
+            assert!(reference.findings.contains("initcheck"), "{at}: {}", reference.findings);
+            assert!(reference.findings.contains("racecheck"), "{at}: {}", reference.findings);
+            for run in 0..RUNS {
+                let r = tile_kernel(sys, grid, block, WORKERS, true);
+                assert_eq!(r.checksum, reference.checksum, "{at} run {run}: checksum drift");
+                assert_eq!(r.out, reference.out, "{at} run {run}: output drift");
+                assert_eq!(r.trace, reference.trace, "{at} run {run}: memtrace byte drift");
+                assert_eq!(r.findings, reference.findings, "{at} run {run}: finding drift");
+            }
+            let bare = tile_kernel(sys, grid, block, WORKERS, false);
+            assert_eq!(bare.out, reference.out, "{at}: the tools change the output");
+            let flat = [grid.iter().product::<u32>()];
+            let flat = tile_kernel(sys, &flat, &[threads(block)], WORKERS, false);
+            assert_eq!(flat.out, reference.out, "{at}: differs from its flattened 1-D launch");
         }
-        let (flat, _, _) = tile_kernel(sys, &[grid[0] * grid[1]], &[block[0] * block[1]], WORKERS);
-        assert_eq!(flat, out, "{sys:?}: the 2-D launch differs from its flattened 1-D launch");
     }
     exec::set_global_workers(None);
 }
