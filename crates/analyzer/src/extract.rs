@@ -32,6 +32,7 @@ use crate::summary::{
 };
 use ompx_sanitizer::Severity;
 use ompx_sim::memtrace::{BarrierEvent, MemAccessKind, MemEvent, MemSpace};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What to extract: the launch-visible facts the harness already knows
@@ -261,15 +262,14 @@ fn build_ctx(spec: &ExtractSpec, val: &Valuation) -> Result<Ctx, String> {
     Ok(Ctx { val: val.clone(), bdim, gdim, domain: g.domain, threads })
 }
 
+/// Access groups keyed by (space, mode rank, barrier phase or class), each
+/// holding one [`TauSet`] per trace, in key order.
+type Groups = BTreeMap<(GSpace, u8, u32), Vec<TauSet>>;
+
 /// Group the spec kernel's events of every trace by (space, mode rank,
-/// barrier class modulo `l`), each group holding one [`TauSet`] per trace.
-/// Events are grouped under integer space ids (each allocation's label is
-/// looked up once); the groups come back in (space, mode, class) order.
-fn collect_groups(
-    spec: &ExtractSpec,
-    traces: &[Trace],
-    l: u32,
-) -> BTreeMap<(GSpace, u8, u32), Vec<TauSet>> {
+/// barrier phase), once per extraction. Events are grouped under integer
+/// space ids (each allocation's label is looked up once).
+fn collect_groups(spec: &ExtractSpec, traces: &[Trace]) -> Groups {
     let mut spaces: Vec<GSpace> = Vec::new();
     let mut intern = |space: GSpace| {
         spaces.iter().position(|s| *s == space).unwrap_or_else(|| {
@@ -290,15 +290,35 @@ fn collect_groups(
                 }
                 MemSpace::Shared { slot } => intern(GSpace::Shared(*slot)),
             };
-            let key = (space, mode_rank(mode_of(e.kind)), e.phase % l);
+            let key = (space, mode_rank(mode_of(e.kind)), e.phase);
             let per_ctx = groups.entry(key).or_insert_with(|| vec![TauSet::new(); traces.len()]);
             per_ctx[v].entry((e.block, e.thread)).or_default().insert(e.index as i64);
         }
     }
     groups
         .into_iter()
-        .map(|((space, mode, class), g)| ((spaces[space].clone(), mode, class), g))
+        .map(|((space, mode, phase), g)| ((spaces[space].clone(), mode, phase), g))
         .collect()
+}
+
+/// Merge the per-phase groups into barrier classes `phase % l`.
+fn classes(phases: &Groups, l: u32) -> Groups {
+    let mut groups = Groups::new();
+    for ((space, mode, phase), per_ctx) in phases {
+        match groups.entry((space.clone(), *mode, phase % l)) {
+            Entry::Vacant(slot) => {
+                slot.insert(per_ctx.clone());
+            }
+            Entry::Occupied(mut slot) => {
+                for (into, from) in slot.get_mut().iter_mut().zip(per_ctx) {
+                    for (tau, indices) in from {
+                        into.entry(*tau).or_default().extend(indices);
+                    }
+                }
+            }
+        }
+    }
+    groups
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,14 +1069,13 @@ impl<'a> Fit<'a> {
     }
 }
 
-fn fit_all(fit: &Fit<'_>, traces: &[Trace], l: u32, max_b: u32) -> (KernelSummary, Vec<String>) {
+fn fit_all(fit: &Fit<'_>, groups: &Groups, l: u32, max_b: u32) -> (KernelSummary, Vec<String>) {
     let spec = fit.spec;
-    let groups = collect_groups(spec, traces, l);
     let mut namer = Namer { n: 0 };
     let mut accesses = Vec::new();
     let mut frees = Vec::new();
     let mut notes = Vec::new();
-    for ((space, mrank, class), data) in &groups {
+    for ((space, mrank, class), data) in groups {
         let (drafts, note) = fit_group(fit, space, data, &mut namer);
         if let Some(n) = note {
             notes.push(n);
@@ -1150,9 +1169,10 @@ pub fn extract(spec: &ExtractSpec, traces: &[Trace]) -> Result<Extraction, Strin
     let candidates: Vec<u32> =
         if max_b == 0 { vec![1] } else { (1..=(max_b + 1).min(6)).collect() };
     let fit = Fit::new(spec)?;
+    let phases = collect_groups(spec, traces);
     let mut best: Option<(usize, usize, u32, KernelSummary, Vec<String>)> = None;
     for l in candidates {
-        let (summary, notes) = fit_all(&fit, traces, l, max_b);
+        let (summary, notes) = fit_all(&fit, &classes(&phases, l), l, max_b);
         let mut errors =
             analyze(&summary, 32).iter().filter(|f| f.severity == Severity::Error).count();
         for (v, t) in traces.iter().enumerate() {

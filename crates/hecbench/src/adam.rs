@@ -12,10 +12,7 @@
 //! being asserted.
 
 use crate::common::*;
-use ompx::BareTarget;
 use ompx_klang::toolchain::{vendor_key, CodegenDb, Toolchain};
-use ompx_sim::dim::LaunchConfig;
-use ompx_sim::exec::Kernel;
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::CodegenInfo;
@@ -150,107 +147,31 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.n;
+    let mut driver = Driver::new(sys, version, register_profiles);
+    let state = generate(driver.device(), n);
+    // One launch per step, each prepared with its step number (and, under
+    // omp, its own lowering).
+    for t in 1..=params.steps as u64 {
+        driver
+            .items(KERNEL, Items::new(n, BLOCK), {
+                let state = state.clone();
+                move |tc, i, _| adam_update(tc, i, t, &state)
+            })
+            .run();
+    }
+    let note = driver.omp_plan().filter(|plan| plan.threads < BLOCK).map(|plan| {
+        format!(
+            "LLVM OpenMP launched only {} threads per team (generic mode) — the §4.2.5 issue",
+            plan.threads
+        )
+    });
+    let time = ReportedTime::Launches {
+        launches: params.paper_steps,
+        pipelined: version != ProgVersion::Omp,
+    };
     // One launch's average, extrapolated to the paper's parameter count.
     let per_step = params.elem_factor() / params.steps as f64;
-
-    let reporting = Reporting {
-        sys,
-        version,
-        time: ReportedTime::Launches {
-            launches: params.paper_steps,
-            pipelined: version != ProgVersion::Omp,
-        },
-    };
-
-    match version {
-        ProgVersion::Native | ProgVersion::NativeVendor => {
-            let ctx = native_ctx(sys, version == ProgVersion::NativeVendor);
-            register_profiles(ctx.codegen());
-            let state = generate(ctx.device(), n);
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            for t in 1..=params.steps as u64 {
-                let kernel = Kernel::new(KERNEL, {
-                    let state = state.clone();
-                    move |tc: &mut ThreadCtx<'_>| {
-                        let i = tc.global_thread_id_x();
-                        if i < n {
-                            adam_update(tc, i, t, &state);
-                        }
-                    }
-                });
-                let r = ctx.launch_cfg(&kernel, LaunchConfig::linear(n, BLOCK)).expect("launch");
-                agg = agg.merged(&r.stats);
-            }
-            let per_launch = extrapolate(&agg, per_step, per_step);
-            let modeled = ctx.model(KERNEL, BLOCK, 0, &per_launch);
-            RunOutcome::new(reporting, checksum_f32_items(&state.p.to_vec()), modeled, per_launch)
-        }
-        ProgVersion::Ompx => {
-            let omp = ompx_runtime(sys);
-            register_profiles(omp.codegen());
-            let state = generate(omp.device(), n);
-            let teams = (n as u32).div_ceil(BLOCK);
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            let mut last = None;
-            for t in 1..=params.steps as u64 {
-                let prepared = BareTarget::new(&omp, KERNEL)
-                    .num_teams([teams])
-                    .thread_limit([BLOCK])
-                    .prepare({
-                        let state = state.clone();
-                        move |tc| {
-                            let i = tc.global_thread_id_x();
-                            if i < n {
-                                adam_update(tc, i, t, &state);
-                            }
-                        }
-                    });
-                let r = prepared.execute().expect("bare launch");
-                agg = agg.merged(&r.stats);
-                last = Some(prepared);
-            }
-            let per_launch = extrapolate(&agg, per_step, per_step);
-            let modeled = last.expect("at least one step").model(&per_launch).modeled;
-            RunOutcome::new(reporting, checksum_f32_items(&state.p.to_vec()), modeled, per_launch)
-        }
-        ProgVersion::Omp => {
-            let omp = omp_runtime(sys);
-            register_profiles(omp.codegen());
-            let state = generate(omp.device(), n);
-            let teams = (n as u32).div_ceil(BLOCK);
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            let mut plan = None;
-            let mut last = None;
-            for t in 1..=params.steps as u64 {
-                let prepared =
-                    omp.target(KERNEL).num_teams(teams).thread_limit(BLOCK).prepare_dpf(n, {
-                        let state = state.clone();
-                        std::sync::Arc::new(
-                            move |tc: &mut ThreadCtx<'_>,
-                                  i: usize,
-                                  _s: &ompx_devicert::globalization::Scratch| {
-                                adam_update(tc, i, t, &state);
-                            },
-                        )
-                    });
-                let r = prepared.execute().expect("omp launch");
-                plan = Some(r.plan);
-                agg = agg.merged(&r.stats);
-                last = Some(prepared);
-            }
-            let per_launch = extrapolate(&agg, per_step, per_step);
-            let modeled = last.expect("steps > 0").model(&per_launch).modeled;
-            let plan = plan.expect("steps > 0");
-            let note = (plan.threads < BLOCK).then(|| {
-                format!(
-                    "LLVM OpenMP launched only {} threads per team (generic mode) — the §4.2.5 issue",
-                    plan.threads
-                )
-            });
-            RunOutcome::new(reporting, checksum_f32_items(&state.p.to_vec()), modeled, per_launch)
-                .with_note(note)
-        }
-    }
+    driver.finish(time, checksum_f32_items(&state.p.to_vec()), per_step, per_step).with_note(note)
 }
 
 #[cfg(test)]
@@ -273,22 +194,17 @@ mod tests {
         // After a few steps with a constant gradient, parameters must have
         // moved opposite the gradient sign.
         let params = Params::for_scale(WorkScale::Test);
-        let ctx = native_ctx(System::Nvidia, false);
-        let state = generate(ctx.device(), params.n);
+        let mut driver = Driver::new(System::Nvidia, ProgVersion::Native, register_profiles);
+        let state = generate(driver.device(), params.n);
         let p0 = state.p.to_vec();
         let g = state.g.to_vec();
         for t in 1..=4u64 {
-            let n = params.n;
-            let kernel = Kernel::new("adam_conv", {
-                let state = state.clone();
-                move |tc: &mut ThreadCtx<'_>| {
-                    let i = tc.global_thread_id_x();
-                    if i < n {
-                        adam_update(tc, i, t, &state);
-                    }
-                }
-            });
-            ctx.launch_cfg(&kernel, LaunchConfig::linear(params.n, BLOCK)).unwrap();
+            driver
+                .items("adam_conv", Items::new(params.n, BLOCK), {
+                    let state = state.clone();
+                    move |tc, i, _| adam_update(tc, i, t, &state)
+                })
+                .run();
         }
         let p1 = state.p.to_vec();
         let mut moved_correctly = 0usize;

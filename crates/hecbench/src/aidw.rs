@@ -17,10 +17,9 @@
 //! stays competitive — as the figure shows.
 
 use crate::common::*;
-use ompx::BareTarget;
 use ompx_klang::toolchain::{vendor_key, CodegenDb, Toolchain};
 use ompx_sim::dim::LaunchConfig;
-use ompx_sim::exec::{Kernel, Step};
+use ompx_sim::exec::Step;
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::CodegenInfo;
@@ -195,19 +194,53 @@ pub fn tiled_phase(
     Step::Barrier
 }
 
-/// The tiled kernel, launched by the native versions and the aidw tests.
-fn tiled_kernel(
+/// Prepare the interpolation kernel `name` of `nq` queries over `np`
+/// points into `out`: the tiled scan with `groupprivate(team:)` tiles (the
+/// Figure 4 pattern) in the native and ompx versions. Traditional OpenMP
+/// cannot express the tile barrier, so the omp version scans the points
+/// straight from global memory — the arithmetic (and thus the checksum) is
+/// identical.
+fn interpolation<'d>(
+    driver: &'d mut Driver,
     name: &str,
     d: &AidwData,
     out: &DBuf<f32>,
-    slots: TileSlots,
-    n_points: usize,
-    n_queries: usize,
-) -> Kernel {
+    np: usize,
+    nq: usize,
+) -> Launch<'d> {
+    let mut cfg = LaunchConfig::linear(nq, BLOCK as u32);
+    let slots = TileSlots {
+        x: cfg.shared_array::<f32>(BLOCK),
+        y: cfg.shared_array::<f32>(BLOCK),
+        v: cfg.shared_array::<f32>(BLOCK),
+    };
+    let (tiled_d, tiled_out) = (d.clone(), out.clone());
     let (d, out) = (d.clone(), out.clone());
-    Kernel::phased(name, move |tc, phase, st: &mut ScanState| {
-        tiled_phase(tc, phase, st, &d, &out, slots, n_points, n_queries)
-    })
+    driver.tiled(
+        name,
+        nq,
+        cfg,
+        move |tc, phase, st: &mut ScanState| {
+            tiled_phase(tc, phase, st, &tiled_d, &tiled_out, slots, np, nq)
+        },
+        move |tc, q| {
+            let qx = tc.read(&d.qx, q);
+            let qy = tc.read(&d.qy, q);
+            let mut wsum = 0.0f32;
+            let mut vsum = 0.0f32;
+            // Same point order as the tiled scan. Every thread reads the
+            // same point at the same trip — a warp-uniform broadcast, one
+            // transaction per warp.
+            for p in 0..np {
+                let px = tc.read_uniform(&d.px, p);
+                let py = tc.read_uniform(&d.py, p);
+                let pv = tc.read_uniform(&d.pv, p);
+                accumulate(tc, qx, qy, px, py, pv, &mut wsum, &mut vsum);
+            }
+            tc.flops(1);
+            tc.write(&out, q, vsum / wsum);
+        },
+    )
 }
 
 /// Codegen profiles. §4.2.4: Clang's native CUDA path demotes the shared
@@ -257,105 +290,17 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 }
 
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
-    let nq = params.n_queries;
-    let np = params.n_points;
+    let (np, nq) = (params.n_points, params.n_queries);
+    let mut driver = Driver::new(sys, version, register_profiles);
+    let data = generate(driver.device(), params);
+    let out = driver.device().alloc::<f32>(nq);
+    out.set_label("out");
+    interpolation(&mut driver, KERNEL, &data, &out, np, nq).run();
     // Traffic, flops and barriers grow with points x queries, but the
     // launch *geometry* grows only linearly with the query count.
-    let work = params.pair_factor();
-    let geometry = params.paper_points as f64 / params.n_queries as f64;
-
-    let reporting = Reporting { sys, version, time: ReportedTime::KernelOnly };
-
-    match version {
-        ProgVersion::Native | ProgVersion::NativeVendor => {
-            let ctx = native_ctx(sys, version == ProgVersion::NativeVendor);
-            register_profiles(ctx.codegen());
-            let data = generate(ctx.device(), params);
-            let out = ctx.malloc::<f32>(nq);
-            out.set_label("out");
-            let mut cfg = LaunchConfig::linear(nq, BLOCK as u32);
-            let slots = TileSlots {
-                x: cfg.shared_array::<f32>(BLOCK),
-                y: cfg.shared_array::<f32>(BLOCK),
-                v: cfg.shared_array::<f32>(BLOCK),
-            };
-            let kernel = tiled_kernel(KERNEL, &data, &out, slots, np, nq);
-            let smem = cfg.shared_bytes_per_block();
-            let r = ctx.launch_cfg(&kernel, cfg).expect("launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = ctx.model(KERNEL, BLOCK as u32, smem, &scaled);
-            RunOutcome::new(reporting, checksum_f32_items(&out.to_vec()), modeled, scaled)
-        }
-        ProgVersion::Ompx => {
-            let omp = ompx_runtime(sys);
-            register_profiles(omp.codegen());
-            let data = generate(omp.device(), params);
-            let out = omp.device().alloc::<f32>(nq);
-            out.set_label("out");
-            let teams = (nq as u32).div_ceil(BLOCK as u32);
-            let mut target = BareTarget::new(&omp, KERNEL)
-                .num_teams([teams])
-                .thread_limit([BLOCK as u32])
-                .uses_block_sync();
-            // groupprivate(team:) tiles — the Figure 4 pattern.
-            let slots = TileSlots {
-                x: target.shared_array::<f32>(BLOCK),
-                y: target.shared_array::<f32>(BLOCK),
-                v: target.shared_array::<f32>(BLOCK),
-            };
-            let prepared = target.prepare_phased({
-                let (data, out) = (data.clone(), out.clone());
-                move |tc, phase, st: &mut ScanState| {
-                    tiled_phase(tc, phase, st, &data, &out, slots, np, nq)
-                }
-            });
-            let r = prepared.execute().expect("bare launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = prepared.model(&scaled).modeled;
-            RunOutcome::new(reporting, checksum_f32_items(&out.to_vec()), modeled, scaled)
-        }
-        ProgVersion::Omp => {
-            // Traditional OpenMP cannot express the tile barrier, so the
-            // omp version scans points directly from global memory — the
-            // arithmetic (and thus the checksum) is identical.
-            let omp = omp_runtime(sys);
-            register_profiles(omp.codegen());
-            let data = generate(omp.device(), params);
-            let out = omp.device().alloc::<f32>(nq);
-            out.set_label("out");
-            let teams = (nq as u32).div_ceil(BLOCK as u32);
-            let prepared =
-                omp.target(KERNEL).num_teams(teams).thread_limit(BLOCK as u32).prepare_dpf(nq, {
-                    let (data, out) = (data.clone(), out.clone());
-                    std::sync::Arc::new(
-                        move |tc: &mut ThreadCtx<'_>,
-                              q: usize,
-                              _s: &ompx_devicert::globalization::Scratch| {
-                            let qx = tc.read(&data.qx, q);
-                            let qy = tc.read(&data.qy, q);
-                            let mut wsum = 0.0f32;
-                            let mut vsum = 0.0f32;
-                            // Same point order as the tiled scan. Every
-                            // thread reads the same point at the same trip
-                            // — a warp-uniform broadcast, one transaction
-                            // per warp.
-                            for p in 0..np {
-                                let px = tc.read_uniform(&data.px, p);
-                                let py = tc.read_uniform(&data.py, p);
-                                let pv = tc.read_uniform(&data.pv, p);
-                                accumulate(tc, qx, qy, px, py, pv, &mut wsum, &mut vsum);
-                            }
-                            tc.flops(1);
-                            tc.write(&out, q, vsum / wsum);
-                        },
-                    )
-                });
-            let r = prepared.execute().expect("omp launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = prepared.model(&scaled).modeled;
-            RunOutcome::new(reporting, checksum_f32_items(&out.to_vec()), modeled, scaled)
-        }
-    }
+    let geometry = params.paper_points as f64 / nq as f64;
+    let checksum = checksum_f32_items(&out.to_vec());
+    driver.finish(ReportedTime::KernelOnly, checksum, params.pair_factor(), geometry)
 }
 
 #[cfg(test)]
@@ -376,8 +321,8 @@ mod tests {
     #[test]
     fn interpolation_matches_host_reference() {
         let params = Params::for_scale(WorkScale::Test);
-        let ctx = native_ctx(System::Nvidia, false);
-        let data = generate(ctx.device(), params);
+        let driver = Driver::new(System::Nvidia, ProgVersion::Native, register_profiles);
+        let data = generate(driver.device(), params);
         let (px, py, pv) = (data.px.to_vec(), data.py.to_vec(), data.pv.to_vec());
         let (qx, qy) = (data.qx.to_vec(), data.qy.to_vec());
         let r = run(System::Nvidia, ProgVersion::Native, WorkScale::Test);
@@ -394,19 +339,11 @@ mod tests {
         }
         let expect = vsum / wsum;
         // The checksum covers all queries; spot-check via a fresh run.
-        let ctx2 = native_ctx(System::Nvidia, false);
-        register_profiles(ctx2.codegen());
-        let data2 = generate(ctx2.device(), params);
-        let out = ctx2.malloc::<f32>(params.n_queries);
-        let mut cfg = LaunchConfig::linear(params.n_queries, BLOCK as u32);
-        let slots = TileSlots {
-            x: cfg.shared_array::<f32>(BLOCK),
-            y: cfg.shared_array::<f32>(BLOCK),
-            v: cfg.shared_array::<f32>(BLOCK),
-        };
-        let kernel =
-            tiled_kernel("aidw_ref", &data2, &out, slots, params.n_points, params.n_queries);
-        ctx2.launch_cfg(&kernel, cfg).unwrap();
+        let mut driver = Driver::new(System::Nvidia, ProgVersion::Native, register_profiles);
+        let data2 = generate(driver.device(), params);
+        let out = driver.device().alloc::<f32>(params.n_queries);
+        interpolation(&mut driver, "aidw_ref", &data2, &out, params.n_points, params.n_queries)
+            .run();
         assert_eq!(out.get(0), expect);
         let _ = r;
     }

@@ -1,14 +1,20 @@
 //! Shared benchmark infrastructure: systems, versions, checksums, scaling.
 
+use ompx_devicert::globalization::Scratch;
+use ompx_hostrt::target::{LaunchPlan, PreparedTarget};
 use ompx_hostrt::OpenMp;
 use ompx_klang::cuda::{cuda_context_clang, cuda_context_nvcc};
 use ompx_klang::hip::{hip_context_clang, hip_context_hipcc};
 use ompx_klang::runtime::NativeCtx;
+use ompx_klang::toolchain::CodegenDb;
 use ompx_sim::counters::StatsSnapshot;
+use ompx_sim::dim::LaunchConfig;
+use ompx_sim::exec::{Kernel, Step};
 use ompx_sim::fault::FaultState;
 use ompx_sim::memtrace::{BarrierEvent, MemEvent, MemTrace};
 use ompx_sim::san::{Diagnostic, SanState, ToolMask};
 use ompx_sim::span::{Span, SpanCategory, SpanLog};
+use ompx_sim::thread::{LocalArray, ThreadCtx};
 use ompx_sim::timing::ModeledTime;
 use ompx_sim::Device;
 use ompx_telemetry::MetricRegistry;
@@ -111,76 +117,269 @@ pub struct RunOutcome {
     pub note: Option<String>,
 }
 
-/// The cell an app runs and how its bar reports time: everything a
-/// [`RunOutcome`] needs besides what the run measured.
-#[derive(Debug, Clone, Copy)]
-pub struct Reporting {
-    pub sys: System,
-    pub version: ProgVersion,
-    pub time: ReportedTime,
-}
-
 impl RunOutcome {
-    /// The outcome of the cell whose representative kernel was modeled as
-    /// `kernel_model` from the extrapolated `stats`.
-    pub fn new(
-        reporting: Reporting,
-        checksum: u64,
-        kernel_model: ModeledTime,
-        stats: StatsSnapshot,
-    ) -> RunOutcome {
-        let Reporting { sys, version, time } = reporting;
-        RunOutcome {
-            label: version.label(sys).to_string(),
-            checksum,
-            reported_seconds: time.seconds(&kernel_model, launch_issue_s(sys, version)),
-            kernel_model,
-            stats,
-            excluded: false,
-            note: None,
-        }
-    }
-
     /// The same outcome with the harness note `note`.
     pub fn with_note(self, note: Option<String>) -> RunOutcome {
         RunOutcome { note, ..self }
     }
 }
 
-// ---- contexts -------------------------------------------------------------
+// ---- the launch driver ----------------------------------------------------
 
-/// Native context for (system, vendor-compiler?) — the `cuda`/`hip` and
-/// `cuda-nvcc`/`hip-hipcc` bars.
-pub fn native_ctx(sys: System, vendor_cc: bool) -> NativeCtx {
-    let ctx = match (sys, vendor_cc) {
-        (System::Nvidia, false) => cuda_context_clang(),
-        (System::Nvidia, true) => cuda_context_nvcc(),
-        (System::Amd, false) => hip_context_clang(),
-        (System::Amd, true) => hip_context_hipcc(),
-    };
-    attach_observers(ctx.device());
-    ctx
+/// The runtime a program version launches on, built by [`Driver::new`].
+pub enum Runtime {
+    /// `cuda`/`hip` (LLVM/Clang) or the vendor compiler's bar.
+    Native(NativeCtx),
+    /// The prototype (`ompx`): kernels launch as `ompx_bare` regions.
+    Ompx(OpenMp),
+    /// Traditional OpenMP with the paper's LLVM quirks (`omp`).
+    Omp(OpenMp),
 }
 
-/// Traditional OpenMP runtime for a system (ClangOpenmp + the paper's
-/// observed LLVM quirks).
-pub fn omp_runtime(sys: System) -> OpenMp {
-    let omp = match sys {
-        System::Nvidia => OpenMp::nvidia_system(),
-        System::Amd => OpenMp::amd_system(),
-    };
-    attach_observers(omp.device());
-    omp
+impl Runtime {
+    fn new(sys: System, version: ProgVersion) -> Runtime {
+        let runtime = match (version, sys) {
+            (ProgVersion::Native, System::Nvidia) => Runtime::Native(cuda_context_clang()),
+            (ProgVersion::Native, System::Amd) => Runtime::Native(hip_context_clang()),
+            (ProgVersion::NativeVendor, System::Nvidia) => Runtime::Native(cuda_context_nvcc()),
+            (ProgVersion::NativeVendor, System::Amd) => Runtime::Native(hip_context_hipcc()),
+            (ProgVersion::Ompx, System::Nvidia) => Runtime::Ompx(ompx::runtime_nvidia()),
+            (ProgVersion::Ompx, System::Amd) => Runtime::Ompx(ompx::runtime_amd()),
+            (ProgVersion::Omp, System::Nvidia) => Runtime::Omp(OpenMp::nvidia_system()),
+            (ProgVersion::Omp, System::Amd) => Runtime::Omp(OpenMp::amd_system()),
+        };
+        attach_observers(runtime.device());
+        runtime
+    }
+
+    /// The runtime's device.
+    pub fn device(&self) -> &Device {
+        match self {
+            Runtime::Native(ctx) => ctx.device(),
+            Runtime::Ompx(omp) | Runtime::Omp(omp) => omp.device(),
+        }
+    }
+
+    fn codegen(&self) -> &CodegenDb {
+        match self {
+            Runtime::Native(ctx) => ctx.codegen(),
+            Runtime::Ompx(omp) | Runtime::Omp(omp) => omp.codegen(),
+        }
+    }
+
+    /// `kernel` over `cfg` as a SIMT launch: a native launch, or on the
+    /// prototype the `ompx_bare` region `ompx::BareTarget` prepares to.
+    fn simt(&self, kernel: Kernel, cfg: LaunchConfig) -> Prepared {
+        match self {
+            Runtime::Native(ctx) => Prepared::Native(ctx.clone(), kernel, cfg),
+            Runtime::Ompx(omp) => Prepared::Bare(PreparedTarget::bare(omp.clone(), kernel, cfg)),
+            Runtime::Omp(_) => unreachable!("omp lowers its own kernel"),
+        }
+    }
 }
 
-/// Prototype (`ompx`) runtime for a system.
-pub fn ompx_runtime(sys: System) -> OpenMp {
-    let omp = match sys {
-        System::Nvidia => ompx::runtime_nvidia(),
-        System::Amd => ompx::runtime_amd(),
-    };
-    attach_observers(omp.device());
-    omp
+/// A launch prepared by [`Driver::items`] or [`Driver::tiled`].
+enum Prepared {
+    /// A native kernel over its launch config.
+    Native(NativeCtx, Kernel, LaunchConfig),
+    /// The same kernel and config as an `ompx_bare` region (§3.1).
+    Bare(PreparedTarget),
+    /// A lowered traditional `target teams` region.
+    Omp(PreparedTarget),
+}
+
+impl Prepared {
+    fn execute(&self) -> StatsSnapshot {
+        match self {
+            Prepared::Native(ctx, kernel, cfg) => {
+                ctx.launch_cfg(kernel, cfg.clone()).expect("launch").stats
+            }
+            Prepared::Bare(region) => region.execute().expect("bare launch").stats,
+            Prepared::Omp(region) => region.execute().expect("omp launch").stats,
+        }
+    }
+
+    fn model(&self, stats: &StatsSnapshot) -> ModeledTime {
+        match self {
+            Prepared::Native(ctx, kernel, cfg) => ctx.model(
+                kernel.name(),
+                cfg.threads_per_block() as u32,
+                cfg.shared_bytes_per_block(),
+                stats,
+            ),
+            Prepared::Bare(region) | Prepared::Omp(region) => region.model(stats).modeled,
+        }
+    }
+}
+
+/// The geometry of an [`Driver::items`] launch: `n` items, one per lane,
+/// in teams of `block` lanes; the `omp` lowering may pick its own team
+/// width, and `scratch_f64` is each lane's [`F64Scratch`] length.
+#[derive(Debug, Clone, Copy)]
+pub struct Items {
+    pub n: usize,
+    pub block: u32,
+    pub omp_block: u32,
+    pub scratch_f64: usize,
+}
+
+impl Items {
+    /// `n` items in teams of `block` in every version, without scratch.
+    pub fn new(n: usize, block: u32) -> Items {
+        Items { n, block, omp_block: block, scratch_f64: 0 }
+    }
+}
+
+/// One cell's launch driver: the runtime of a (system, program version)
+/// with the app's codegen profiles registered and the scoped run's
+/// observers attached. An app states its kernel body once; the driver
+/// launches it the way the version's port does, sums the counters over
+/// every launch, and [`Driver::finish`] models the last prepared launch
+/// at the paper's workload.
+pub struct Driver {
+    sys: System,
+    version: ProgVersion,
+    runtime: Runtime,
+    stats: StatsSnapshot,
+    last: Option<Prepared>,
+}
+
+/// A prepared launch, runnable repeatedly; each run adds its counters to
+/// the cell's.
+pub struct Launch<'d> {
+    prepared: &'d Prepared,
+    stats: &'d mut StatsSnapshot,
+}
+
+impl Launch<'_> {
+    /// Execute the launch once.
+    pub fn run(&mut self) {
+        self.stats.merge(&self.prepared.execute());
+    }
+}
+
+impl Driver {
+    /// The driver of `version` on `sys`, with `register_profiles` applied
+    /// to its codegen database.
+    pub fn new(sys: System, version: ProgVersion, register_profiles: fn(&CodegenDb)) -> Driver {
+        let runtime = Runtime::new(sys, version);
+        register_profiles(runtime.codegen());
+        Driver { sys, version, runtime, stats: StatsSnapshot::default(), last: None }
+    }
+
+    /// The cell's device, for the app's data.
+    pub fn device(&self) -> &Device {
+        self.runtime.device()
+    }
+
+    /// The cell's runtime, for launches outside the two forms.
+    pub fn runtime(&self) -> &Runtime {
+        &self.runtime
+    }
+
+    /// Prepare kernel `name` over `items`, running `body(tc, i, scratch)`
+    /// for every item `i`. `native` and `ompx` launch it one item per
+    /// lane behind the `i < n` guard with local-memory scratch; `omp`
+    /// lowers it as `distribute parallel for` with globalized scratch.
+    pub fn items<F>(&mut self, name: &str, items: Items, body: F) -> Launch<'_>
+    where
+        F: Fn(&mut ThreadCtx<'_>, usize, &mut F64Scratch<'_>) + Send + Sync + 'static,
+    {
+        let Items { n, block, omp_block, scratch_f64 } = items;
+        let prepared = match &self.runtime {
+            Runtime::Omp(omp) => Prepared::Omp(
+                omp.target(name)
+                    .num_teams((n as u32).div_ceil(omp_block))
+                    .thread_limit(omp_block)
+                    .scratch_f64(scratch_f64)
+                    .prepare_dpf(
+                        n,
+                        Arc::new(move |tc: &mut ThreadCtx<'_>, i: usize, s: &Scratch| {
+                            body(tc, i, &mut F64Scratch::Globalized(s))
+                        }),
+                    ),
+            ),
+            simt => simt.simt(
+                Kernel::new(name, move |tc: &mut ThreadCtx<'_>| {
+                    let i = tc.global_thread_id_x();
+                    if i < n {
+                        let mut scratch = F64Scratch::Local(tc.local_array(scratch_f64));
+                        body(tc, i, &mut scratch);
+                    }
+                }),
+                LaunchConfig::linear(n, block),
+            ),
+        };
+        self.prepare(prepared)
+    }
+
+    /// Prepare block-synchronizing kernel `name` over `n` items: `native`
+    /// and `ompx` run the phased `body` (see [`Kernel::phased`]) over
+    /// `cfg`, whose shared arrays the body's slots index; `omp`, which
+    /// cannot express the team barrier, lowers `omp_item` over the items
+    /// in teams as wide as `cfg`'s.
+    pub fn tiled<S, F, G>(
+        &mut self,
+        name: &str,
+        n: usize,
+        cfg: LaunchConfig,
+        body: F,
+        omp_item: G,
+    ) -> Launch<'_>
+    where
+        S: Default + 'static,
+        F: Fn(&mut ThreadCtx<'_>, usize, &mut S) -> Step + Send + Sync + 'static,
+        G: Fn(&mut ThreadCtx<'_>, usize) + Send + Sync + 'static,
+    {
+        let prepared = match &self.runtime {
+            Runtime::Omp(omp) => Prepared::Omp(
+                omp.target(name)
+                    .num_teams(cfg.num_blocks() as u32)
+                    .thread_limit(cfg.threads_per_block() as u32)
+                    .prepare_dpf(
+                        n,
+                        Arc::new(move |tc: &mut ThreadCtx<'_>, i: usize, _: &Scratch| {
+                            omp_item(tc, i)
+                        }),
+                    ),
+            ),
+            simt => simt.simt(Kernel::phased(name, body), cfg),
+        };
+        self.prepare(prepared)
+    }
+
+    fn prepare(&mut self, prepared: Prepared) -> Launch<'_> {
+        Launch { prepared: self.last.insert(prepared), stats: &mut self.stats }
+    }
+
+    /// The lowering plan of the last prepared `omp` region — what the
+    /// app's `omp` note describes. It is the plan the region was lowered
+    /// to, also when a launch of it fell back to the host.
+    pub fn omp_plan(&self) -> Option<LaunchPlan> {
+        match &self.last {
+            Some(Prepared::Omp(region)) => Some(region.plan()),
+            _ => None,
+        }
+    }
+
+    /// The cell's outcome: the summed counters extrapolated to the
+    /// paper's workload (events by `work`, launch geometry by
+    /// `geometry`), modeled as the last prepared launch and reported as
+    /// `time`. An `omp` lowering the paper found invalid is excluded.
+    pub fn finish(self, time: ReportedTime, checksum: u64, work: f64, geometry: f64) -> RunOutcome {
+        let last = self.last.as_ref().expect("the cell launched its kernel");
+        let stats = extrapolate(&self.stats, work, geometry);
+        let kernel_model = last.model(&stats);
+        RunOutcome {
+            label: self.version.label(self.sys).to_string(),
+            checksum,
+            reported_seconds: time.seconds(&kernel_model, launch_issue_s(self.sys, self.version)),
+            kernel_model,
+            stats,
+            excluded: self.omp_plan().is_some_and(|plan| plan.invalid_result),
+            note: None,
+        }
+    }
 }
 
 // ---- observers: one record, one scope ---------------------------------------
@@ -562,44 +761,34 @@ pub fn extrapolate(raw: &StatsSnapshot, work: f64, geometry: f64) -> StatsSnapsh
 
 /// Per-thread f64 scratch whose *placement* differs between program
 /// versions while the arithmetic stays identical — the storage class
-/// behind the RSBench §4.2.2 result:
-///
-/// * CUDA/HIP/ompx versions: a dynamically indexed thread-local array →
-///   **local memory** (global-memory traffic), via
-///   [`ompx_sim::thread::LocalArray`];
-/// * `omp` version: globalized storage, heap (global traffic) or shared
-///   memory when LLVM's heap-to-shared optimization fires, via
-///   [`ompx_devicert::globalization::Scratch`].
-pub trait F64Scratch {
-    fn put(&mut self, tc: &mut ompx_sim::thread::ThreadCtx<'_>, j: usize, v: f64);
-    fn at(&mut self, tc: &mut ompx_sim::thread::ThreadCtx<'_>, j: usize) -> f64;
+/// behind the RSBench §4.2.2 result. [`Driver::items`] hands every item
+/// body the one its version uses.
+pub enum F64Scratch<'a> {
+    /// CUDA/HIP/ompx versions: a dynamically indexed thread-local array →
+    /// **local memory** (global-memory traffic).
+    Local(LocalArray<f64>),
+    /// `omp` version: globalized storage, heap (global traffic) or shared
+    /// memory when LLVM's heap-to-shared optimization fires.
+    Globalized(&'a Scratch),
 }
 
-/// Local-memory scratch (native and ompx program versions).
-pub struct LocalScratch(pub ompx_sim::thread::LocalArray<f64>);
-
-impl F64Scratch for LocalScratch {
+impl F64Scratch<'_> {
+    /// Counted store of element `j`.
     #[inline]
-    fn put(&mut self, tc: &mut ompx_sim::thread::ThreadCtx<'_>, j: usize, v: f64) {
-        tc.lwrite(&mut self.0, j, v);
+    pub fn put(&mut self, tc: &mut ThreadCtx<'_>, j: usize, v: f64) {
+        match self {
+            F64Scratch::Local(array) => tc.lwrite(array, j, v),
+            F64Scratch::Globalized(scratch) => scratch.set(tc, j, v),
+        }
     }
-    #[inline]
-    fn at(&mut self, tc: &mut ompx_sim::thread::ThreadCtx<'_>, j: usize) -> f64 {
-        tc.lread(&self.0, j)
-    }
-}
 
-/// Globalized scratch (`omp` program version).
-pub struct OmpScratch<'a>(pub &'a ompx_devicert::globalization::Scratch);
-
-impl F64Scratch for OmpScratch<'_> {
+    /// Counted load of element `j`.
     #[inline]
-    fn put(&mut self, tc: &mut ompx_sim::thread::ThreadCtx<'_>, j: usize, v: f64) {
-        self.0.set(tc, j, v);
-    }
-    #[inline]
-    fn at(&mut self, tc: &mut ompx_sim::thread::ThreadCtx<'_>, j: usize) -> f64 {
-        self.0.get(tc, j)
+    pub fn at(&self, tc: &mut ThreadCtx<'_>, j: usize) -> f64 {
+        match self {
+            F64Scratch::Local(array) => tc.lread(array, j),
+            F64Scratch::Globalized(scratch) => scratch.get(tc, j),
+        }
     }
 }
 
@@ -672,11 +861,26 @@ mod tests {
     }
 
     #[test]
-    fn contexts_bind_expected_vendors() {
+    fn drivers_bind_expected_vendors_and_toolchains() {
+        use ompx_klang::toolchain::Toolchain;
         use ompx_sim::Vendor;
-        assert_eq!(native_ctx(System::Nvidia, false).device().profile().vendor, Vendor::Nvidia);
-        assert_eq!(native_ctx(System::Amd, true).device().profile().vendor, Vendor::Amd);
-        assert_eq!(omp_runtime(System::Amd).device().profile().vendor, Vendor::Amd);
-        assert_eq!(ompx_runtime(System::Nvidia).device().profile().vendor, Vendor::Nvidia);
+        for (sys, vendor) in [(System::Nvidia, Vendor::Nvidia), (System::Amd, Vendor::Amd)] {
+            for version in ProgVersion::all() {
+                let driver = Driver::new(sys, version, |_| {});
+                assert_eq!(driver.device().profile().vendor, vendor, "{version:?}");
+                let toolchain = match driver.runtime() {
+                    Runtime::Native(ctx) => ctx.toolchain(),
+                    Runtime::Ompx(omp) | Runtime::Omp(omp) => omp.toolchain(),
+                };
+                let expected = match (version, sys) {
+                    (ProgVersion::Native, _) => Toolchain::Clang,
+                    (ProgVersion::NativeVendor, System::Nvidia) => Toolchain::Nvcc,
+                    (ProgVersion::NativeVendor, System::Amd) => Toolchain::Hipcc,
+                    (ProgVersion::Ompx, _) => Toolchain::OmpxPrototype,
+                    (ProgVersion::Omp, _) => Toolchain::ClangOpenmp,
+                };
+                assert_eq!(toolchain, expected, "{version:?} on {sys:?}");
+            }
+        }
     }
 }

@@ -4,12 +4,21 @@
 //! proposed OpenMP kernel language and compares four program versions per
 //! system (Figure 8):
 //!
-//! | label | program version | arm of each app's `run` |
+//! | label | program version | how [`common::Driver`] launches an app's kernel |
 //! |---|---|---|
-//! | `ompx` | OpenMP kernel language, prototype compiler | `ProgVersion::Ompx`: [`common::ompx_runtime`] + [`ompx::BareTarget`] |
-//! | `omp` | traditional OpenMP target offloading, LLVM/Clang | `ProgVersion::Omp`: [`common::omp_runtime`] (with the paper's LLVM quirks) + `target(..).prepare_dpf` |
-//! | `cuda` / `hip` | native kernel language, LLVM/Clang | `ProgVersion::Native`: [`common::native_ctx`]`(sys, false)` via `ompx_klang` |
-//! | `cuda-nvcc` / `hip-hipcc` | native, vendor compiler | `ProgVersion::NativeVendor`: `native_ctx(sys, true)` |
+//! | `ompx` | OpenMP kernel language, prototype compiler | the app's SIMT kernel as an `ompx_bare` region ([`ompx::BareTarget`]'s prepared form) on `ompx::runtime_*` |
+//! | `omp` | traditional OpenMP target offloading, LLVM/Clang | `target(..).prepare_dpf` over the items on `OpenMp::*_system` (with the paper's LLVM quirks) |
+//! | `cuda` / `hip` | native kernel language, LLVM/Clang | the same SIMT kernel through `ompx_klang`'s Clang context |
+//! | `cuda-nvcc` / `hip-hipcc` | native, vendor compiler | the same, through the vendor compiler's context |
+//!
+//! An app states its kernel once, in one of the driver's two forms:
+//! [`common::Driver::items`] (xsbench, rsbench, su3, adam) takes a body
+//! run once per item, which the SIMT versions guard with `i < n` and the
+//! `omp` version lowers as `distribute parallel for`, with per-thread
+//! [`common::F64Scratch`] placed where each version puts it;
+//! [`common::Driver::tiled`] (stencil, aidw) takes a phased,
+//! barrier-delimited body over the app's shared arrays plus the
+//! global-memory item body the `omp` version runs instead.
 //!
 //! Every version of an app executes the *same* per-item arithmetic (shared
 //! inner functions), so their checksums must agree bit-for-bit — the
@@ -20,12 +29,16 @@
 //! workload before running the timing model; the scaling factors are
 //! documented per app and in DESIGN.md.
 //!
-//! Everything around the ports lives once, in [`common`]: the three
-//! constructors attach whatever observers the enclosing scoped run
-//! installed (sanitizer, memory trace, fault state and write-set hints),
-//! [`common::extrapolate`] scales counters to the paper workload, and
-//! [`RunOutcome::new`] turns the modeled kernel into the app's reported
-//! time ([`common::ReportedTime`]).
+//! Everything around the ports lives once, in [`common`]: the driver's
+//! constructor builds the version's runtime, registers the app's codegen
+//! profiles and attaches whatever observers the enclosing scoped run
+//! installed (sanitizer, memory trace, fault state and write-set hints);
+//! each prepared launch can run repeatedly and the driver sums the
+//! counters; [`common::Driver::finish`] scales them to the paper workload
+//! ([`common::extrapolate`]), models the last prepared launch and turns it
+//! into the app's reported time ([`common::ReportedTime`]). `omp` notes
+//! read the region's lowering plan ([`common::Driver::omp_plan`]), not the
+//! plan a host fallback ran.
 
 pub mod adam;
 pub mod aidw;

@@ -18,10 +18,7 @@
 //! in flight), matching Figures 8b/8h.
 
 use crate::common::*;
-use ompx::BareTarget;
 use ompx_klang::toolchain::{vendor_key, CodegenDb, Toolchain};
-use ompx_sim::dim::LaunchConfig;
-use ompx_sim::exec::Kernel;
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::CodegenInfo;
@@ -164,7 +161,7 @@ fn lookup_inputs(i: usize, n_mats: usize) -> (f64, usize) {
 /// One multipole lookup. `scratch` is the per-thread `sigTfactors` array
 /// (2 f64 per order) — the placement-dependent storage.
 #[inline]
-fn lookup_one<S: F64Scratch>(tc: &mut ThreadCtx<'_>, i: usize, d: &RsData, scratch: &mut S) -> f64 {
+fn lookup_one(tc: &mut ThreadCtx<'_>, i: usize, d: &RsData, scratch: &mut F64Scratch<'_>) -> f64 {
     let nw = d.params.n_windows;
     let n_mats = material_sizes(d.params.n_isotopes).len();
     let (e, mat) = lookup_inputs(i, n_mats);
@@ -290,96 +287,38 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 /// Run with explicit workload parameters (the analyzer's replay entry).
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.lookups;
-    let (work, geometry) = (params.scale_factor(), params.geometry_factor());
-
-    let reporting = Reporting { sys, version, time: ReportedTime::ModelSeconds };
-
-    match version {
-        ProgVersion::Native | ProgVersion::NativeVendor => {
-            let ctx = native_ctx(sys, version == ProgVersion::NativeVendor);
-            register_profiles(ctx.codegen());
-            let data = generate(ctx.device(), params);
-            let out = ctx.malloc::<f64>(n);
-            out.set_label("out");
-            let kernel = Kernel::new(KERNEL, {
-                let (data, out) = (data.clone(), out.clone());
-                move |tc: &mut ThreadCtx<'_>| {
-                    let i = tc.global_thread_id_x();
-                    if i < n {
-                        let mut scratch = LocalScratch(tc.local_array::<f64>(2 * NUM_L));
-                        let v = lookup_one(tc, i, &data, &mut scratch);
-                        tc.write(&out, i, v);
-                    }
-                }
-            });
-            let r = ctx.launch_cfg(&kernel, LaunchConfig::linear(n, BLOCK)).expect("launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = ctx.model(KERNEL, BLOCK, 0, &scaled);
-            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
-        }
-        ProgVersion::Ompx => {
-            let omp = ompx_runtime(sys);
-            register_profiles(omp.codegen());
-            let data = generate(omp.device(), params);
-            let out = omp.device().alloc::<f64>(n);
-            out.set_label("out");
-            let teams = (n as u32).div_ceil(BLOCK);
-            let prepared =
-                BareTarget::new(&omp, KERNEL).num_teams([teams]).thread_limit([BLOCK]).prepare({
-                    let (data, out) = (data.clone(), out.clone());
-                    move |tc| {
-                        let i = tc.global_thread_id_x();
-                        if i < n {
-                            // Ported from CUDA: same thread-local array.
-                            let mut scratch = LocalScratch(tc.local_array::<f64>(2 * NUM_L));
-                            let v = lookup_one(tc, i, &data, &mut scratch);
-                            tc.write(&out, i, v);
-                        }
-                    }
-                });
-            let r = prepared.execute().expect("bare launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = prepared.model(&scaled).modeled;
-            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
-        }
-        ProgVersion::Omp => {
-            let omp = omp_runtime(sys);
-            register_profiles(omp.codegen());
-            let data = generate(omp.device(), params);
-            let out = omp.device().alloc::<f64>(n);
-            out.set_label("out");
-            // The HeCBench omp source leaves the launch geometry to the
-            // runtime; LLVM defaults to 128 threads per team (this is part
-            // of why its occupancy story differs from the CUDA version).
-            let omp_threads = 128u32;
-            let teams = (n as u32).div_ceil(omp_threads);
-            let prepared = omp
-                .target(KERNEL)
-                .num_teams(teams)
-                .thread_limit(omp_threads)
-                .scratch_f64(2 * NUM_L) // sigTfactors, globalized
-                .prepare_dpf(n, {
-                    let (data, out) = (data.clone(), out.clone());
-                    std::sync::Arc::new(
-                        move |tc: &mut ThreadCtx<'_>,
-                              i: usize,
-                              s: &ompx_devicert::globalization::Scratch| {
-                            let mut scratch = OmpScratch(s);
-                            let v = lookup_one(tc, i, &data, &mut scratch);
-                            tc.write(&out, i, v);
-                        },
-                    )
-                });
-            let r = prepared.execute().expect("omp launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = prepared.model(&scaled).modeled;
-            let note = r.plan.heap_to_shared.then(|| {
-                "heap-to-shared optimization active (sigTfactors in shared memory)".to_string()
-            });
-            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
-                .with_note(note)
-        }
-    }
+    let mut driver = Driver::new(sys, version, register_profiles);
+    let data = generate(driver.device(), params);
+    let out = driver.device().alloc::<f64>(n);
+    out.set_label("out");
+    // The HeCBench omp source leaves the launch geometry to the runtime;
+    // LLVM defaults to 128 threads per team (this is part of why its
+    // occupancy story differs from the CUDA version). Every version keeps
+    // sigTfactors in per-thread scratch: local memory when ported from
+    // CUDA, globalized under omp.
+    let items = Items { omp_block: 128, scratch_f64: 2 * NUM_L, ..Items::new(n, BLOCK) };
+    driver
+        .items(KERNEL, items, {
+            let out = out.clone();
+            move |tc, i, scratch| {
+                let v = lookup_one(tc, i, &data, scratch);
+                tc.write(&out, i, v);
+            }
+        })
+        .run();
+    let note = driver
+        .omp_plan()
+        .filter(|plan| plan.heap_to_shared)
+        .map(|_| "heap-to-shared optimization active (sigTfactors in shared memory)".to_string());
+    let checksum = checksum_f64_items(&out.to_vec());
+    driver
+        .finish(
+            ReportedTime::ModelSeconds,
+            checksum,
+            params.scale_factor(),
+            params.geometry_factor(),
+        )
+        .with_note(note)
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 //! `force_generic` quirk on kernel `stencil1d` reproduces the mechanism.
 
 use crate::common::*;
-use ompx::BareTarget;
+use ompx_devicert::ExecMode;
 use ompx_klang::toolchain::{vendor_key, CodegenDb, Toolchain};
 use ompx_sim::dim::LaunchConfig;
-use ompx_sim::exec::{Kernel, Step};
+use ompx_sim::exec::Step;
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::CodegenInfo;
@@ -129,21 +129,6 @@ pub fn tiled_phase(
     Step::Exit
 }
 
-/// The tiled kernel over `input` → `output`, launched by the native
-/// versions and the stencil tests.
-fn tiled_kernel(
-    name: &str,
-    input: &DBuf<f32>,
-    output: &DBuf<f32>,
-    slot: usize,
-    n: usize,
-) -> Kernel {
-    let (input, output) = (input.clone(), output.clone());
-    Kernel::phased(name, move |tc, phase, _: &mut ()| {
-        tiled_phase(tc, phase, &input, &output, slot, n)
-    })
-}
-
 /// Clamped global index for the non-tiled (omp) version — must match the
 /// tile's clamping exactly for checksum equality.
 #[inline]
@@ -156,6 +141,32 @@ fn clamped(n: usize, i: usize, off: isize) -> usize {
     } else {
         (idx as usize).min(n - 1)
     }
+}
+
+/// Prepare one stencil kernel `name` over `input` → `output`: the tiled
+/// kernel with its halo tile in shared memory in the native and ompx
+/// versions, the clamped global-memory stencil in the omp version.
+fn step<'d>(
+    driver: &'d mut Driver,
+    name: &str,
+    input: &DBuf<f32>,
+    output: &DBuf<f32>,
+    n: usize,
+) -> Launch<'d> {
+    let mut cfg = LaunchConfig::linear(n, BLOCK as u32);
+    let slot = cfg.shared_array::<f32>(BLOCK + 2 * RADIUS);
+    let (tiled_in, tiled_out) = (input.clone(), output.clone());
+    let (input, output) = (input.clone(), output.clone());
+    driver.tiled(
+        name,
+        n,
+        cfg,
+        move |tc, phase, _: &mut ()| tiled_phase(tc, phase, &tiled_in, &tiled_out, slot, n),
+        move |tc, i| {
+            let r = stencil_sum(tc, |tc, off| tc.read(&input, clamped(n, i, off)));
+            tc.write(&output, i, r);
+        },
+    )
 }
 
 fn register_profiles(db: &CodegenDb) {
@@ -202,102 +213,20 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.length;
     let iters = params.iterations;
+    let mut driver = Driver::new(sys, version, register_profiles);
+    let (a, b) = generate(driver.device(), n);
+    for it in 0..iters {
+        let (input, output) = if it % 2 == 0 { (&a, &b) } else { (&b, &a) };
+        step(&mut driver, KERNEL, input, output, n).run();
+    }
+    let note = driver.omp_plan().filter(|plan| plan.mode == ExecMode::Generic).map(|_| {
+        "generic-mode fallback: the state machine could not be rewritten (§4.2.6)".to_string()
+    });
+    let final_buf = if iters.is_multiple_of(2) { &a } else { &b };
     // One launch's average, extrapolated to the paper's 2²⁷ elements.
     let per_iter = params.elem_factor() / iters as f64;
-
-    let reporting = Reporting { sys, version, time: ReportedTime::KernelOnly };
-
-    match version {
-        ProgVersion::Native | ProgVersion::NativeVendor => {
-            let ctx = native_ctx(sys, version == ProgVersion::NativeVendor);
-            register_profiles(ctx.codegen());
-            let (a, b) = generate(ctx.device(), n);
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            let mut smem = 0usize;
-            for it in 0..iters {
-                let (input, output) = if it % 2 == 0 { (&a, &b) } else { (&b, &a) };
-                let mut cfg = LaunchConfig::linear(n, BLOCK as u32);
-                let slot = cfg.shared_array::<f32>(BLOCK + 2 * RADIUS);
-                smem = cfg.shared_bytes_per_block();
-                let kernel = tiled_kernel(KERNEL, input, output, slot, n);
-                let r = ctx.launch_cfg(&kernel, cfg).expect("launch");
-                agg = agg.merged(&r.stats);
-            }
-            let per_launch = extrapolate(&agg, per_iter, per_iter);
-            let modeled = ctx.model(KERNEL, BLOCK as u32, smem, &per_launch);
-            let final_buf = if iters.is_multiple_of(2) { &a } else { &b };
-            RunOutcome::new(reporting, checksum_f32_items(&final_buf.to_vec()), modeled, per_launch)
-        }
-        ProgVersion::Ompx => {
-            let omp = ompx_runtime(sys);
-            register_profiles(omp.codegen());
-            let (a, b) = generate(omp.device(), n);
-            let teams = (n as u32).div_ceil(BLOCK as u32);
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            let mut last = None;
-            for it in 0..iters {
-                let (input, output) = if it % 2 == 0 { (&a, &b) } else { (&b, &a) };
-                let mut target = BareTarget::new(&omp, KERNEL)
-                    .num_teams([teams])
-                    .thread_limit([BLOCK as u32])
-                    .uses_block_sync();
-                let slot = target.shared_array::<f32>(BLOCK + 2 * RADIUS);
-                let prepared = target.prepare_phased({
-                    let (input, output) = (input.clone(), output.clone());
-                    move |tc, phase, _: &mut ()| tiled_phase(tc, phase, &input, &output, slot, n)
-                });
-                let r = prepared.execute().expect("bare launch");
-                agg = agg.merged(&r.stats);
-                last = Some(prepared);
-            }
-            let per_launch = extrapolate(&agg, per_iter, per_iter);
-            let modeled = last.expect("iters > 0").model(&per_launch).modeled;
-            let final_buf = if iters.is_multiple_of(2) { &a } else { &b };
-            RunOutcome::new(reporting, checksum_f32_items(&final_buf.to_vec()), modeled, per_launch)
-        }
-        ProgVersion::Omp => {
-            let omp = omp_runtime(sys);
-            register_profiles(omp.codegen());
-            let (a, b) = generate(omp.device(), n);
-            let teams = (n as u32).div_ceil(BLOCK as u32);
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            let mut last = None;
-            let mut plan = None;
-            for it in 0..iters {
-                let (input, output) = if it % 2 == 0 { (&a, &b) } else { (&b, &a) };
-                let prepared = omp
-                    .target(KERNEL)
-                    .num_teams(teams)
-                    .thread_limit(BLOCK as u32)
-                    .prepare_dpf(n, {
-                        let (input, output) = (input.clone(), output.clone());
-                        std::sync::Arc::new(
-                            move |tc: &mut ThreadCtx<'_>,
-                                  i: usize,
-                                  _s: &ompx_devicert::globalization::Scratch| {
-                                let r =
-                                    stencil_sum(tc, |tc, off| tc.read(&input, clamped(n, i, off)));
-                                tc.write(&output, i, r);
-                            },
-                        )
-                    });
-                let r = prepared.execute().expect("omp launch");
-                plan = Some(r.plan);
-                agg = agg.merged(&r.stats);
-                last = Some(prepared);
-            }
-            let per_launch = extrapolate(&agg, per_iter, per_iter);
-            let modeled = last.expect("iters > 0").model(&per_launch).modeled;
-            let final_buf = if iters.is_multiple_of(2) { &a } else { &b };
-            let note =
-                matches!(plan, Some(p) if p.mode == ompx_devicert::ExecMode::Generic).then(|| {
-                    "generic-mode fallback: the state machine could not be rewritten (§4.2.6)"
-                        .to_string()
-                });
-            RunOutcome::new(reporting, checksum_f32_items(&final_buf.to_vec()), modeled, per_launch)
-                .with_note(note)
-        }
-    }
+    let checksum = checksum_f32_items(&final_buf.to_vec());
+    driver.finish(ReportedTime::KernelOnly, checksum, per_iter, per_iter).with_note(note)
 }
 
 #[cfg(test)]
@@ -320,8 +249,8 @@ mod tests {
     fn stencil_smooths_the_signal() {
         // After iterations of averaging, variance must strictly decrease.
         let params = Params::for_scale(WorkScale::Test);
-        let ctx = native_ctx(System::Nvidia, false);
-        let (a, _b) = generate(ctx.device(), params.length);
+        let mut driver = Driver::new(System::Nvidia, ProgVersion::Native, register_profiles);
+        let (a, _b) = generate(driver.device(), params.length);
         let init = a.to_vec();
         let var = |v: &[f32]| {
             let mean = v.iter().sum::<f32>() / v.len() as f32;
@@ -330,12 +259,8 @@ mod tests {
         let r = run(System::Nvidia, ProgVersion::Native, WorkScale::Test);
         let _ = r;
         // Direct functional check with a fresh pair.
-        let (a, b) = generate(ctx.device(), params.length);
-        let n = params.length;
-        let mut cfg = LaunchConfig::linear(n, BLOCK as u32);
-        let slot = cfg.shared_array::<f32>(BLOCK + 2 * RADIUS);
-        let kernel = tiled_kernel("stencil_var", &a, &b, slot, n);
-        ctx.launch_cfg(&kernel, cfg).unwrap();
+        let (a, b) = generate(driver.device(), params.length);
+        step(&mut driver, "stencil_var", &a, &b, params.length).run();
         assert!(var(&b.to_vec()) < var(&init));
     }
 
@@ -343,8 +268,8 @@ mod tests {
     fn device_checksum_matches_independent_host_reference() {
         // Plain host implementation of the iterated clamped stencil.
         let params = Params::for_scale(WorkScale::Test);
-        let ctx = native_ctx(System::Nvidia, false);
-        let (a, _b) = generate(ctx.device(), params.length);
+        let driver = Driver::new(System::Nvidia, ProgVersion::Native, register_profiles);
+        let (a, _b) = generate(driver.device(), params.length);
         let mut cur = a.to_vec();
         let n = params.length;
         for _ in 0..params.iterations {

@@ -13,10 +13,7 @@
 //!   noticeably worse access pattern; `ompx` is ~28 % faster than `hip`.
 
 use crate::common::*;
-use ompx::BareTarget;
 use ompx_klang::toolchain::{vendor_key, CodegenDb, Toolchain};
-use ompx_sim::dim::LaunchConfig;
-use ompx_sim::exec::Kernel;
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::CodegenInfo;
@@ -178,89 +175,23 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.sites;
     let iters = params.iterations;
+    let mut driver = Driver::new(sys, version, register_profiles);
+    let (a, b, c) = generate(driver.device(), n);
+    // Prepared once, launched every iteration.
+    let mut launch = driver.items(KERNEL, Items::new(n, BLOCK), {
+        let c = c.clone();
+        move |tc, i, _| site_mm(tc, i, &a, &b, &c)
+    });
+    for _ in 0..iters {
+        launch.run();
+    }
+    let time = ReportedTime::Launches {
+        launches: params.paper_iterations,
+        pipelined: version != ProgVersion::Omp,
+    };
     // One launch's average, extrapolated to the paper's site count.
     let per_iter = params.site_factor() / iters as f64;
-
-    let reporting = Reporting {
-        sys,
-        version,
-        time: ReportedTime::Launches {
-            launches: params.paper_iterations,
-            pipelined: version != ProgVersion::Omp,
-        },
-    };
-
-    match version {
-        ProgVersion::Native | ProgVersion::NativeVendor => {
-            let ctx = native_ctx(sys, version == ProgVersion::NativeVendor);
-            register_profiles(ctx.codegen());
-            let (a, b, c) = generate(ctx.device(), n);
-            let kernel = Kernel::new(KERNEL, {
-                let (a, b, c) = (a.clone(), b.clone(), c.clone());
-                move |tc: &mut ThreadCtx<'_>| {
-                    let i = tc.global_thread_id_x();
-                    if i < n {
-                        site_mm(tc, i, &a, &b, &c);
-                    }
-                }
-            });
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            for _ in 0..iters {
-                let r = ctx.launch_cfg(&kernel, LaunchConfig::linear(n, BLOCK)).expect("launch");
-                agg = agg.merged(&r.stats);
-            }
-            let per_launch = extrapolate(&agg, per_iter, per_iter);
-            let modeled = ctx.model(KERNEL, BLOCK, 0, &per_launch);
-            RunOutcome::new(reporting, checksum_f32_items(&c.to_vec()), modeled, per_launch)
-        }
-        ProgVersion::Ompx => {
-            let omp = ompx_runtime(sys);
-            register_profiles(omp.codegen());
-            let (a, b, c) = generate(omp.device(), n);
-            let teams = (n as u32).div_ceil(BLOCK);
-            let prepared =
-                BareTarget::new(&omp, KERNEL).num_teams([teams]).thread_limit([BLOCK]).prepare({
-                    let (a, b, c) = (a.clone(), b.clone(), c.clone());
-                    move |tc| {
-                        let i = tc.global_thread_id_x();
-                        if i < n {
-                            site_mm(tc, i, &a, &b, &c);
-                        }
-                    }
-                });
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            for _ in 0..iters {
-                agg = agg.merged(&prepared.execute().expect("bare launch").stats);
-            }
-            let per_launch = extrapolate(&agg, per_iter, per_iter);
-            let modeled = prepared.model(&per_launch).modeled;
-            RunOutcome::new(reporting, checksum_f32_items(&c.to_vec()), modeled, per_launch)
-        }
-        ProgVersion::Omp => {
-            let omp = omp_runtime(sys);
-            register_profiles(omp.codegen());
-            let (a, b, c) = generate(omp.device(), n);
-            let teams = (n as u32).div_ceil(BLOCK);
-            let prepared =
-                omp.target(KERNEL).num_teams(teams).thread_limit(BLOCK).prepare_dpf(n, {
-                    let (a, b, c) = (a.clone(), b.clone(), c.clone());
-                    std::sync::Arc::new(
-                        move |tc: &mut ThreadCtx<'_>,
-                              i: usize,
-                              _s: &ompx_devicert::globalization::Scratch| {
-                            site_mm(tc, i, &a, &b, &c);
-                        },
-                    )
-                });
-            let mut agg = ompx_sim::counters::StatsSnapshot::default();
-            for _ in 0..iters {
-                agg = agg.merged(&prepared.execute().expect("omp launch").stats);
-            }
-            let per_launch = extrapolate(&agg, per_iter, per_iter);
-            let modeled = prepared.model(&per_launch).modeled;
-            RunOutcome::new(reporting, checksum_f32_items(&c.to_vec()), modeled, per_launch)
-        }
-    }
+    driver.finish(time, checksum_f32_items(&c.to_vec()), per_iter, per_iter)
 }
 
 #[cfg(test)]
@@ -282,19 +213,14 @@ mod tests {
     fn matrix_multiply_is_correct() {
         // Independent host-side reference for a few sites.
         let params = Params::for_scale(WorkScale::Test);
-        let ctx = native_ctx(System::Nvidia, false);
-        let (a, b, c) = generate(ctx.device(), params.sites);
-        let kernel = Kernel::new("ref_check", {
-            let (a, b, c) = (a.clone(), b.clone(), c.clone());
-            let n = params.sites;
-            move |tc: &mut ThreadCtx<'_>| {
-                let i = tc.global_thread_id_x();
-                if i < n {
-                    site_mm(tc, i, &a, &b, &c);
-                }
-            }
-        });
-        ctx.launch_cfg(&kernel, LaunchConfig::linear(params.sites, BLOCK)).unwrap();
+        let mut driver = Driver::new(System::Nvidia, ProgVersion::Native, register_profiles);
+        let (a, b, c) = generate(driver.device(), params.sites);
+        driver
+            .items("ref_check", Items::new(params.sites, BLOCK), {
+                let (a, b, c) = (a.clone(), b.clone(), c.clone());
+                move |tc, i, _| site_mm(tc, i, &a, &b, &c)
+            })
+            .run();
         let (ha, hb, hc) = (a.to_vec(), b.to_vec(), c.to_vec());
         for site in 0..3usize {
             for i in 0..3 {

@@ -16,10 +16,7 @@
 //! carried as a flag).
 
 use crate::common::*;
-use ompx::BareTarget;
 use ompx_klang::toolchain::{vendor_key, CodegenDb, Toolchain};
-use ompx_sim::dim::LaunchConfig;
-use ompx_sim::exec::Kernel;
 use ompx_sim::mem::DBuf;
 use ompx_sim::thread::ThreadCtx;
 use ompx_sim::timing::CodegenInfo;
@@ -285,88 +282,31 @@ pub fn run(sys: System, version: ProgVersion, scale: WorkScale) -> RunOutcome {
 /// Run with explicit workload parameters (the analyzer's replay entry).
 pub(crate) fn run_with_params(sys: System, version: ProgVersion, params: Params) -> RunOutcome {
     let n = params.lookups;
-    let (work, geometry) = (params.scale_factor(), params.geometry_factor());
-
-    let reporting = Reporting { sys, version, time: ReportedTime::ModelSeconds };
-
-    match version {
-        ProgVersion::Native | ProgVersion::NativeVendor => {
-            let ctx = native_ctx(sys, version == ProgVersion::NativeVendor);
-            register_profiles(ctx.codegen());
-            let data = generate(ctx.device(), params);
-            let out = ctx.malloc::<f64>(n);
-            out.set_label("out");
-            let kernel = Kernel::new(KERNEL, {
-                let (data, out) = (data.clone(), out.clone());
-                move |tc: &mut ThreadCtx<'_>| {
-                    let i = tc.global_thread_id_x();
-                    if i < n {
-                        let v = lookup_one(tc, i, &data);
-                        tc.write(&out, i, v);
-                    }
-                }
-            });
-            let r = ctx.launch_cfg(&kernel, LaunchConfig::linear(n, BLOCK)).expect("launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = ctx.model(KERNEL, BLOCK, 0, &scaled);
-            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
-        }
-        ProgVersion::Ompx => {
-            let omp = ompx_runtime(sys);
-            register_profiles(omp.codegen());
-            let data = generate(omp.device(), params);
-            let out = omp.device().alloc::<f64>(n);
-            out.set_label("out");
-            let teams = (n as u32).div_ceil(BLOCK);
-            let prepared =
-                BareTarget::new(&omp, KERNEL).num_teams([teams]).thread_limit([BLOCK]).prepare({
-                    let (data, out) = (data.clone(), out.clone());
-                    move |tc| {
-                        let i = tc.global_thread_id_x();
-                        if i < n {
-                            let v = lookup_one(tc, i, &data);
-                            tc.write(&out, i, v);
-                        }
-                    }
-                });
-            let r = prepared.execute().expect("bare launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = prepared.model(&scaled).modeled;
-            RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
-        }
-        ProgVersion::Omp => {
-            let omp = omp_runtime(sys);
-            register_profiles(omp.codegen());
-            let data = generate(omp.device(), params);
-            let out = omp.device().alloc::<f64>(n);
-            out.set_label("out");
-            let teams = (n as u32).div_ceil(BLOCK);
-            let prepared =
-                omp.target(KERNEL).num_teams(teams).thread_limit(BLOCK).prepare_dpf(n, {
-                    let (data, out) = (data.clone(), out.clone());
-                    std::sync::Arc::new(
-                        move |tc: &mut ThreadCtx<'_>,
-                              i: usize,
-                              _s: &ompx_devicert::globalization::Scratch| {
-                            let v = lookup_one(tc, i, &data);
-                            tc.write(&out, i, v);
-                        },
-                    )
-                });
-            let r = prepared.execute().expect("omp launch");
-            let scaled = extrapolate(&r.stats, work, geometry);
-            let modeled = prepared.model(&scaled).modeled;
-            let note = r.plan.invalid_result.then(|| {
-                "excluded in the paper: LLVM OpenMP version reported an invalid checksum"
-                    .to_string()
-            });
-            let mut outcome =
-                RunOutcome::new(reporting, checksum_f64_items(&out.to_vec()), modeled, scaled)
-                    .with_note(note);
-            outcome.excluded = r.plan.invalid_result;
-            outcome
-        }
-    }
+    let mut driver = Driver::new(sys, version, register_profiles);
+    let data = generate(driver.device(), params);
+    let out = driver.device().alloc::<f64>(n);
+    out.set_label("out");
+    driver
+        .items(KERNEL, Items::new(n, BLOCK), {
+            let out = out.clone();
+            move |tc, i, _| {
+                let v = lookup_one(tc, i, &data);
+                tc.write(&out, i, v);
+            }
+        })
+        .run();
+    let note = driver.omp_plan().filter(|plan| plan.invalid_result).map(|_| {
+        "excluded in the paper: LLVM OpenMP version reported an invalid checksum".to_string()
+    });
+    let checksum = checksum_f64_items(&out.to_vec());
+    driver
+        .finish(
+            ReportedTime::ModelSeconds,
+            checksum,
+            params.scale_factor(),
+            params.geometry_factor(),
+        )
+        .with_note(note)
 }
 
 #[cfg(test)]
@@ -421,8 +361,8 @@ mod tests {
         // values — and therefore the same checksum — as every device
         // version.
         let params = Params::for_scale(WorkScale::Test);
-        let ctx = native_ctx(System::Nvidia, false);
-        let d = generate(ctx.device(), params);
+        let driver = Driver::new(System::Nvidia, ProgVersion::Native, register_profiles);
+        let d = generate(driver.device(), params);
         let egrid = d.egrid.to_vec();
         let xs = d.xs.to_vec();
         let nuclides = d.mat_nuclides.to_vec();

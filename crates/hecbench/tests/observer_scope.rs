@@ -1,9 +1,10 @@
 //! The scoped runs attach their observers only for their own scope: once
 //! `run_app_sanitized`, `with_mem_trace_full` or `run_app_chaos` returns,
-//! also after the traced closure panics, the context constructors hand out
-//! devices with no sanitizer, trace, fault state or write-set hint.
+//! also after the traced closure panics, the launch driver hands out
+//! devices with no sanitizer, trace, fault state or write-set hint, for
+//! every program version on both systems.
 
-use ompx_hecbench::common::{native_ctx, omp_runtime, ompx_runtime};
+use ompx_hecbench::common::Driver;
 use ompx_hecbench::{
     run_app, run_app_chaos, run_app_sanitized, with_mem_trace_full, ProgVersion, System, WorkScale,
 };
@@ -14,14 +15,12 @@ use ompx_sim::Device;
 /// Kernel whose analyzer write set a chaos cell of `xsbench` installs.
 const XSBENCH_KERNEL: &str = "xsbench_lookup";
 
-/// Every device the three constructors hand out on both systems.
+/// A fresh device of every program version's driver on both systems.
 fn with_fresh_devices(check: impl Fn(&str, &Device)) {
     for sys in [System::Nvidia, System::Amd] {
-        for vendor_cc in [false, true] {
-            check("native", native_ctx(sys, vendor_cc).device());
+        for version in ProgVersion::all() {
+            check(version.label(sys), Driver::new(sys, version, |_| {}).device());
         }
-        check("omp", omp_runtime(sys).device());
-        check("ompx", ompx_runtime(sys).device());
     }
 }
 
@@ -72,8 +71,8 @@ fn scoped_runs_leave_no_observer_attached() {
 
     let caught = std::panic::catch_unwind(|| {
         with_mem_trace_full(|| {
-            let ctx = native_ctx(System::Nvidia, false);
-            assert!(ctx.device().mem_trace().is_some(), "inside the scope: no trace");
+            let driver = Driver::new(System::Nvidia, ProgVersion::NativeVendor, |_| {});
+            assert!(driver.device().mem_trace().is_some(), "inside the scope: no trace");
             panic!("benchmark failed mid-run");
         })
     });

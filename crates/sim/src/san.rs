@@ -360,8 +360,10 @@ impl DiagLog {
 pub struct SanState {
     enabled: ToolMask,
     diagnostics: Mutex<Vec<Diagnostic>>,
-    /// Dedup: one report per (kind, allocation/site, address).
-    seen: Mutex<HashSet<DedupKey>>,
+    /// Dedup: one report per kernel and (kind, allocation/site, address).
+    /// Keyed by kernel too, so a second kernel's finding at the same site
+    /// is its own report, while repeat launches of one kernel report once.
+    seen: Mutex<HashSet<(String, DedupKey)>>,
     allocs: Mutex<Vec<AllocRecord>>,
 }
 
@@ -407,7 +409,7 @@ impl SanState {
     }
 
     fn record(&self, diag: Diagnostic, dedup_key: DedupKey) {
-        if !self.seen.lock().insert(dedup_key) {
+        if !self.seen.lock().insert((diag.kernel.clone(), dedup_key)) {
             return;
         }
         if let Some(reg) = ompx_telemetry::active() {

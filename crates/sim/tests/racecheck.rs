@@ -98,6 +98,39 @@ fn write_write_conflict_is_caught() {
     assert!(has_shared_race(&diags), "{diags:?}");
 }
 
+/// Every lane of one block writes shared slot 0 cell 0 in the same epoch.
+fn cell0_writer(name: &str) -> Kernel {
+    Kernel::with_flags(
+        name,
+        KernelFlags { uses_block_sync: true, uses_warp_ops: false },
+        |tc: &mut ThreadCtx<'_>| {
+            let tile = tc.shared::<u32>(0);
+            tc.swrite(&tile, 0, tc.thread_rank() as u32);
+        },
+    )
+}
+
+#[test]
+fn session_reports_each_kernels_race_once() {
+    // Two kernels race on the same (slot, cell) under one session: each
+    // gets its own report, and relaunching the first adds none.
+    let d = dev();
+    let mut cfg = LaunchConfig::new(1u32, 8u32);
+    cfg.shared_array::<u32>(1);
+    let (first, second) = (cell0_writer("race_a"), cell0_writer("race_b"));
+    let diags = with_racecheck_session(&d, || {
+        d.launch(&first, cfg.clone()).unwrap();
+        d.launch(&second, cfg.clone()).unwrap();
+        d.launch(&first, cfg.clone()).unwrap();
+    });
+    let races: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.kind == DiagKind::SharedRace)
+        .map(|d| d.kernel.as_str())
+        .collect();
+    assert_eq!(races, ["race_a", "race_b"], "{diags:?}");
+}
+
 #[test]
 fn same_epoch_reads_are_fine() {
     // Many readers of the same cell without writers: no race.

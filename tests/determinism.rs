@@ -17,7 +17,7 @@
 //! override instead.
 
 use ompx::BareTarget;
-use ompx_hecbench::common::{checksum_f32_items, item_uniform, ompx_runtime, splitmix64};
+use ompx_hecbench::common::{checksum_f32_items, item_uniform, splitmix64, Driver, Runtime};
 use ompx_hecbench::{run_app, with_mem_trace_full, ProgVersion, System, WorkScale};
 use ompx_klang::blaslib::{sdot, BlasVendor};
 use ompx_klang::cuda::cuda_context_clang;
@@ -175,7 +175,8 @@ fn tile_kernel(sys: System, grid: &[u32], block: &[u32], workers: usize, tools: 
     let total = grid.iter().product::<u32>() as usize * threads;
     let n = total - 17;
     let run = || {
-        let omp = ompx_runtime(sys);
+        let driver = Driver::new(sys, ProgVersion::Ompx, |_| {});
+        let Runtime::Ompx(omp) = driver.runtime() else { unreachable!("an ompx driver") };
         omp.device().set_sim_workers(Some(workers));
         assert_ne!(threads % omp.device().profile().warp_size as usize, 0, "want a partial warp");
         let san = tools.then(|| Sanitizer::attach_mask(omp.device(), ToolMask::ALL));
@@ -185,7 +186,7 @@ fn tile_kernel(sys: System, grid: &[u32], block: &[u32], workers: usize, tools: 
         // Default labels carry the process-global allocation id.
         input.set_label("in");
         out.set_label("out");
-        let mut target = BareTarget::new(&omp, "tile").num_teams(grid).thread_limit(block);
+        let mut target = BareTarget::new(omp, "tile").num_teams(grid).thread_limit(block);
         let slot = target.shared_array::<f32>(threads);
         target
             .launch_phased({

@@ -11,9 +11,9 @@
 //! with every sanitizer tool attached and the memory trace recording.
 
 use ompx_hecbench::aidw::{self, AidwData, ScanState, TileSlots};
-use ompx_hecbench::common::native_ctx;
+use ompx_hecbench::common::{Driver, Runtime};
 use ompx_hecbench::stencil::{self, RADIUS};
-use ompx_hecbench::{with_mem_trace_full, System};
+use ompx_hecbench::{with_mem_trace_full, ProgVersion, System};
 use ompx_klang::runtime::NativeCtx;
 use ompx_sim::counters::StatsSnapshot;
 use ompx_sim::dim::LaunchConfig;
@@ -68,11 +68,12 @@ type Build = dyn Fn(&NativeCtx, bool) -> (Kernel, LaunchConfig, DBuf<f32>);
 /// memory trace recording.
 fn observe(workers: usize, tools: ToolMask, build: &Build, phased: bool) -> Observed {
     let ((out, stats, diags), events, barriers) = with_mem_trace_full(|| {
-        let ctx = native_ctx(System::Nvidia, false);
+        let driver = Driver::new(System::Nvidia, ProgVersion::Native, |_| {});
+        let Runtime::Native(ctx) = driver.runtime() else { unreachable!("a native driver") };
         ctx.device().set_sim_workers(Some(workers));
         let san = SanState::new(tools);
         ctx.sanitizer_attach(std::sync::Arc::clone(&san));
-        let (kernel, cfg, out) = build(&ctx, phased);
+        let (kernel, cfg, out) = build(ctx, phased);
         assert_eq!(kernel.is_phased(), phased, "{kernel:?}");
         assert_eq!(kernel.flags(), SYNC, "{kernel:?}");
         let stats = ctx.launch_cfg(&kernel, cfg).expect("launch").stats;
